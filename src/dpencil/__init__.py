@@ -9,6 +9,7 @@ from .dcurve import (
     SynthesisRequest,
     TheoremReport,
     check_theorem_conditions,
+    feasible_curve,
     feasible_domain,
     phi_components,
     restrict_curve,
@@ -27,8 +28,6 @@ from .frenet import (
     CurveSpec,
     FrenetApparatus,
     classify_curve,
-    curve_point_jets,
-    darboux_unit,
     frenet_at,
 )
 from .jets import Jet3
@@ -41,9 +40,6 @@ from .pencil import (
     SurfacePencil,
     TabulatedProductForm,
     marching_values,
-    surface_normal,
-    surface_partials,
-    surface_point,
 )
 from .presets import load_preset, preset_names
 from .scene import SceneConfig
@@ -70,11 +66,10 @@ __all__ = [
     "TheoremReport",
     "check_theorem_conditions",
     "classify_curve",
-    "curve_point_jets",
-    "darboux_unit",
     "errors",
     "evaluate",
     "evaluate_jet3",
+    "feasible_curve",
     "feasible_domain",
     "format_expression",
     "frenet_at",
@@ -85,9 +80,6 @@ __all__ = [
     "preset_names",
     "restrict_curve",
     "sample_grid",
-    "surface_normal",
-    "surface_partials",
-    "surface_point",
     "synthesize_marching_scale",
     "verify_dtype",
     "write_obj",

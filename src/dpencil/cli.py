@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .dcurve import (
     SynthesisRequest,
-    feasible_domain,
-    restrict_curve,
+    feasible_curve,
     synthesize_marching_scale,
     verify_dtype,
 )
@@ -104,16 +104,8 @@ def _assemble(cfg: SceneConfig):
     note = None
     if cfg.mode == "explicit":
         return curve, cfg.explicit_marching(), note
-    intervals = feasible_domain(curve, cfg.c)
-    if not intervals:
-        raise InfeasibleConstantError(cfg.c)
-    lo, hi = curve.domain
-    full = len(intervals) == 1 and math.isclose(
-        intervals[0][0], lo, abs_tol=1e-7
-    ) and math.isclose(intervals[0][1], hi, abs_tol=1e-7)
-    if not full:
-        largest = max(intervals, key=lambda iv: iv[1] - iv[0])
-        curve = restrict_curve(curve, largest)
+    curve, intervals = feasible_curve(curve, cfg.c)
+    if intervals:
         note = {
             "feasible_domain": [[a, b] for a, b in intervals],
             "restricted_to": list(curve.domain),
@@ -211,18 +203,9 @@ def cmd_classify(cfg: SceneConfig, args) -> int:
 def cmd_synthesize(cfg: SceneConfig, args) -> int:
     if cfg.c is None:
         raise SceneValidationError("synthesize requires marching.c in the config")
-    curve = cfg.curve()
-    intervals = feasible_domain(curve, cfg.c, max(args.samples or 256, 64))
-    if not intervals:
-        raise InfeasibleConstantError(cfg.c)
-    lo, hi = curve.domain
-    full = len(intervals) == 1 and math.isclose(
-        intervals[0][0], lo, abs_tol=1e-7
-    ) and math.isclose(intervals[0][1], hi, abs_tol=1e-7)
+    curve, intervals = feasible_curve(cfg.curve(), cfg.c, max(args.samples or 256, 64))
     out = cfg.to_dict()
-    if not full:
-        largest = max(intervals, key=lambda iv: iv[1] - iv[0])
-        curve = restrict_curve(curve, largest)
+    if intervals:
         out["curve"]["range"] = list(curve.domain)
         out["feasible_domain"] = [[a, b] for a, b in intervals]
         print(f"feasible subdomain(s): {out['feasible_domain']}", file=sys.stderr)
@@ -269,7 +252,10 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg, args)
+        # Overflowing vertices are reported as mesh defects; numpy's
+        # per-operation warnings would only repeat that on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](cfg, args)
     except InfeasibleConstantError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE

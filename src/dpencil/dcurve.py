@@ -46,6 +46,7 @@ from .pencil import (
     SurfacePencil,
     TabulatedProductForm,
     marching_values,
+    pencil_normal,
 )
 
 _SKIP_ERRORS = (InflectionPointError, IrregularCurveError, DegenerateNormalError, DomainError)
@@ -189,12 +190,12 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
         s = float(s)
         try:
             app = p.frame(s)
-            n = p.normal(s, p.t0, frame=app)
+            mv = marching_values(p.marching, s, p.t0)
+            n = pencil_normal(app, mv, s, p.t0)
         except _SKIP_ERRORS:
             skipped += 1
             continue
         usable += 1
-        mv = marching_values(p.marching, s, p.t0)
         iso_err = max(iso_err, abs(mv.u), abs(mv.v), abs(mv.w))
         phi1 = float(np.dot(n, app.T))
         phi2 = float(np.dot(n, app.N))
@@ -457,6 +458,26 @@ def feasible_domain(curve: CurveSpec, c: float,
     if start is not None:
         intervals.append((start, float(qs[-1])))
     return intervals
+
+
+def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256
+                   ) -> tuple[CurveSpec, list[tuple[float, float]] | None]:
+    """``curve`` restricted to its largest feasible interval for ``c``.
+
+    Returns ``(curve, intervals)``.  When the whole domain is feasible the
+    curve comes back unchanged with ``intervals`` None; otherwise
+    ``intervals`` lists every feasible subinterval.  Raises
+    :class:`InfeasibleConstantError` when no parameter is feasible.
+    """
+    intervals = feasible_domain(curve, c, sample_count)
+    if not intervals:
+        raise InfeasibleConstantError(c)
+    lo, hi = curve.domain
+    if len(intervals) == 1 and math.isclose(intervals[0][0], lo, abs_tol=1e-7) \
+            and math.isclose(intervals[0][1], hi, abs_tol=1e-7):
+        return curve, None
+    largest = max(intervals, key=lambda iv: iv[1] - iv[0])
+    return restrict_curve(curve, largest), intervals
 
 
 def restrict_curve(curve: CurveSpec, interval: tuple[float, float],

@@ -35,7 +35,7 @@ class UnknownFunctionError(ParseError):
 class DomainError(ExpressionError):
     """Numeric domain violation (sqrt of a negative, division by zero, ...).
 
-    ``where`` names the offending subexpression once known; the evaluators
+    ``where`` names the offending subexpression once known; the evaluator
     attach it at the innermost enclosing node.
     """
 

@@ -30,7 +30,7 @@ from .errors import (
     UnknownFunctionError,
     UnknownVariableError,
 )
-from .jets import JET_FUNCTIONS, Jet3, jet_pow
+from .jets import FUNCTIONS, Jet3, apply_function, jet_pow
 
 Node = Union["Num", "Const", "Var", "Neg", "BinOp", "Call"]
 
@@ -77,50 +77,6 @@ class Expression:
 
 
 CONSTANTS = {"pi": math.pi}
-
-
-def _real_asin(x: float) -> float:
-    if not -1.0 <= x <= 1.0:
-        raise DomainError(f"asin argument {x!r} outside [-1, 1]")
-    return math.asin(x)
-
-
-def _real_acos(x: float) -> float:
-    if not -1.0 <= x <= 1.0:
-        raise DomainError(f"acos argument {x!r} outside [-1, 1]")
-    return math.acos(x)
-
-
-def _real_ln(x: float) -> float:
-    if x <= 0.0:
-        raise DomainError(f"ln of non-positive value {x!r}")
-    return math.log(x)
-
-
-def _real_sqrt(x: float) -> float:
-    if x < 0.0:
-        raise DomainError(f"sqrt of negative value {x!r}")
-    return math.sqrt(x)
-
-
-REAL_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "asin": _real_asin,
-    "acos": _real_acos,
-    "atan": math.atan,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "exp": math.exp,
-    "ln": _real_ln,
-    "sqrt": _real_sqrt,
-    "abs": abs,
-}
-
-FUNCTION_NAMES = frozenset(REAL_FUNCTIONS)
-assert FUNCTION_NAMES == frozenset(JET_FUNCTIONS)
 
 
 # -- lexer / parser ----------------------------------------------------------
@@ -226,7 +182,7 @@ class _Parser:
         if tok.kind == "ident":
             nxt = self._peek()
             if nxt.kind == "op" and nxt.text == "(":
-                if tok.text not in FUNCTION_NAMES:
+                if tok.text not in FUNCTIONS:
                     raise UnknownFunctionError(tok.text, tok.pos)
                 self._advance()
                 arg = self._expr()
@@ -330,70 +286,19 @@ def number_node(value: float) -> Node:
 
 # -- evaluation --------------------------------------------------------------
 
-
-def _annotate(err: DomainError, node: Node) -> None:
-    if err.where is None:
-        err.where = _fmt(node)
-
-
-def _pow_real(x: float, y: float, node: Node) -> float:
-    if x == 0.0 and y < 0.0:
-        raise DomainError("zero base with negative exponent", _fmt(node))
-    if x < 0.0 and not float(y).is_integer():
-        raise DomainError("negative base with non-integer exponent", _fmt(node))
-    try:
-        return math.pow(x, y)
-    except (ValueError, OverflowError) as e:
-        raise DomainError(str(e), _fmt(node)) from None
+# Raised by float arithmetic and the math module on overflow, out-of-domain
+# arguments (sin(inf)) or division by an underflowed zero.
+_MATH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
 
 
-def _eval_real(node: Node, bindings) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return float(bindings[node.name])
-        except KeyError:
-            raise UnknownVariableError(node.name) from None
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Neg):
-        return -_eval_real(node.operand, bindings)
-    if isinstance(node, Call):
-        arg = _eval_real(node.arg, bindings)
-        try:
-            return REAL_FUNCTIONS[node.func](arg)
-        except DomainError as e:
-            _annotate(e, node)
-            raise
-        except (ValueError, OverflowError) as e:
-            raise DomainError(str(e), _fmt(node)) from None
-    assert isinstance(node, BinOp)
-    left = _eval_real(node.left, bindings)
-    right = _eval_real(node.right, bindings)
-    op = node.op
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0.0:
-            raise DomainError("division by zero", _fmt(node))
-        return left / right
-    return _pow_real(left, right, node)
-
-
-def evaluate(expr: Expression, bindings=None) -> float:
-    """Evaluate with plain real arithmetic; every free variable must be bound."""
-    return _eval_real(expr.root, bindings or {})
-
-
-def _eval_jet(node: Node, active: str, point: float, fixed) -> Jet3:
-    if isinstance(node, Num):
+def _eval(node: Node, active: str | None, point: float, fixed) -> Jet3:
+    """Jet of ``node`` in the variable ``active``; other variables come from
+    ``fixed`` as reals or jets.  With ``active=None`` every jet is constant
+    and only the value is computed."""
+    kind = type(node)
+    if kind is Num:
         return Jet3(node.value)
-    if isinstance(node, Var):
+    if kind is Var:
         if node.name == active:
             return Jet3.variable(point)
         try:
@@ -401,21 +306,18 @@ def _eval_jet(node: Node, active: str, point: float, fixed) -> Jet3:
         except KeyError:
             raise UnknownVariableError(node.name) from None
         return value if isinstance(value, Jet3) else Jet3(float(value))
-    if isinstance(node, Const):
+    if kind is Const:
         return Jet3(CONSTANTS[node.name])
-    if isinstance(node, Neg):
-        return -_eval_jet(node.operand, active, point, fixed)
-    if isinstance(node, Call):
-        arg = _eval_jet(node.arg, active, point, fixed)
-        try:
-            return JET_FUNCTIONS[node.func](arg)
-        except DomainError as e:
-            _annotate(e, node)
-            raise
-    assert isinstance(node, BinOp)
-    left = _eval_jet(node.left, active, point, fixed)
-    right = _eval_jet(node.right, active, point, fixed)
+    if kind is Neg:
+        return -_eval(node.operand, active, point, fixed)
+    if kind is Call:
+        arg = _eval(node.arg, active, point, fixed)
+    else:
+        left = _eval(node.left, active, point, fixed)
+        right = _eval(node.right, active, point, fixed)
     try:
+        if kind is Call:
+            return apply_function(node.func, arg)
         op = node.op
         if op == "+":
             return left + right
@@ -427,8 +329,16 @@ def _eval_jet(node: Node, active: str, point: float, fixed) -> Jet3:
             return left / right
         return jet_pow(left, right)
     except DomainError as e:
-        _annotate(e, node)
+        if e.where is None:
+            e.where = _fmt(node)
         raise
+    except _MATH_ERRORS as e:
+        raise DomainError(str(e), _fmt(node)) from None
+
+
+def evaluate(expr: Expression, bindings=None) -> float:
+    """Real value of ``expr``; every free variable must be bound."""
+    return _eval(expr.root, None, 0.0, bindings or {}).v0
 
 
 def evaluate_jet3(expr: Expression, active_var: str, point: float, fixed=None) -> Jet3:
@@ -437,4 +347,4 @@ def evaluate_jet3(expr: Expression, active_var: str, point: float, fixed=None) -
     Other free variables are looked up in ``fixed`` (reals or jets).  The
     result carries no truncation error beyond floating point.
     """
-    return _eval_jet(expr.root, active_var, float(point), fixed or {})
+    return _eval(expr.root, active_var, float(point), fixed or {})

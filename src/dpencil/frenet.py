@@ -65,16 +65,12 @@ class CurveSpec:
         return np.array([evaluate(self.x, b), evaluate(self.y, b), evaluate(self.z, b)])
 
     def jets(self, q: float) -> tuple[Jet3, Jet3, Jet3]:
+        """Componentwise jets of (x(q), y(q), z(q)) up to order 3."""
         return (
             evaluate_jet3(self.x, self.param, q),
             evaluate_jet3(self.y, self.param, q),
             evaluate_jet3(self.z, self.param, q),
         )
-
-
-def curve_point_jets(curve: CurveSpec, q: float) -> tuple[Jet3, Jet3, Jet3]:
-    """Componentwise jets of (x(q), y(q), z(q)) up to order 3."""
-    return curve.jets(q)
 
 
 @dataclass(frozen=True)
@@ -121,14 +117,6 @@ def frenet_at(curve: CurveSpec, q: float) -> FrenetApparatus:
     w = math.hypot(kappa, tau)
     W0 = (tau * T + kappa * B) / w
     return FrenetApparatus(T=T, N=N, B=B, kappa=kappa, tau=tau, rho=rho, W0=W0)
-
-
-def darboux_unit(app: FrenetApparatus) -> np.ndarray:
-    """(tau T + kappa B) / sqrt(kappa^2 + tau^2)."""
-    w = math.hypot(app.kappa, app.tau)
-    if w == 0.0:
-        raise ValueError("unit Darboux vector undefined: kappa = tau = 0")
-    return (app.tau * app.T + app.kappa * app.B) / w
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Third-order jets: a value together with its first three derivatives.
 
-A :class:`Jet3` propagates derivatives exactly through arithmetic and the
-supported analytic functions (Leibniz / Faa di Bruno rules truncated at
-order 3), which is as far as the curvature and torsion formulas need.
+A :class:`Jet3` is truncated Taylor arithmetic (Griewank & Walther,
+*Evaluating Derivatives*, ch. 13): arithmetic and the supported analytic
+functions propagate derivatives exactly (Leibniz / Faa di Bruno rules
+truncated at order 3), which is as far as the curvature and torsion
+formulas need.  A constant jet carries a plain real value, so the same
+arithmetic also serves real-valued evaluation.
 """
 
 from __future__ import annotations
@@ -118,9 +121,21 @@ def _compose(f0: float, f1: float, f2: float, f3: float, u: Jet3) -> Jet3:
     )
 
 
+
+def _real_pow(x: float, y: float) -> float:
+    """x^y for real x and y, with the domain checks of the real power."""
+    if x == 0.0 and y < 0.0:
+        raise DomainError("zero base with negative exponent")
+    if x < 0.0 and not float(y).is_integer():
+        raise DomainError("negative base with non-integer exponent")
+    return math.pow(x, y)
+
+
 def jet_pow(base: Jet3, expo: Jet3) -> Jet3:
     if expo.is_constant():
         p = expo.v0
+        if base.is_constant():
+            return Jet3(_real_pow(base.v0, p))
         if float(p).is_integer() and abs(p) <= 512:
             n = int(p)
             if n >= 0:
@@ -131,8 +146,6 @@ def jet_pow(base: Jet3, expo: Jet3) -> Jet3:
         if base.v0 < 0.0:
             raise DomainError("negative base with non-integer exponent")
         if base.v0 == 0.0:
-            if base.is_constant() and p > 0:
-                return Jet3(0.0)
             raise DomainError("derivative of 0^p undefined")
         x = base.v0
         return _compose(
@@ -144,7 +157,7 @@ def jet_pow(base: Jet3, expo: Jet3) -> Jet3:
         )
     if base.v0 <= 0.0:
         raise DomainError("variable exponent requires a positive base")
-    return jet_exp(expo * jet_ln(base))
+    return apply_function("exp", expo * apply_function("ln", base))
 
 
 def _powi(b: Jet3, n: int) -> Jet3:
@@ -160,124 +173,131 @@ def _powi(b: Jet3, n: int) -> Jet3:
 
 
 # -- supported functions ----------------------------------------------------
+#
+# FUNCTIONS maps each name to (value, derivatives).  value(x) is f(x) and
+# raises DomainError outside the domain of f; derivatives(x, fx) returns the
+# first three derivatives of f at x and raises where f is defined but not
+# differentiable.
 
 
-def jet_sin(u: Jet3) -> Jet3:
-    s, c = math.sin(u.v0), math.cos(u.v0)
-    return _compose(s, c, -s, -c, u)
-
-
-def jet_cos(u: Jet3) -> Jet3:
-    s, c = math.sin(u.v0), math.cos(u.v0)
-    return _compose(c, -s, -c, s, u)
-
-
-def jet_tan(u: Jet3) -> Jet3:
-    t = math.tan(u.v0)
-    d = 1.0 + t * t
-    return _compose(t, d, 2.0 * t * d, d * (2.0 + 6.0 * t * t), u)
-
-
-def jet_asin(u: Jet3) -> Jet3:
-    x = u.v0
+def _asin(x: float) -> float:
     if not -1.0 <= x <= 1.0:
         raise DomainError(f"asin argument {x!r} outside [-1, 1]")
-    if u.is_constant():
-        return Jet3(math.asin(x))
+    return math.asin(x)
+
+
+def _d_asin(x: float, fx: float):
     if x * x >= 1.0:
         raise DomainError("asin derivative undefined at +/-1")
     r = 1.0 - x * x
-    return _compose(
-        math.asin(x), r**-0.5, x * r**-1.5, (1.0 + 2.0 * x * x) * r**-2.5, u
-    )
+    return r**-0.5, x * r**-1.5, (1.0 + 2.0 * x * x) * r**-2.5
 
 
-def jet_acos(u: Jet3) -> Jet3:
-    x = u.v0
+def _acos(x: float) -> float:
     if not -1.0 <= x <= 1.0:
         raise DomainError(f"acos argument {x!r} outside [-1, 1]")
-    if u.is_constant():
-        return Jet3(math.acos(x))
+    return math.acos(x)
+
+
+def _d_acos(x: float, fx: float):
     if x * x >= 1.0:
         raise DomainError("acos derivative undefined at +/-1")
     r = 1.0 - x * x
-    return _compose(
-        math.acos(x), -(r**-0.5), -x * r**-1.5, -(1.0 + 2.0 * x * x) * r**-2.5, u
-    )
+    return -(r**-0.5), -x * r**-1.5, -(1.0 + 2.0 * x * x) * r**-2.5
 
 
-def jet_atan(u: Jet3) -> Jet3:
-    x = u.v0
-    d = 1.0 + x * x
-    return _compose(
-        math.atan(x), 1.0 / d, -2.0 * x / (d * d), (6.0 * x * x - 2.0) / (d * d * d), u
-    )
-
-
-def jet_sinh(u: Jet3) -> Jet3:
-    s, c = math.sinh(u.v0), math.cosh(u.v0)
-    return _compose(s, c, s, c, u)
-
-
-def jet_cosh(u: Jet3) -> Jet3:
-    s, c = math.sinh(u.v0), math.cosh(u.v0)
-    return _compose(c, s, c, s, u)
-
-
-def jet_tanh(u: Jet3) -> Jet3:
-    t = math.tanh(u.v0)
-    d = 1.0 - t * t
-    return _compose(t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0), u)
-
-
-def jet_exp(u: Jet3) -> Jet3:
-    e = math.exp(u.v0)
-    return _compose(e, e, e, e, u)
-
-
-def jet_ln(u: Jet3) -> Jet3:
-    x = u.v0
+def _ln(x: float) -> float:
     if x <= 0.0:
         raise DomainError(f"ln of non-positive value {x!r}")
-    return _compose(math.log(x), 1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x), u)
+    return math.log(x)
 
 
-def jet_sqrt(u: Jet3) -> Jet3:
-    x = u.v0
+def _d_ln(x: float, fx: float):
+    return 1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x)
+
+
+def _sqrt(x: float) -> float:
     if x < 0.0:
         raise DomainError(f"sqrt of negative value {x!r}")
-    if u.is_constant():
-        return Jet3(math.sqrt(x))
+    return math.sqrt(x)
+
+
+def _d_sqrt(x: float, r: float):
     if x == 0.0:
         raise DomainError("derivative of sqrt undefined at 0")
-    r = math.sqrt(x)
-    return _compose(r, 0.5 / r, -0.25 / (x * r), 0.375 / (x * x * r), u)
+    return 0.5 / r, -0.25 / (x * r), 0.375 / (x * x * r)
 
 
-def jet_abs(u: Jet3) -> Jet3:
-    x = u.v0
-    if u.is_constant():
-        return Jet3(abs(x))
+def _d_abs(x: float, fx: float):
     if x == 0.0:
         # A subgradient convention here would silently corrupt curvature and
         # torsion, so it is an error instead.
         raise DomainError("derivative of abs undefined at 0")
-    s = 1.0 if x > 0.0 else -1.0
-    return Jet3(abs(x), s * u.v1, s * u.v2, s * u.v3)
+    return (1.0 if x > 0.0 else -1.0), 0.0, 0.0
 
 
-JET_FUNCTIONS = {
-    "sin": jet_sin,
-    "cos": jet_cos,
-    "tan": jet_tan,
-    "asin": jet_asin,
-    "acos": jet_acos,
-    "atan": jet_atan,
-    "sinh": jet_sinh,
-    "cosh": jet_cosh,
-    "tanh": jet_tanh,
-    "exp": jet_exp,
-    "ln": jet_ln,
-    "sqrt": jet_sqrt,
-    "abs": jet_abs,
+def _d_sin(x: float, s: float):
+    c = math.cos(x)
+    return c, -s, -c
+
+
+def _d_cos(x: float, c: float):
+    s = math.sin(x)
+    return -s, -c, s
+
+
+def _d_tan(x: float, t: float):
+    d = 1.0 + t * t
+    return d, 2.0 * t * d, d * (2.0 + 6.0 * t * t)
+
+
+def _d_atan(x: float, fx: float):
+    d = 1.0 + x * x
+    return 1.0 / d, -2.0 * x / (d * d), (6.0 * x * x - 2.0) / (d * d * d)
+
+
+def _d_sinh(x: float, s: float):
+    c = math.cosh(x)
+    return c, s, c
+
+
+def _d_cosh(x: float, c: float):
+    s = math.sinh(x)
+    return s, c, s
+
+
+def _d_tanh(x: float, t: float):
+    d = 1.0 - t * t
+    return d, -2.0 * t * d, d * (6.0 * t * t - 2.0)
+
+
+def _d_exp(x: float, e: float):
+    return e, e, e
+
+
+FUNCTIONS = {
+    "sin": (math.sin, _d_sin),
+    "cos": (math.cos, _d_cos),
+    "tan": (math.tan, _d_tan),
+    "asin": (_asin, _d_asin),
+    "acos": (_acos, _d_acos),
+    "atan": (math.atan, _d_atan),
+    "sinh": (math.sinh, _d_sinh),
+    "cosh": (math.cosh, _d_cosh),
+    "tanh": (math.tanh, _d_tanh),
+    "exp": (math.exp, _d_exp),
+    "ln": (_ln, _d_ln),
+    "sqrt": (_sqrt, _d_sqrt),
+    "abs": (abs, _d_abs),
 }
+
+
+def apply_function(name: str, u: Jet3) -> Jet3:
+    """Jet of ``name`` composed with ``u``; a constant ``u`` needs only the value."""
+    value, derivatives = FUNCTIONS[name]
+    x = u.v0
+    fx = value(x)
+    if u.v1 == 0.0 and u.v2 == 0.0 and u.v3 == 0.0:
+        return Jet3(fx)
+    f1, f2, f3 = derivatives(x, fx)
+    return _compose(fx, f1, f2, f3, u)

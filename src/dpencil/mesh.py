@@ -19,7 +19,7 @@ from .errors import (
 )
 from .dcurve import DTypeReport
 from .frenet import frenet_at
-from .pencil import SurfacePencil
+from .pencil import SurfacePencil, marching_values, pencil_normal, pencil_point
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,8 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int,
             curve_point = p.curve.point(s)
         except DomainError:
             curve_point = np.zeros(3)
-            column_reason = column_reason or "domain"
+            if frame is not None:
+                frame, column_reason = None, "domain"
 
         for j, t in enumerate(ts):
             t = float(t)
@@ -102,22 +103,21 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int,
                 defects.append(MeshDefect(idx, s, t, column_reason))
                 continue
             try:
-                positions[idx] = p.point(s, t, frame)
+                mv = marching_values(p.marching, s, t)
             except DomainError:
                 positions[idx] = curve_point
                 defects.append(MeshDefect(idx, s, t, "domain"))
                 continue
+            positions[idx] = pencil_point(curve_point, frame, mv)
             if column_reason is not None:
                 # Position from the nudged frame is kept; the normal is not
                 # trustworthy there, so leave it zero.
                 defects.append(MeshDefect(idx, s, t, column_reason))
                 continue
             try:
-                normals[idx] = p.normal(s, t, frame)
+                normals[idx] = pencil_normal(frame, mv, s, t)
             except DegenerateNormalError:
                 defects.append(MeshDefect(idx, s, t, "degenerate_normal"))
-            except DomainError:
-                defects.append(MeshDefect(idx, s, t, "domain"))
 
     faces = np.empty(((ns - 1) * (nt - 1), 4), dtype=np.int64)
     k = 0

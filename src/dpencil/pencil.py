@@ -141,8 +141,9 @@ def marching_values(ms: MarchingScale, s: float, t: float) -> MarchingValues:
 class SurfacePencil:
     """A pencil of surfaces sharing ``curve`` as their t = t0 parameter line.
 
-    Frenet frames are cached per s value; the cache only ever stores results
-    of a pure function, so concurrent readers see deterministic values.
+    Nothing is cached: every method recomputes from the curve and the
+    marching scale, so concurrent callers see deterministic values.  Callers
+    that visit many t at one s compute ``frame(s)`` once and pass it in.
     """
 
     def __init__(self, curve: CurveSpec, marching: MarchingScale,
@@ -161,7 +162,6 @@ class SurfacePencil:
         self.curve = curve
         self.marching = marching
         self.t_range = (float(lo), float(hi))
-        self._frames: dict[float, FrenetApparatus] = {}
         if validate:
             self._check_isoparametric(check_samples)
 
@@ -193,54 +193,54 @@ class SurfacePencil:
             )
 
     def frame(self, s: float) -> FrenetApparatus:
-        app = self._frames.get(s)
-        if app is None:
-            app = frenet_at(self.curve, s)
-            self._frames[s] = app
-        return app
+        return frenet_at(self.curve, s)
 
     def point(self, s: float, t: float, frame: FrenetApparatus | None = None) -> np.ndarray:
         if frame is None:
             frame = self.frame(s)
         mv = marching_values(self.marching, s, t)
-        return (
-            self.curve.point(s)
-            + mv.u * frame.T + mv.v * frame.N + mv.w * frame.B
-        )
+        return pencil_point(self.curve.point(s), frame, mv)
 
     def partials(self, s: float, t: float,
                  frame: FrenetApparatus | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(dP/ds, dP/dt); dP/ds uses the Frenet equations scaled by the speed."""
         if frame is None:
             frame = self.frame(s)
-        mv = marching_values(self.marching, s, t)
-        rho, k, tau = frame.rho, frame.kappa, frame.tau
-        d_s = (
-            (rho - rho * k * mv.v + mv.u_s) * frame.T
-            + (rho * k * mv.u - rho * tau * mv.w + mv.v_s) * frame.N
-            + (rho * tau * mv.v + mv.w_s) * frame.B
-        )
-        d_t = mv.u_t * frame.T + mv.v_t * frame.N + mv.w_t * frame.B
-        return d_s, d_t
+        return pencil_partials(frame, marching_values(self.marching, s, t))
 
     def normal(self, s: float, t: float,
                frame: FrenetApparatus | None = None) -> np.ndarray:
-        d_s, d_t = self.partials(s, t, frame)
-        cr = np.cross(d_s, d_t)
-        ncr = float(np.linalg.norm(cr))
-        scale = float(np.linalg.norm(d_s)) * float(np.linalg.norm(d_t))
-        if ncr <= EPS_REGULAR * (scale + EPS_REGULAR):
-            raise DegenerateNormalError(s, t)
-        return cr / ncr
+        if frame is None:
+            frame = self.frame(s)
+        return pencil_normal(frame, marching_values(self.marching, s, t), s, t)
 
 
-def surface_point(p: SurfacePencil, s: float, t: float) -> np.ndarray:
-    return p.point(s, t)
+def pencil_point(r: np.ndarray, frame: FrenetApparatus, mv: MarchingValues) -> np.ndarray:
+    """P = r + u T + v N + w B from the curve point, frame and marching values."""
+    return r + mv.u * frame.T + mv.v * frame.N + mv.w * frame.B
 
 
-def surface_partials(p: SurfacePencil, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    return p.partials(s, t)
+def pencil_partials(frame: FrenetApparatus,
+                    mv: MarchingValues) -> tuple[np.ndarray, np.ndarray]:
+    """(dP/ds, dP/dt) from the frame and the marching values at one (s, t)."""
+    rho, k, tau = frame.rho, frame.kappa, frame.tau
+    d_s = (
+        (rho - rho * k * mv.v + mv.u_s) * frame.T
+        + (rho * k * mv.u - rho * tau * mv.w + mv.v_s) * frame.N
+        + (rho * tau * mv.v + mv.w_s) * frame.B
+    )
+    d_t = mv.u_t * frame.T + mv.v_t * frame.N + mv.w_t * frame.B
+    return d_s, d_t
 
 
-def surface_normal(p: SurfacePencil, s: float, t: float) -> np.ndarray:
-    return p.normal(s, t)
+def pencil_normal(frame: FrenetApparatus, mv: MarchingValues,
+                  s: float, t: float) -> np.ndarray:
+    """Unit normal dP/ds x dP/dt; raises DegenerateNormalError at (s, t)
+    when the partials are (nearly) parallel."""
+    d_s, d_t = pencil_partials(frame, mv)
+    cr = np.cross(d_s, d_t)
+    ncr = float(np.linalg.norm(cr))
+    scale = float(np.linalg.norm(d_s)) * float(np.linalg.norm(d_t))
+    if ncr <= EPS_REGULAR * (scale + EPS_REGULAR):
+        raise DegenerateNormalError(s, t)
+    return cr / ncr

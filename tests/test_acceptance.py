@@ -24,7 +24,7 @@ from dpencil.errors import (
 )
 from dpencil.expr import evaluate_jet3, parse_expression
 from dpencil.frenet import classify_curve, frenet_at
-from dpencil.pencil import SurfacePencil, surface_point
+from dpencil.pencil import SurfacePencil
 
 from conftest import preset_config, preset_pencil
 from oracles import expression_fn, fd_derivatives, random_function_samples
@@ -192,7 +192,7 @@ def test_criterion_7_property_suites(rng):
                 except Exception:
                     continue
                 gap = np.linalg.norm(
-                    surface_point(pencil, s, pencil.t0) - pencil.curve.point(s)
+                    pencil.point(s, pencil.t0) - pencil.curve.point(s)
                 )
                 assert gap <= 1e-12
                 assert abs(float(np.dot(n, app.T))) <= 1e-10

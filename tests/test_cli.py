@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from dpencil.cli import main
 from dpencil.expr import evaluate, format_expression, parse_expression
 from dpencil.presets import load_preset, preset_names
 
-from conftest import preset_config
+from conftest import SRC, preset_config
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -76,6 +79,24 @@ class TestBuild:
         code, out, err = run(capsys, "build", "--config", path, "-o", str(tmp_path))
         assert code == 2
         assert "offset 4" in err
+
+    def test_marching_overflow_stays_in_exit_contract(self, tmp_path):
+        # exp(t) overflows a float beyond t ~ 709.8: those vertices become
+        # mesh defects instead of an uncaught OverflowError.  Run as a real
+        # process so that everything written to stderr is seen.
+        cfg = load_preset("example1")
+        cfg["marching"]["explicit"]["U"] = "exp(t)-1"
+        cfg["grid"].update(ns=8, nt=8, t_range=[0.0, 800.0])
+        path = write_config(tmp_path, cfg)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpencil", "build", "--config", path,
+             "--samples", "64", "-o", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) <= 1
+        assert json.loads(proc.stdout)["defect_count"] > 0
 
     def test_missing_field_exit_2(self, tmp_path, capsys):
         cfg = load_preset("example1")

@@ -95,6 +95,23 @@ class TestEvaluate:
         with pytest.raises(UnknownVariableError):
             evaluate(parse_expression("q + 1", ["q"]), {})
 
+    def test_overflow_is_domain_error_on_both_paths(self):
+        expr = parse_expression("exp(t)", ["t"])
+        with pytest.raises(DomainError) as real:
+            evaluate(expr, {"t": 800.0})
+        with pytest.raises(DomainError) as jet:
+            evaluate_jet3(expr, "t", 800.0)
+        assert real.value.where == jet.value.where == "exp(t)"
+
+    @pytest.mark.parametrize("source, point", [
+        ("q^2.5", 1e300),       # float ** overflows
+        ("sin(q)", math.inf),   # math.sin raises ValueError
+        ("ln(q)", 1e-120),      # 2/q^3 divides by an underflowed zero
+    ])
+    def test_math_errors_in_jets_are_domain_errors(self, source, point):
+        with pytest.raises(DomainError):
+            evaluate_jet3(parse_expression(source, ["q"]), "q", point)
+
 
 class TestJets:
     def test_sine_taylor(self):

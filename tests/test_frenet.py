@@ -17,11 +17,8 @@ from dpencil.frenet import (
     PLANAR,
     SALKOWSKI,
     CurveSpec,
-    FrenetApparatus,
     classify_curve,
     classify_from_samples,
-    curve_point_jets,
-    darboux_unit,
     frenet_at,
 )
 
@@ -49,21 +46,21 @@ EIGHT = make_curve("sin(q)", "sin(q)*cos(q)", "0")
 
 class TestCurveJets:
     def test_circle_taylor(self):
-        jx, jy, jz = curve_point_jets(CIRCLE, 0.0)
+        jx, jy, jz = CIRCLE.jets(0.0)
         assert (jx.v0, jx.v1, jx.v2, jx.v3) == (1.0, 0.0, -1.0, 0.0)
         assert (jy.v0, jy.v1, jy.v2, jy.v3) == (0.0, 1.0, 0.0, -1.0)
         assert (jz.v0, jz.v1, jz.v2, jz.v3) == (0.0, 0.0, 0.0, 0.0)
 
     def test_line_identity_jet(self):
         line = make_curve("q", "0", "0", domain=(0.0, 10.0))
-        jx, _, _ = curve_point_jets(line, 5.0)
+        jx, _, _ = line.jets(5.0)
         assert (jx.v0, jx.v1, jx.v2, jx.v3) == (5.0, 1.0, 0.0, 0.0)
 
     def test_eight_y_jet(self):
         # Oracle: y = sin q cos q = sin(2q)/2, so at q=0 the derivatives are
         # (0, cos 0, -2 sin 0, -4 cos 0) = (0, 1, 0, -4); cross-checked below
         # by finite differences of the plain evaluator.
-        _, jy, _ = curve_point_jets(EIGHT, 0.0)
+        _, jy, _ = EIGHT.jets(0.0)
         assert (jy.v0, jy.v1) == (0.0, 1.0)
         assert jy.v2 == pytest.approx(0.0, abs=1e-15)
         assert jy.v3 == pytest.approx(-4.0, rel=1e-12)
@@ -94,7 +91,7 @@ class TestFrenetAt:
 
     def test_eight_inflection(self):
         # r' x r'' vanishes at q = 0 (oracle: r' = (1,1,0), r'' = (0,0,0)).
-        jx, jy, jz = curve_point_jets(EIGHT, 0.0)
+        jx, jy, jz = EIGHT.jets(0.0)
         d1 = np.array([jx.v1, jy.v1, jz.v1])
         d2 = np.array([jx.v2, jy.v2, jz.v2])
         assert np.allclose(np.cross(d1, d2), 0.0, atol=1e-14)
@@ -118,24 +115,27 @@ class TestFrenetAt:
 
 
 class TestDarbouxUnit:
-    def _app(self, kappa, tau):
-        return FrenetApparatus(
-            T=np.array([1.0, 0.0, 0.0]),
-            N=np.array([0.0, 1.0, 0.0]),
-            B=np.array([0.0, 0.0, 1.0]),
-            kappa=kappa, tau=tau, rho=1.0,
-            W0=np.zeros(3),
-        )
+    # W0 = (tau T + kappa B) / sqrt(kappa^2 + tau^2), read off frenet_at.
 
     def test_planar_collapses_to_binormal(self):
-        assert np.allclose(darboux_unit(self._app(1.0, 0.0)), [0.0, 0.0, 1.0])
+        for s in np.linspace(-2 * math.pi, 2 * math.pi, 9):
+            app = frenet_at(CIRCLE, float(s))
+            assert np.allclose(app.W0, app.B, atol=1e-14)
 
     def test_equal_curvature_torsion(self):
-        w = darboux_unit(self._app(1.0, 1.0))
-        assert np.allclose(w, [1 / math.sqrt(2), 0.0, 1 / math.sqrt(2)])
+        # HELIX has kappa = tau = 1/2.
+        for s in np.linspace(-2 * math.pi, 2 * math.pi, 9):
+            app = frenet_at(HELIX, float(s))
+            assert np.allclose(app.W0, (app.T + app.B) / math.sqrt(2), atol=1e-12)
 
     def test_three_four_five(self):
-        assert np.allclose(darboux_unit(self._app(3.0, 4.0)), [0.8, 0.0, 0.6])
+        # (3 cos s, 3 sin s, 4 s): speed 5, kappa = 3/25, tau = 4/25.
+        helix = make_curve("3*cos(s)", "3*sin(s)", "4*s", param="s", domain=(0.0, 6.0))
+        for s in np.linspace(0.0, 6.0, 7):
+            app = frenet_at(helix, float(s))
+            assert app.kappa == pytest.approx(3 / 25, abs=1e-14)
+            assert app.tau == pytest.approx(4 / 25, abs=1e-14)
+            assert np.allclose(app.W0, 0.8 * app.T + 0.6 * app.B, atol=1e-14)
 
 
 class TestClassification:
@@ -250,7 +250,7 @@ class TestFrameInvariants:
         # tau = det(r', r'', r''') / |r''|^2.
         for curve in (CIRCLE, HELIX):
             for q in np.linspace(curve.domain[0], curve.domain[1], 100):
-                jx, jy, jz = curve_point_jets(curve, float(q))
+                jx, jy, jz = curve.jets(float(q))
                 d1 = np.array([jx.v1, jy.v1, jz.v1])
                 d2 = np.array([jx.v2, jy.v2, jz.v2])
                 d3 = np.array([jx.v3, jy.v3, jz.v3])

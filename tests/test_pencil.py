@@ -11,9 +11,6 @@ from dpencil.pencil import (
     MarchingScale,
     SurfacePencil,
     marching_values,
-    surface_normal,
-    surface_partials,
-    surface_point,
 )
 
 from conftest import preset_config, preset_pencil
@@ -68,26 +65,26 @@ class TestSurfacePoint:
             lo, hi = pencil.curve.domain
             for s in np.linspace(lo + 0.01, hi - 0.01, 50):
                 gap = np.linalg.norm(
-                    surface_point(pencil, float(s), 0.0) - pencil.curve.point(float(s))
+                    pencil.point(float(s), 0.0) - pencil.curve.point(float(s))
                 )
                 assert gap <= 1e-12
 
     def test_example1_hand_value(self, ex1):
         # P(0, 1) = r(0) + 1*T + (sqrt3/2) N + (1/2) B with frame
         # T=(0,1,0), N=(-1,0,0), B=(0,0,1).
-        got = surface_point(ex1, 0.0, 1.0)
+        got = ex1.point(0.0, 1.0)
         assert np.allclose(got, [1.0 - SQRT3_2, 1.0, 0.5], atol=1e-15)
 
     def test_zero_scale_collapses_to_curve(self, ex1):
         pencil = SurfacePencil(ex1.curve, general_scale("0", "0", "0"), (0.0, 1.0))
-        assert np.allclose(surface_point(pencil, 0.7, 0.9), pencil.curve.point(0.7))
+        assert np.allclose(pencil.point(0.7, 0.9), pencil.curve.point(0.7))
         with pytest.raises(DegenerateNormalError):
-            surface_normal(pencil, 0.7, 0.9)
+            pencil.normal(0.7, 0.9)
 
 
 class TestSurfacePartials:
     def test_example1_at_base(self, ex1):
-        d_s, d_t = surface_partials(ex1, 0.0, 0.0)
+        d_s, d_t = ex1.partials(0.0, 0.0)
         app = frenet_at(ex1.curve, 0.0)
         assert np.allclose(d_s, app.T, atol=1e-14)
         expected_dt = app.T + SQRT3_2 * app.N + 0.5 * app.B
@@ -95,7 +92,7 @@ class TestSurfacePartials:
 
     def test_speed_factor_at_base(self, ex3):
         for q in (0.5, 1.0, 2.5):
-            d_s, _ = surface_partials(ex3, q, 0.0)
+            d_s, _ = ex3.partials(q, 0.0)
             app = frenet_at(ex3.curve, q)
             assert np.allclose(d_s, app.rho * app.T, atol=1e-12)
 
@@ -109,11 +106,11 @@ class TestSurfacePartials:
                 s = float(rng.uniform(lo + 0.1, hi - 0.1))
                 t = float(rng.uniform(t_lo + 0.01, t_hi - 0.01))
                 try:
-                    d_s, d_t = surface_partials(pencil, s, t)
-                    fd_s = (surface_point(pencil, s + h, t)
-                            - surface_point(pencil, s - h, t)) / (2 * h)
-                    fd_t = (surface_point(pencil, s, t + h)
-                            - surface_point(pencil, s, t - h)) / (2 * h)
+                    d_s, d_t = pencil.partials(s, t)
+                    fd_s = (pencil.point(s + h, t)
+                            - pencil.point(s - h, t)) / (2 * h)
+                    fd_t = (pencil.point(s, t + h)
+                            - pencil.point(s, t - h)) / (2 * h)
                 except Exception:
                     continue
                 count += 1
@@ -125,7 +122,7 @@ class TestSurfacePartials:
 
 class TestSurfaceNormal:
     def test_example1_at_base(self, ex1):
-        got = surface_normal(ex1, 0.0, 0.0)
+        got = ex1.normal(0.0, 0.0)
         assert np.allclose(got, [0.5, 0.0, SQRT3_2], atol=1e-14)
 
     def test_tangency_along_curve(self, ex1, ex2, ex3, ex4):
@@ -172,5 +169,5 @@ class TestConstruction:
         ms = general_scale("t - 1", "(t - 1)^2", "0", t0=1.0)
         pencil = SurfacePencil(ex1.curve, ms, (0.0, 2.0))
         assert np.allclose(
-            surface_point(pencil, 0.3, 1.0), pencil.curve.point(0.3), atol=1e-15
+            pencil.point(0.3, 1.0), pencil.curve.point(0.3), atol=1e-15
         )
