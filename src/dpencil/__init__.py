@@ -39,6 +39,7 @@ from .pencil import (
     ProductForm,
     SurfacePencil,
     TabulatedProductForm,
+    marching_grid,
     marching_values,
 )
 from .presets import load_preset, preset_names
@@ -74,6 +75,7 @@ __all__ = [
     "format_expression",
     "frenet_at",
     "load_preset",
+    "marching_grid",
     "marching_values",
     "parse_expression",
     "phi_components",

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DegenerateNormalError,
     DomainError,
     InfeasibleConstantError,
     InflectionPointError,
@@ -37,26 +36,20 @@ from .frenet import (
     SALKOWSKI,
     CurveClass,
     CurveSpec,
+    FrenetApparatus,
     classify_curve,
     frenet_at,
 )
 from .pencil import (
     MarchingScale,
+    MarchingValues,
     ProductForm,
     SurfacePencil,
     TabulatedProductForm,
-    marching_values,
+    marching_grid,
     pencil_normal,
+    stack_frames,
 )
-
-_SKIP_ERRORS = (InflectionPointError, IrregularCurveError, DegenerateNormalError, DomainError)
-
-_SKIP_REASONS = {
-    InflectionPointError: "inflection",
-    IrregularCurveError: "irregular",
-    DegenerateNormalError: "degenerate_normal",
-    DomainError: "domain",
-}
 
 # Radicand values inside this band count as boundary-touching: phi2 would be
 # non-smooth there, so synthesis treats them as infeasible.
@@ -66,11 +59,41 @@ _INTERP_TARGET = 1e-9
 _MAX_TABLE_NODES = 8193
 
 
-def _reason(err) -> str:
-    for cls, name in _SKIP_REASONS.items():
-        if isinstance(err, cls):
-            return name
-    return "error"
+def _t0_normals(p: SurfacePencil, sample_count: int):
+    """Unit normals along the t = t0 line at ``sample_count`` parameters.
+
+    Frames are taken per sample, the marching scale and the normals in one
+    array pass.  Returns ``(ss, frame, mv, normals, reasons)``, each with
+    one leading axis over the samples; ``reasons`` is "" where the normal
+    is usable and the skip reason elsewhere.
+    """
+    lo, hi = p.curve.domain
+    ss = np.linspace(lo, hi, sample_count)
+    frames, frame_reasons = [], []
+    for s in ss.tolist():
+        frame, reason = None, ""
+        try:
+            frame = p.frame(s)
+        except InflectionPointError:
+            reason = "inflection"
+        except IrregularCurveError:
+            reason = "irregular"
+        except DomainError:
+            reason = "domain"
+        frames.append(frame)
+        frame_reasons.append(reason)
+    frame = stack_frames(frames)
+    frame_reason = np.array(frame_reasons)[:, None]
+    mv, ok = marching_grid(p.marching, ss, [p.t0])
+    normals, degenerate, non_finite = pencil_normal(frame, mv)
+    reasons = np.select(
+        [frame_reason != "", ~ok, non_finite, degenerate],
+        [frame_reason, "domain", "non_finite", "degenerate_normal"],
+        "",
+    )
+    frame = FrenetApparatus(**{name: v[:, 0] for name, v in vars(frame).items()})
+    mv = MarchingValues(*(f[:, 0] for f in mv))
+    return ss, frame, mv, normals[:, 0], reasons[:, 0]
 
 
 @dataclass(frozen=True)
@@ -114,32 +137,24 @@ def verify_dtype(p: SurfacePencil, sample_count: int = 1000,
     """
     if sample_count < 16:
         raise ValueError("sample_count must be at least 16")
-    lo, hi = p.curve.domain
-    samples: list[DTypeSample] = []
-    skipped: list[tuple[float, str]] = []
-    max_abs_tau = 0.0
-    for s in np.linspace(lo, hi, sample_count):
-        s = float(s)
-        try:
-            app = p.frame(s)
-            n = p.normal(s, p.t0, frame=app)
-        except _SKIP_ERRORS as e:
-            skipped.append((s, _reason(e)))
-            continue
-        inner = float(np.dot(n, app.W0))
-        phi2 = float(np.dot(n, app.N))
-        phi3 = float(np.dot(n, app.B))
-        samples.append(DTypeSample(s, inner, phi2, phi3, math.atan2(phi3, phi2)))
-        max_abs_tau = max(max_abs_tau, abs(app.tau))
+    ss, frame, _, normals, reasons = _t0_normals(p, sample_count)
+    skipped = [(s, why) for s, why in zip(ss.tolist(), reasons.tolist()) if why]
+    good = reasons == ""
+    n = normals[good]
+    inner, phi2, phi3 = (np.vecdot(n, v[good]) for v in (frame.W0, frame.N, frame.B))
+    samples = [
+        DTypeSample(s, i, a, b, math.atan2(b, a))
+        for s, i, a, b in zip(ss[good].tolist(), inner.tolist(), phi2.tolist(), phi3.tolist())
+    ]
+    max_abs_tau = float(np.max(np.abs(frame.tau[good]), initial=0.0))
     if len(samples) < 2:
         raise NotEnoughSamplesError(
             f"only {len(samples)} of {sample_count} samples usable"
         )
-    inners = np.array([smp.inner for smp in samples])
-    c_estimate = float(np.mean(inners))
-    max_deviation = float(np.max(np.abs(inners - c_estimate)))
+    c_estimate = float(np.mean(inner))
+    max_deviation = float(np.max(np.abs(inner - c_estimate)))
     flag_tol = max(tolerance, 1e-9)
-    min_abs_phi3 = min(abs(smp.phi3) for smp in samples)
+    min_abs_phi3 = float(np.min(np.abs(phi3)))
     return DTypeReport(
         samples=tuple(samples),
         c_estimate=c_estimate,
@@ -182,31 +197,23 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
         raise ValueError("sign must be +1 or -1")
     if sample_count < 16:
         raise ValueError("sample_count must be at least 16")
-    lo, hi = p.curve.domain
-    iso_err = phi1_err = phi2_err = phi3_err = 0.0
-    skipped = 0
-    usable = 0
-    for s in np.linspace(lo, hi, sample_count):
-        s = float(s)
-        try:
-            app = p.frame(s)
-            mv = marching_values(p.marching, s, p.t0)
-            n = pencil_normal(app, mv, s, p.t0)
-        except _SKIP_ERRORS:
-            skipped += 1
-            continue
-        usable += 1
-        iso_err = max(iso_err, abs(mv.u), abs(mv.v), abs(mv.w))
-        phi1 = float(np.dot(n, app.T))
-        phi2 = float(np.dot(n, app.N))
-        phi3 = float(np.dot(n, app.B))
-        ratio = math.hypot(app.kappa, app.tau) / app.kappa
+    ss, frame, mv, normals, reasons = _t0_normals(p, sample_count)
+    good = reasons == ""
+    skipped = int(np.count_nonzero(~good))
+    usable = sample_count - skipped
+    n = normals[good]
+    phi1, phi2, phi3 = (np.vecdot(n, v[good]) for v in (frame.T, frame.N, frame.B))
+    iso_err = float(np.max(np.abs([mv.u[good], mv.v[good], mv.w[good]]), initial=0.0))
+    phi1_err = float(np.max(np.abs(phi1), initial=0.0))
+    phi2_err = phi3_err = 0.0
+    for s, kappa, tau, a, b in zip(ss[good].tolist(), frame.kappa[good].tolist(),
+                                   frame.tau[good].tolist(), phi2.tolist(), phi3.tolist()):
+        ratio = math.hypot(kappa, tau) / kappa
         radicand = 1.0 - c * c * ratio * ratio
         if radicand < -tol:
             raise InfeasibleConstantError(c, s, radicand)
-        phi1_err = max(phi1_err, abs(phi1))
-        phi3_err = max(phi3_err, abs(phi3 - c * ratio))
-        phi2_err = max(phi2_err, abs(phi2 - sign * math.sqrt(max(radicand, 0.0))))
+        phi3_err = max(phi3_err, abs(b - c * ratio))
+        phi2_err = max(phi2_err, abs(a - sign * math.sqrt(max(radicand, 0.0))))
     if usable < 2:
         raise NotEnoughSamplesError(f"only {usable} of {sample_count} samples usable")
 
@@ -400,7 +407,9 @@ def _merge_holes(holes: list[float], step: float) -> list[tuple[float, float]]:
 
 def _interp_error(form: TabulatedProductForm, curve: CurveSpec,
                   c: float, sign: int) -> float:
-    worst = 0.0
+    """Largest gap between the interpolated and the exact coefficients at
+    the midpoints between table nodes."""
+    mids, avs, aws = [], [], []
     nodes = form.nodes
     for a, b in zip(nodes[:-1], nodes[1:]):
         mid = 0.5 * (a + b)
@@ -408,12 +417,12 @@ def _interp_error(form: TabulatedProductForm, curve: CurveSpec,
             av, aw, _ = _coefficients_at(curve, c, sign, mid)
         except (InflectionPointError, IrregularCurveError):
             continue
-        worst = max(
-            worst,
-            abs(form.v_coefficient(mid) - av),
-            abs(form.w_coefficient(mid) - aw),
-        )
-    return worst
+        mids.append(mid)
+        avs.append(av)
+        aws.append(aw)
+    mids = np.array(mids)
+    return float(max(np.max(np.abs(form.v_coefficient(mids) - avs), initial=0.0),
+                     np.max(np.abs(form.w_coefficient(mids) - aws), initial=0.0)))
 
 
 def feasible_domain(curve: CurveSpec, c: float,

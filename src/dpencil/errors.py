@@ -83,6 +83,16 @@ class DegenerateNormalError(GeometryError):
         super().__init__(f"degenerate surface normal at (s, t) = ({s!r}, {t!r})")
 
 
+class NonFiniteNormalError(GeometryError):
+    """Surface partials or their norms overflowed or are NaN; no unit normal
+    can be computed."""
+
+    def __init__(self, s: float, t: float):
+        self.s = s
+        self.t = t
+        super().__init__(f"non-finite surface normal at (s, t) = ({s!r}, {t!r})")
+
+
 class InfeasibleConstantError(GeometryError):
     """Target constant violates c^2 (kappa^2 + tau^2) <= kappa^2 on the domain."""
 

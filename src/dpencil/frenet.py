@@ -11,7 +11,6 @@ det(r', r'', r''') / |r''|^2.  All derivatives are exact (jet arithmetic).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +165,8 @@ def classify_curve(curve: CurveSpec, sample_count: int = 256, tol: float = 1e-6)
     """Classify by sampling kappa and tau uniformly over the curve domain.
 
     Parameters where the frame is undefined are skipped (isolated
-    inflections do not change a curve's global character).
+    inflections do not change a curve's global character) and counted in
+    ``CurveClass.skipped``.
     """
     if sample_count < 8:
         raise ValueError("sample_count must be at least 8")
@@ -184,10 +184,5 @@ def classify_curve(curve: CurveSpec, sample_count: int = 256, tol: float = 1e-6)
     if len(kappas) < 2:
         raise NotEnoughSamplesError(
             f"only {len(kappas)} of {sample_count} samples have a defined frame"
-        )
-    if skipped:
-        warnings.warn(
-            f"classification skipped {skipped} samples with undefined frames",
-            stacklevel=2,
         )
     return classify_from_samples(kappas, taus, tol, skipped)

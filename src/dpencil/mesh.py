@@ -6,20 +6,20 @@ Vertex data uses 9 significant digits, report rows 12.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateNormalError,
-    DomainError,
-    InflectionPointError,
-    IrregularCurveError,
-)
+from .errors import DomainError, InflectionPointError, IrregularCurveError
 from .dcurve import DTypeReport
 from .frenet import frenet_at
-from .pencil import SurfacePencil, marching_values, pencil_normal, pencil_point
+from .pencil import (
+    SurfacePencil,
+    marching_grid,
+    pencil_normal,
+    pencil_point,
+    stack_frames,
+)
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,9 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int,
     Nothing here is fatal: vertices whose frame or marching scale cannot be
     evaluated fall back to the curve point (inflection columns borrow a
     frame from a nudged parameter) and are listed in the defect report with
-    a zero normal.
+    a zero normal.  Frames and curve points are taken once per column, the
+    marching scale once per grid (``marching_grid``), and positions and
+    normals in one array pass.
     """
     if ns < 2 or nt < 2:
         raise ValueError("grid sizes must be at least 2x2")
@@ -65,14 +67,10 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int,
     ts = np.linspace(t_lo, t_hi, nt)
     nudge = 1e-6 * (s_hi - s_lo)
 
-    positions = np.zeros((ns * nt, 3))
-    normals = np.zeros((ns * nt, 3))
-    defects: list[MeshDefect] = []
-
-    for i, s in enumerate(ss):
-        s = float(s)
+    frames, points, column_reasons = [], [], []
+    for s in ss.tolist():
         frame = None
-        column_reason = None
+        column_reason = ""
         try:
             frame = p.frame(s)
         except InflectionPointError:
@@ -94,50 +92,46 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int,
             curve_point = np.zeros(3)
             if frame is not None:
                 frame, column_reason = None, "domain"
+        frames.append(frame)
+        points.append(curve_point)
+        column_reasons.append(column_reason)
 
-        for j, t in enumerate(ts):
-            t = float(t)
-            idx = i * nt + j
-            if frame is None:
-                positions[idx] = curve_point
-                defects.append(MeshDefect(idx, s, t, column_reason))
-                continue
-            try:
-                mv = marching_values(p.marching, s, t)
-            except DomainError:
-                positions[idx] = curve_point
-                defects.append(MeshDefect(idx, s, t, "domain"))
-                continue
-            positions[idx] = pencil_point(curve_point, frame, mv)
-            if column_reason is not None:
-                # Position from the nudged frame is kept; the normal is not
-                # trustworthy there, so leave it zero.
-                defects.append(MeshDefect(idx, s, t, column_reason))
-                continue
-            try:
-                normals[idx] = pencil_normal(frame, mv, s, t)
-            except DegenerateNormalError:
-                defects.append(MeshDefect(idx, s, t, "degenerate_normal"))
+    framed = np.array([f is not None for f in frames])[:, None]
+    frame = stack_frames(frames)
+    r = np.array(points)[:, None, :]
+    column_reason = np.array(column_reasons)[:, None]
+    mv, ok = marching_grid(p.marching, ss, ts)
+    unit, degenerate, non_finite = pencil_normal(frame, mv)
+    # First matching reason wins.  A column with a nudged frame keeps its
+    # positions, but its normals are not trustworthy, so they stay zero.
+    reason = np.select(
+        [~framed, ~ok, column_reason != "", non_finite, degenerate],
+        [column_reason, "domain", column_reason, "non_finite", "degenerate_normal"],
+        "",
+    )
+    on_curve = np.expand_dims(~(framed & ok), -1)
+    positions = np.where(on_curve, r, pencil_point(r, frame, mv)).reshape(-1, 3)
+    normals = np.where(np.expand_dims(reason == "", -1), unit, 0.0).reshape(-1, 3)
+    defects = [
+        MeshDefect(idx, float(ss[idx // nt]), float(ts[idx % nt]), str(reason.flat[idx]))
+        for idx in np.flatnonzero(reason != "").tolist()
+    ]
 
-    faces = np.empty(((ns - 1) * (nt - 1), 4), dtype=np.int64)
-    k = 0
-    for i in range(ns - 1):
-        base = i * nt
-        for j in range(nt - 1):
-            v00 = base + j
-            v10 = v00 + nt
-            faces[k] = (v00, v10, v10 + 1, v00 + 1)
-            k += 1
+    corner = (np.arange(ns - 1, dtype=np.int64)[:, None] * nt
+              + np.arange(nt - 1, dtype=np.int64)).ravel()
+    faces = np.stack([corner, corner + nt, corner + nt + 1, corner + 1], axis=1)
     return SurfaceMesh(ns=ns, nt=nt, positions=positions, normals=normals,
                        faces=faces, defects=defects)
 
+_VERTEX = "v %#.9g %#.9g %#.9g"
+_NORMAL = "vn %#.9g %#.9g %#.9g"
+_FACE = "f {0}//{0} {1}//{1} {2}//{2} {3}//{3}"
+_REPORT_ROW = ",".join(["%#.12g"] * 5)
 
-def _fmt_sig(x: float, digits: int) -> str:
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    if math.isnan(x):
-        return "nan"
-    return f"{x:#.{digits}g}"
+
+def _lines(fmt: str, rows) -> list[str]:
+    """``fmt`` over each row of ``rows``; adding 0.0 prints -0.0 as 0.0."""
+    return [fmt % tuple(row) for row in (np.asarray(rows, dtype=float) + 0.0).tolist()]
 
 
 def write_obj(mesh: SurfaceMesh, sink) -> None:
@@ -146,31 +140,15 @@ def write_obj(mesh: SurfaceMesh, sink) -> None:
     One ``v`` line per position, one ``vn`` per normal, quads as
     ``f i//i j//j k//k l//l`` with 1-based indices.
     """
-    lines = []
-    for pos in mesh.positions:
-        lines.append(
-            f"v {_fmt_sig(pos[0], 9)} {_fmt_sig(pos[1], 9)} {_fmt_sig(pos[2], 9)}"
-        )
-    for nrm in mesh.normals:
-        lines.append(
-            f"vn {_fmt_sig(nrm[0], 9)} {_fmt_sig(nrm[1], 9)} {_fmt_sig(nrm[2], 9)}"
-        )
-    for f in mesh.faces:
-        a, b, c, d = (int(v) + 1 for v in f)
-        lines.append(f"f {a}//{a} {b}//{b} {c}//{c} {d}//{d}")
+    lines = _lines(_VERTEX, mesh.positions) + _lines(_NORMAL, mesh.normals)
+    lines += [_FACE.format(*f) for f in (mesh.faces + 1).tolist()]
     sink.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def write_report_csv(report: DTypeReport, sink) -> None:
     """CSV verification report: per-sample rows plus summary rows."""
-    lines = ["s,inner,phi2,phi3,theta"]
-    for smp in report.samples:
-        lines.append(
-            ",".join(
-                _fmt_sig(v, 12)
-                for v in (smp.s, smp.inner, smp.phi2, smp.phi3, smp.theta)
-            )
-        )
-    lines.append(f"c_estimate,{_fmt_sig(report.c_estimate, 12)}")
-    lines.append(f"max_deviation,{_fmt_sig(report.max_deviation, 12)}")
+    rows = [(smp.s, smp.inner, smp.phi2, smp.phi3, smp.theta) for smp in report.samples]
+    lines = ["s,inner,phi2,phi3,theta"] + _lines(_REPORT_ROW, rows)
+    lines.append("c_estimate,%#.12g" % (report.c_estimate + 0.0))
+    lines.append("max_deviation,%#.12g" % (report.max_deviation + 0.0))
     sink.write(("\n".join(lines) + "\n").encode("ascii"))

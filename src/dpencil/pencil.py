@@ -7,18 +7,31 @@ A surface pencil is the family
 built over a curve r with Frenet frame (T, N, B).  The marching-scale
 functions u, v, w vanish identically at t = t0, so the curve itself is the
 t = t0 parameter line of every member.
+
+``marching_values`` evaluates the scale at one (s, t); ``marching_grid``
+evaluates it on a whole (s, t) grid with an ``ok`` mask instead of a
+``DomainError`` per vertex.  Product forms separate, so their s-parts are
+evaluated once per grid column and their t-parts once per row.
+``pencil_point``, ``pencil_partials`` and ``pencil_normal`` broadcast: the
+frame fields (scalars of shape F, vectors of shape F + (3,), see
+``stack_frames``) broadcast against the marching fields, and a single frame
+with scalar marching values gives a single 3-vector.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DegenerateNormalError, DomainError, InvalidMarchingScaleError
+from .errors import (
+    DegenerateNormalError,
+    DomainError,
+    InvalidMarchingScaleError,
+    NonFiniteNormalError,
+)
 from .expr import Expression, evaluate_jet3
 from .frenet import EPS_REGULAR, CurveSpec, FrenetApparatus, frenet_at
 
@@ -83,17 +96,26 @@ class TabulatedProductForm:
         self._v = CubicSpline(self.nodes, self.v_values)
         self._g = CubicSpline(self.nodes, self.g_values)
 
-    def v_coefficient(self, s: float, derivative: int = 0) -> float:
-        return float(self._v(s, derivative))
+    def v_coefficient(self, s, derivative: int = 0):
+        """a_v (or its derivative) at a float s, or at each s of an array."""
+        return _like(s, self._v(s, derivative))
 
-    def w_coefficient(self, s: float, derivative: int = 0) -> float:
-        g = float(self._g(s))
-        if g <= 0.0:
-            return 0.0
-        root = math.sqrt(g)
+    def w_coefficient(self, s, derivative: int = 0):
+        """a_w (or its derivative) at a float s, or at each s of an array;
+        zero where the interpolated square is not positive."""
+        g = self._g(s)
+        vanishing = g <= 0.0
+        root = np.sqrt(np.where(vanishing, 1.0, g))
         if derivative == 0:
-            return self.sign * root
-        return self.sign * float(self._g(s, 1)) / (2.0 * root)
+            value = self.sign * root
+        else:
+            value = self.sign * self._g(s, 1) / (2.0 * root)
+        return _like(s, np.where(vanishing, 0.0, value))
+
+
+def _like(s, values):
+    """``values`` as a float when ``s`` is a scalar."""
+    return values if np.ndim(s) else float(values)
 
 
 MarchingForm = Union[ProductForm, GeneralForm, TabulatedProductForm]
@@ -136,6 +158,68 @@ def marching_values(ms: MarchingScale, s: float, t: float) -> MarchingValues:
         u_s=0.0, v_s=av1 * dt, w_s=aw1 * dt,
         u_t=jt.v1, v_t=av, w_t=aw,
     )
+
+
+def marching_grid(ms: MarchingScale, ss: Sequence[float],
+                  ts: Sequence[float]) -> tuple[MarchingValues, np.ndarray]:
+    """``marching_values`` on every (s, t) of the grid ``ss`` x ``ts``.
+
+    Returns ``(values, ok)``: each field of ``values`` and the mask ``ok``
+    have shape ``(len(ss), len(ts))``.  Where the scale is undefined ``ok``
+    is False and the fields are zero.  Entries equal ``marching_values``
+    at the same (s, t) bit for bit.
+    """
+    ss = np.asarray(ss, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    shape = (ss.size, ts.size)
+    form = ms.form
+    if isinstance(form, ProductForm):
+        ok = np.ones(shape, dtype=bool)
+        parts = []
+        for ctrl, fs, ft in zip(form.controls, (form.l, form.m, form.n),
+                                (form.U, form.V, form.W)):
+            c0, c1, c_ok = _jets(fs, ms.param, ss)
+            r0, r1, r_ok = _jets(ft, T_VAR, ts)
+            a0, a1 = (ctrl * c0)[:, None], (ctrl * c1)[:, None]
+            parts.append((a0 * r0, a1 * r0, a0 * r1))
+            ok &= c_ok[:, None] & r_ok
+        (u, u_s, u_t), (v, v_s, v_t), (w, w_s, w_t) = parts
+        values = (u, v, w, u_s, v_s, w_s, u_t, v_t, w_t)
+    elif isinstance(form, GeneralForm):
+        # Bivariate: nothing separates, so evaluate vertex by vertex.
+        ok = np.ones(shape, dtype=bool)
+        grid = np.zeros((len(MarchingValues._fields),) + shape)
+        for i, s in enumerate(ss.tolist()):
+            for j, t in enumerate(ts.tolist()):
+                try:
+                    grid[:, i, j] = marching_values(ms, s, t)
+                except DomainError:
+                    ok[i, j] = False
+        values = tuple(grid)
+    else:
+        assert isinstance(form, TabulatedProductForm)
+        r0, r1, r_ok = _jets(form.u_profile, T_VAR, ts)
+        ok = np.broadcast_to(r_ok, shape)
+        dt = ts - ms.t0
+        av, av1 = form.v_coefficient(ss)[:, None], form.v_coefficient(ss, 1)[:, None]
+        aw, aw1 = form.w_coefficient(ss)[:, None], form.w_coefficient(ss, 1)[:, None]
+        values = (r0, av * dt, aw * dt, 0.0, av1 * dt, aw1 * dt, r1, av, aw)
+    return MarchingValues(*(np.where(ok, f, 0.0) for f in values)), ok
+
+
+def _jets(expr: Expression, var: str, points: np.ndarray):
+    """(value, first derivative, defined) arrays of ``expr`` over ``points``."""
+    v0 = np.zeros(points.size)
+    v1 = np.zeros(points.size)
+    ok = np.ones(points.size, dtype=bool)
+    for k, q in enumerate(points.tolist()):
+        try:
+            jet = evaluate_jet3(expr, var, q)
+        except DomainError:
+            ok[k] = False
+            continue
+        v0[k], v1[k] = jet.v0, jet.v1
+    return v0, v1, ok
 
 
 class SurfacePencil:
@@ -210,37 +294,82 @@ class SurfacePencil:
 
     def normal(self, s: float, t: float,
                frame: FrenetApparatus | None = None) -> np.ndarray:
+        """Unit normal at (s, t); raises :class:`NonFiniteNormalError` or
+        :class:`DegenerateNormalError` where ``pencil_normal`` masks it."""
         if frame is None:
             frame = self.frame(s)
-        return pencil_normal(frame, marching_values(self.marching, s, t), s, t)
+        unit, degenerate, non_finite = pencil_normal(
+            frame, marching_values(self.marching, s, t))
+        if non_finite:
+            raise NonFiniteNormalError(s, t)
+        if degenerate:
+            raise DegenerateNormalError(s, t)
+        return unit
+
+
+# Stacked in place of a missing frame: every quantity built on it is zero
+# or degenerate, and callers mask those entries out.
+_NO_FRAME = FrenetApparatus(T=np.zeros(3), N=np.zeros(3), B=np.zeros(3),
+                            kappa=0.0, tau=0.0, rho=0.0, W0=np.zeros(3))
+
+
+def stack_frames(frames: Sequence[FrenetApparatus | None]) -> FrenetApparatus:
+    """One apparatus for ``n`` frames (None where a frame is missing):
+    scalar fields of shape (n, 1) and vectors of shape (n, 1, 3), which
+    broadcast against (n, m) marching fields (one frame per grid column)."""
+    frames = [_NO_FRAME if fr is None else fr for fr in frames]
+    return FrenetApparatus(**{
+        f.name: np.array([getattr(fr, f.name) for fr in frames])[:, None]
+        for f in fields(FrenetApparatus)
+    })
+
+
+def _along(c, v: np.ndarray) -> np.ndarray:
+    """Coefficient array ``c`` times the 3-vectors ``v`` (broadcast)."""
+    return np.expand_dims(c, -1) * v
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of 3-vectors, rounded like ``np.linalg.norm`` of
+    each one.  Where the squares overflow but the norm does not (components
+    past ~1e154), ``hypot`` gives the finite norm."""
+    n = np.sqrt(np.vecdot(x, x))
+    return np.where(np.isinf(n), np.hypot(np.hypot(x[..., 0], x[..., 1]), x[..., 2]), n)
 
 
 def pencil_point(r: np.ndarray, frame: FrenetApparatus, mv: MarchingValues) -> np.ndarray:
     """P = r + u T + v N + w B from the curve point, frame and marching values."""
-    return r + mv.u * frame.T + mv.v * frame.N + mv.w * frame.B
+    return r + _along(mv.u, frame.T) + _along(mv.v, frame.N) + _along(mv.w, frame.B)
 
 
 def pencil_partials(frame: FrenetApparatus,
                     mv: MarchingValues) -> tuple[np.ndarray, np.ndarray]:
-    """(dP/ds, dP/dt) from the frame and the marching values at one (s, t)."""
+    """(dP/ds, dP/dt) from the frame and the marching values."""
     rho, k, tau = frame.rho, frame.kappa, frame.tau
     d_s = (
-        (rho - rho * k * mv.v + mv.u_s) * frame.T
-        + (rho * k * mv.u - rho * tau * mv.w + mv.v_s) * frame.N
-        + (rho * tau * mv.v + mv.w_s) * frame.B
+        _along(rho - rho * k * mv.v + mv.u_s, frame.T)
+        + _along(rho * k * mv.u - rho * tau * mv.w + mv.v_s, frame.N)
+        + _along(rho * tau * mv.v + mv.w_s, frame.B)
     )
-    d_t = mv.u_t * frame.T + mv.v_t * frame.N + mv.w_t * frame.B
+    d_t = _along(mv.u_t, frame.T) + _along(mv.v_t, frame.N) + _along(mv.w_t, frame.B)
     return d_s, d_t
 
 
-def pencil_normal(frame: FrenetApparatus, mv: MarchingValues,
-                  s: float, t: float) -> np.ndarray:
-    """Unit normal dP/ds x dP/dt; raises DegenerateNormalError at (s, t)
-    when the partials are (nearly) parallel."""
+def pencil_normal(frame: FrenetApparatus, mv: MarchingValues
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit normals dP/ds x dP/dt with their defect masks.
+
+    Returns ``(unit, degenerate, non_finite)``.  ``non_finite`` marks
+    partials or norms that overflowed or are NaN; ``degenerate`` marks
+    (nearly) parallel finite partials.  ``unit`` is zero wherever either
+    mask is set.
+    """
     d_s, d_t = pencil_partials(frame, mv)
     cr = np.cross(d_s, d_t)
-    ncr = float(np.linalg.norm(cr))
-    scale = float(np.linalg.norm(d_s)) * float(np.linalg.norm(d_t))
-    if ncr <= EPS_REGULAR * (scale + EPS_REGULAR):
-        raise DegenerateNormalError(s, t)
-    return cr / ncr
+    ncr = _norm(cr)
+    scale = _norm(d_s) * _norm(d_t)
+    non_finite = ~(np.isfinite(ncr) & np.isfinite(scale))
+    degenerate = ~non_finite & (ncr <= EPS_REGULAR * (scale + EPS_REGULAR))
+    good = np.expand_dims(~(non_finite | degenerate), -1)
+    unit = np.divide(cr, np.expand_dims(ncr, -1), out=np.zeros_like(cr), where=good)
+    return unit, degenerate, non_finite

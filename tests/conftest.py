@@ -1,5 +1,4 @@
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +43,3 @@ def ex3():
 @pytest.fixture(scope="session")
 def ex4():
     return preset_pencil("example4")
-
-
-@pytest.fixture(autouse=True)
-def _quiet_skip_warnings():
-    # Classification legitimately skips inflection samples on the eight curve.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="classification skipped")
-        yield

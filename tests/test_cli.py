@@ -175,6 +175,18 @@ class TestClassify:
         assert got["kind"] == kind
         assert got["constant"] == pytest.approx(constant, abs=1e-9)
 
+    def test_skips_leave_stderr_empty(self):
+        # The eight curve has inflection samples: they are counted in the
+        # JSON summary and nothing is written to stderr.  Run as a real
+        # process so that warnings printed by the interpreter are seen too.
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpencil", "classify", "--preset", "example3"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["skipped_samples"] >= 1
+
 
 class TestSynthesize:
     def test_circle(self, capsys):

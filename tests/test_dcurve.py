@@ -25,6 +25,8 @@ from dpencil.pencil import (
     marching_values,
 )
 
+from dpencil.scene import SceneConfig
+
 from conftest import preset_config, preset_pencil
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -107,6 +109,20 @@ class TestVerifyDtype:
         pencil = SurfacePencil(line, MarchingScale(form, "q"), (0.0, 1.0))
         with pytest.raises(NotEnoughSamplesError):
             verify_dtype(pencil, 32, 1e-9)
+
+    def test_overflowed_normals_are_skipped(self):
+        # m = n = 1e308 s overflows for |s| > ~1.8: those samples are
+        # skipped as non_finite instead of entering the report as NaN.
+        cfg = preset_config("example1").to_dict()
+        cfg["marching"]["explicit"].update(m="1e308*s", n="1e308*s")
+        p = SceneConfig.from_dict(cfg).pencil()
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_dtype(p, 100, 1e-8)
+        assert {why for _, why in report.skipped} == {"non_finite"}
+        assert all(abs(s) > 1.7 for s, _ in report.skipped)
+        inner = np.array([smp.inner for smp in report.samples])
+        assert np.max(np.abs(np.abs(inner) - SQRT3_2)) <= 1e-12
+        assert [s for s, _ in report.skipped] == sorted(s for s, _ in report.skipped)
 
     def test_sample_count_floor(self, ex1):
         with pytest.raises(ValueError):

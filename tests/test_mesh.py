@@ -1,14 +1,25 @@
+import collections
 import io
 import math
 
 import numpy as np
 import pytest
 
-from dpencil.dcurve import DTypeReport, verify_dtype
+from dpencil.dcurve import DTypeReport, SynthesisRequest, synthesize_marching_scale, verify_dtype
+from dpencil.errors import (
+    DegenerateNormalError,
+    DomainError,
+    InflectionPointError,
+    IrregularCurveError,
+    NonFiniteNormalError,
+)
 from dpencil.frenet import frenet_at
 from dpencil.mesh import SurfaceMesh, sample_grid, write_obj, write_report_csv
+from dpencil.pencil import SurfacePencil, TabulatedProductForm
+from dpencil.presets import load_preset
+from dpencil.scene import SceneConfig
 
-from conftest import preset_pencil
+from conftest import preset_config, preset_pencil
 from oracles import read_csv_report, read_obj
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -88,6 +99,134 @@ class TestSampleGrid:
             sample_grid(ex1, 1, 5)
 
 
+def explicit_pencil(name, t_range=None, **explicit):
+    """Preset ``name`` with its explicit marching block replaced."""
+    cfg = load_preset(name)
+    if explicit:
+        cfg["marching"]["explicit"] = explicit
+    if t_range is not None:
+        cfg["grid"]["t_range"] = list(t_range)
+    return SceneConfig.from_dict(cfg).pencil()
+
+
+def synthesized_pencil():
+    curve = preset_config("example3").curve()
+    ms = synthesize_marching_scale(SynthesisRequest(curve=curve, c=0.3))
+    assert isinstance(ms.form, TabulatedProductForm)
+    return SurfacePencil(curve, ms, (0.0, 1.0))
+
+
+def per_vertex_grid(p, ns, nt):
+    """``sample_grid`` one vertex at a time through ``SurfacePencil.point``
+    and ``normal``: (positions, normals, {index: reason})."""
+    s_lo, s_hi = p.curve.domain
+    nudge = 1e-6 * (s_hi - s_lo)
+    ts = np.linspace(*p.t_range, nt).tolist()
+    positions = np.zeros((ns * nt, 3))
+    normals = np.zeros((ns * nt, 3))
+    reasons = {}
+    for i, s in enumerate(np.linspace(s_lo, s_hi, ns).tolist()):
+        frame, column = None, None
+        try:
+            frame = p.frame(s)
+        except InflectionPointError:
+            column = "inflection"
+            for cand in (s + nudge, s - nudge):
+                try:
+                    frame = frenet_at(p.curve, cand)
+                    break
+                except (InflectionPointError, IrregularCurveError, DomainError):
+                    continue
+        except IrregularCurveError:
+            column = "irregular"
+        except DomainError:
+            column = "domain"
+        try:
+            r = p.curve.point(s)
+        except DomainError:
+            r = np.zeros(3)
+            if frame is not None:
+                frame, column = None, "domain"
+        for j, t in enumerate(ts):
+            k = i * nt + j
+            positions[k] = r
+            if frame is None:
+                reasons[k] = column
+                continue
+            try:
+                positions[k] = p.point(s, t, frame)
+            except DomainError:
+                reasons[k] = "domain"
+                continue
+            if column is not None:
+                reasons[k] = column
+                continue
+            try:
+                normals[k] = p.normal(s, t, frame)
+            except DegenerateNormalError:
+                reasons[k] = "degenerate_normal"
+            except NonFiniteNormalError:
+                reasons[k] = "non_finite"
+    return positions, normals, reasons
+
+
+GRID_CASES = {
+    # U is undefined for t > 1: whole rows are domain defects.
+    "product_row_domain": (lambda: explicit_pencil(
+        "example1", (0.0, 2.0), l="1", m="1", n="1",
+        U="t*sqrt(1-t)", V="sqrt(3)/2*t", W="t/2"), 13, 9),
+    # sqrt of the marching scale undefined past the feasibility boundary.
+    "example4_domain_columns": (lambda: preset_pencil("example4"), 24, 7),
+    # 17 nodes over [0, 2pi] hit the inflections at 0, pi and 2pi.
+    "example3_inflection_columns": (lambda: preset_pencil("example3"), 17, 6),
+    # Bivariate, undefined where s t > 1.
+    "general_form": (lambda: explicit_pencil(
+        "example1", u="t*cos(s)", v="sqrt(3)/2*t", w="t*sqrt(1-s*t)"), 11, 8),
+    "tabulated": (synthesized_pencil, 9, 14),
+}
+
+
+class TestGridMatchesPerVertex:
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_bit_for_bit(self, case):
+        make, ns, nt = GRID_CASES[case]
+        p = make()
+        mesh = sample_grid(p, ns, nt)
+        positions, normals, reasons = per_vertex_grid(p, ns, nt)
+        assert reasons, "every case exercises at least one defect"
+        assert mesh.positions.tobytes() == positions.tobytes()
+        assert mesh.normals.tobytes() == normals.tobytes()
+        assert {d.index: d.reason for d in mesh.defects} == reasons
+        ss = np.linspace(*p.curve.domain, ns)
+        ts = np.linspace(*p.t_range, nt)
+        for d in mesh.defects:
+            assert (d.s, d.t) == (ss[d.index // nt], ts[d.index % nt])
+
+    def test_faces_walk_the_grid(self):
+        mesh = sample_grid(preset_pencil("example1"), 4, 3)
+        expected = [(i * 3 + j, (i + 1) * 3 + j, (i + 1) * 3 + j + 1, i * 3 + j + 1)
+                    for i in range(3) for j in range(2)]
+        assert mesh.faces.dtype == np.int64
+        assert mesh.faces.tolist() == [list(q) for q in expected]
+
+
+class TestNonFiniteNormals:
+    def test_overflow_is_reported_not_written(self):
+        # exp(t) - 1 makes the partials overflow for t > ~355 and the
+        # marching scale undefined for t > ~709.8; below ~355 only the
+        # squares inside the norms overflow, and the normals stay unit.
+        p = explicit_pencil("example1", (0.0, 800.0), l="1", m="1", n="1",
+                            U="exp(t)-1", V="sqrt(3)/2*t", W="t/2")
+        with np.errstate(over="ignore", invalid="ignore"):
+            mesh = sample_grid(p, 200, 50)
+        reasons = collections.Counter(d.reason for d in mesh.defects)
+        assert reasons == {"non_finite": 4400, "domain": 1200}
+        assert not np.isnan(mesh.normals).any()
+        good = np.setdiff1d(np.arange(200 * 50), [d.index for d in mesh.defects])
+        lens = np.linalg.norm(mesh.normals[good], axis=1)
+        assert np.max(np.abs(lens - 1.0)) <= 1e-12
+
+
 class TestWriteObj:
     def test_counts_two_by_two(self, ex1):
         data = obj_bytes(sample_grid(ex1, 2, 2)).decode("ascii")
@@ -102,14 +241,16 @@ class TestWriteObj:
 
     def test_nine_significant_digits(self):
         mesh = SurfaceMesh(
-            ns=2, nt=1,
-            positions=np.array([[1 - SQRT3_2, 1.0, 0.5], [0.0, -0.0, 2.0]]),
-            normals=np.zeros((2, 3)),
+            ns=3, nt=1,
+            positions=np.array([[1 - SQRT3_2, 1.0, 0.5], [0.0, -0.0, 2.0],
+                                [math.nan, math.inf, -math.inf]]),
+            normals=np.zeros((3, 3)),
             faces=np.empty((0, 4), dtype=np.int64),
         )
         lines = obj_bytes(mesh).decode("ascii").splitlines()
         assert lines[0] == "v 0.133974596 1.00000000 0.500000000"
         assert lines[1] == "v 0.00000000 0.00000000 2.00000000"
+        assert lines[2] == "v nan inf -inf"
 
     def test_face_indices_one_based(self, ex1):
         lines = obj_bytes(sample_grid(ex1, 2, 2)).decode("ascii").splitlines()
