@@ -26,6 +26,7 @@ from .errors import (
     InfeasibleConstantError,
     InflectionPointError,
     IrregularCurveError,
+    NonFiniteCurveError,
     NotEnoughSamplesError,
 )
 from .expr import BinOp, Expression, Var, number_node, parse_expression
@@ -34,11 +35,13 @@ from .frenet import (
     GENERAL_HELIX,
     PLANAR,
     SALKOWSKI,
+    SKIPPED,
     CurveClass,
     CurveSpec,
     FrenetApparatus,
     classify_curve,
     frenet_at,
+    raise_first,
 )
 from .pencil import (
     MarchingScale,
@@ -56,6 +59,7 @@ from .pencil import (
 BOUNDARY_TOL = 1e-12
 _CONST_COEFF_TOL = 1e-10
 _INTERP_TARGET = 1e-9
+_FIRST_TABLE_NODES = 257
 _MAX_TABLE_NODES = 8193
 
 
@@ -78,6 +82,8 @@ def _t0_normals(p: SurfacePencil, sample_count: int):
             reason = "inflection"
         except IrregularCurveError:
             reason = "irregular"
+        except NonFiniteCurveError:
+            reason = "non_finite"
         except DomainError:
             reason = "domain"
         frames.append(frame)
@@ -281,113 +287,120 @@ def _default_u_profile(t0: float) -> Expression:
     return Expression(root=node, free_vars=names)
 
 
-def _coefficients_at(curve: CurveSpec, c: float, sign: int,
-                     q: float) -> tuple[float, float, float]:
-    """(a_v, a_w, a_w^2) so that v = a_v (t - t0), w = a_w (t - t0) meet the target.
+def _radicands(curve: CurveSpec, c: float, qs: np.ndarray):
+    """``frenet_at`` over ``qs`` with the phi2 radicand
+    1 - c^2 (kappa^2 + tau^2) / kappa^2.
+
+    Returns ``(app, ratio, radicand, reasons)``, where ``ratio`` is
+    sqrt(kappa^2 + tau^2) / kappa and ``reasons`` come from ``frenet_at``.
+    """
+    app, reasons = frenet_at(curve, qs)
+    hyp = np.array(list(map(math.hypot, app.kappa.tolist(), app.tau.tolist())))
+    with np.errstate(all="ignore"):
+        ratio = hyp / app.kappa
+        radicand = 1.0 - c * c * ratio * ratio
+    return app, ratio, radicand, reasons
+
+
+def _failed(reasons: np.ndarray) -> np.ndarray:
+    """Parameters where the scalar ``frenet_at`` raises an error other than
+    an undefined frame."""
+    return ~np.isin(reasons, ("",) + SKIPPED)
+
+
+def _coefficients_at(curve: CurveSpec, c: float, sign: int, qs: np.ndarray):
+    """(a_v, a_w, a_w^2, usable) over ``qs``, so that v = a_v (t - t0) and
+    w = a_w (t - t0) meet the target wherever the frame is defined
+    (``usable``).
 
     The 1/rho factor mirrors the closed forms of the worked non-unit-speed
     examples; it rescales both components equally, so the resulting normal
     direction (and the verified constant) is unaffected by it.  The square
     of a_w is returned as well because it stays smooth where the radicand
-    vanishes, which is what the tabulated form interpolates.
+    vanishes, which is what the tabulated form interpolates.  At the first
+    parameter with a radicand below ``BOUNDARY_TOL`` or a ``frenet_at``
+    error other than an undefined frame, that error is raised.
     """
-    app = frenet_at(curve, q)
-    ratio = math.hypot(app.kappa, app.tau) / app.kappa
-    radicand = 1.0 - c * c * ratio * ratio
-    if radicand < BOUNDARY_TOL:
-        raise InfeasibleConstantError(c, q, radicand)
-    av = c * ratio / app.rho
-    aw = sign * math.sqrt(radicand) / app.rho
-    return av, aw, radicand / (app.rho * app.rho)
+    app, ratio, radicand, reasons = _radicands(curve, c, qs)
+    usable = reasons == ""
+    failed = _failed(reasons) | (usable & (radicand < BOUNDARY_TOL))
+    if failed.any():
+        i = int(np.argmax(failed))
+        if usable[i]:
+            raise InfeasibleConstantError(c, float(qs[i]), float(radicand[i]))
+        raise_first(curve, qs, failed)
+    with np.errstate(all="ignore"):
+        av = c * ratio / app.rho
+        aw = sign * np.sqrt(radicand) / app.rho
+        g = radicand / (app.rho * app.rho)
+    return av, aw, g, usable
 
 
-def synthesize_marching_scale(req: SynthesisRequest,
-                              presample_count: int = 257) -> MarchingScale:
+def synthesize_marching_scale(req: SynthesisRequest) -> MarchingScale:
     """Build marching-scale functions whose pencil realizes <n, W0> = c.
 
     With constant coefficients (e.g. unit-speed curves with constant
     curvature and torsion) the result is a closed-form product; otherwise
     the coefficients are tabulated densely enough that cubic interpolation
     stays below the round-trip tolerance, with undefined-frame windows
-    reported as excluded subdomains.
+    reported as excluded subdomains.  The first table round decides which.
     """
     if req.sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    presample_count = max(presample_count, 64)
     curve = req.curve
-    lo, hi = curve.domain
-    qs = np.linspace(lo, hi, presample_count)
-    avs, aws = [], []
-    excluded_any = False
-    for q in qs:
-        try:
-            av, aw, _ = _coefficients_at(curve, req.c, req.sign, float(q))
-        except (InflectionPointError, IrregularCurveError):
-            excluded_any = True
-            continue
-        avs.append(av)
-        aws.append(aw)
-    if len(avs) < 2:
+    qs = np.linspace(*curve.domain, _FIRST_TABLE_NODES)
+    av, aw, g, usable = _coefficients_at(curve, req.c, req.sign, qs)
+    if np.count_nonzero(usable) < 2:
         raise NotEnoughSamplesError("frame undefined at nearly all presample points")
 
     u_profile = req.u_profile or _default_u_profile(req.t0)
 
     def _spread_small(vals):
-        arr = np.asarray(vals)
-        return float(np.max(arr) - np.min(arr)) <= _CONST_COEFF_TOL * (
-            1.0 + abs(float(np.mean(arr)))
+        return float(np.max(vals) - np.min(vals)) <= _CONST_COEFF_TOL * (
+            1.0 + abs(float(np.mean(vals)))
         )
 
-    if not excluded_any and _spread_small(avs) and _spread_small(aws):
+    if usable.all() and _spread_small(av) and _spread_small(aw):
         one = parse_expression("1")
         t_shift = _t_shift_node(req.t0)
         names = frozenset(["t"])
-        av = float(np.mean(avs))
-        aw = float(np.mean(aws))
         form = ProductForm(
             l=one, m=one, n=one,
             U=u_profile,
-            V=Expression(BinOp("*", number_node(av), t_shift), names),
-            W=Expression(BinOp("*", number_node(aw), t_shift), names),
+            V=Expression(BinOp("*", number_node(float(np.mean(av))), t_shift), names),
+            W=Expression(BinOp("*", number_node(float(np.mean(aw))), t_shift), names),
         )
         return MarchingScale(form=form, param=curve.param, t0=req.t0)
 
     return MarchingScale(
-        form=_build_table(req, u_profile),
+        form=_build_table(req, u_profile, qs, av, g, usable),
         param=curve.param,
         t0=req.t0,
     )
 
 
-def _build_table(req: SynthesisRequest, u_profile: Expression) -> TabulatedProductForm:
-    """Refine the coefficient table until cubic interpolation error is tiny."""
+def _build_table(req: SynthesisRequest, u_profile: Expression, qs: np.ndarray,
+                 av: np.ndarray, g: np.ndarray, usable: np.ndarray) -> TabulatedProductForm:
+    """Refine the coefficient table until cubic interpolation error is tiny.
+
+    ``qs``, ``av``, ``g`` and ``usable`` are the first round, as returned
+    by ``_coefficients_at``; each later round doubles the node count.
+    """
     curve = req.curve
     lo, hi = curve.domain
-    count = 257
     while True:
-        qs = np.linspace(lo, hi, count)
-        nodes, v_vals, g_vals = [], [], []
-        holes = []
-        for q in qs:
-            try:
-                av, _, g = _coefficients_at(curve, req.c, req.sign, float(q))
-            except (InflectionPointError, IrregularCurveError):
-                holes.append(float(q))
-                continue
-            nodes.append(float(q))
-            v_vals.append(av)
-            g_vals.append(g)
-        if len(nodes) < 8:
+        if np.count_nonzero(usable) < 8:
             raise NotEnoughSamplesError("frame undefined at nearly all table nodes")
-        step = (hi - lo) / (count - 1)
-        excluded = _merge_holes(holes, step)
-        form = TabulatedProductForm(u_profile, req.t0, nodes, v_vals, g_vals,
+        step = (hi - lo) / (qs.size - 1)
+        excluded = _merge_holes(qs[~usable].tolist(), step)
+        form = TabulatedProductForm(u_profile, req.t0, qs[usable], av[usable], g[usable],
                                     req.sign, excluded)
         err = _interp_error(form, curve, req.c, req.sign)
-        if err <= _INTERP_TARGET or count >= _MAX_TABLE_NODES:
+        if err <= _INTERP_TARGET or qs.size >= _MAX_TABLE_NODES:
             form.max_interp_error = err
             return form
-        count = 2 * count - 1
+        qs = np.linspace(lo, hi, 2 * qs.size - 1)
+        av, _, g, usable = _coefficients_at(curve, req.c, req.sign, qs)
 
 
 def _merge_holes(holes: list[float], step: float) -> list[tuple[float, float]]:
@@ -409,61 +422,61 @@ def _interp_error(form: TabulatedProductForm, curve: CurveSpec,
                   c: float, sign: int) -> float:
     """Largest gap between the interpolated and the exact coefficients at
     the midpoints between table nodes."""
-    mids, avs, aws = [], [], []
     nodes = form.nodes
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        mid = 0.5 * (a + b)
-        try:
-            av, aw, _ = _coefficients_at(curve, c, sign, mid)
-        except (InflectionPointError, IrregularCurveError):
-            continue
-        mids.append(mid)
-        avs.append(av)
-        aws.append(aw)
-    mids = np.array(mids)
-    return float(max(np.max(np.abs(form.v_coefficient(mids) - avs), initial=0.0),
-                     np.max(np.abs(form.w_coefficient(mids) - aws), initial=0.0)))
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    av, aw, _, usable = _coefficients_at(curve, c, sign, mids)
+    mids = mids[usable]
+    return float(max(np.max(np.abs(form.v_coefficient(mids) - av[usable]), initial=0.0),
+                     np.max(np.abs(form.w_coefficient(mids) - aw[usable]), initial=0.0)))
 
 
 def feasible_domain(curve: CurveSpec, c: float,
                     sample_count: int = 256) -> list[tuple[float, float]]:
     """Subintervals where the phi2 radicand is nonnegative and the frame exists.
 
-    Boundaries are located by bisection to 1e-9 parameter resolution.
+    Boundaries are located by bisection to 1e-9 parameter resolution; all
+    of them are bisected together, with one ``frenet_at`` call per step.
     """
     if sample_count < 64:
         raise ValueError("sample_count must be at least 64")
 
-    def feasible(q: float) -> bool:
-        try:
-            app = frenet_at(curve, q)
-        except (InflectionPointError, IrregularCurveError):
-            return False
-        ratio = math.hypot(app.kappa, app.tau) / app.kappa
-        return 1.0 - c * c * ratio * ratio >= 0.0
+    def feasible(qs: np.ndarray):
+        _, _, radicand, reasons = _radicands(curve, c, qs)
+        return (reasons == "") & (radicand >= 0.0), _failed(reasons)
 
     lo, hi = curve.domain
     qs = np.linspace(lo, hi, sample_count)
-    flags = [feasible(float(q)) for q in qs]
-
-    def refine(q_true: float, q_false: float) -> float:
-        while abs(q_false - q_true) > 1e-9:
-            mid = 0.5 * (q_true + q_false)
-            if feasible(mid):
-                q_true = mid
-            else:
-                q_false = mid
-        return 0.5 * (q_true + q_false)
+    flags, failed = feasible(qs)
+    raise_first(curve, qs, failed)
+    edges = np.flatnonzero(flags[1:] != flags[:-1])
+    falling = flags[edges]
+    q_true = np.where(falling, qs[edges], qs[edges + 1])
+    q_false = np.where(falling, qs[edges + 1], qs[edges])
+    # Bisected one bracket after another, an error at a midpoint of bracket k
+    # would end the search: bracket k and the later ones stop there, and the
+    # error of the first such bracket is raised once the earlier ones are done.
+    stop, error = edges.size, None
+    while True:
+        live = np.flatnonzero(np.abs(q_false[:stop] - q_true[:stop]) > 1e-9)
+        if live.size == 0:
+            break
+        mid = 0.5 * (q_true[live] + q_false[live])
+        ok, failed = feasible(mid)
+        if failed.any():
+            stop, error = live[np.argmax(failed)], (mid, failed)
+        q_true[live] = np.where(ok, mid, q_true[live])
+        q_false[live] = np.where(ok, q_false[live], mid)
+    if error is not None:
+        raise_first(curve, *error)
 
     intervals: list[tuple[float, float]] = []
     start: float | None = float(qs[0]) if flags[0] else None
-    for i in range(1, sample_count):
-        a, b = float(qs[i - 1]), float(qs[i])
-        if flags[i - 1] and not flags[i]:
-            intervals.append((start, refine(a, b)))
+    for end, fall in zip((0.5 * (q_true + q_false)).tolist(), falling.tolist()):
+        if fall:
+            intervals.append((start, end))
             start = None
-        elif not flags[i - 1] and flags[i]:
-            start = refine(b, a)
+        else:
+            start = end
     if start is not None:
         intervals.append((start, float(qs[-1])))
     return intervals

@@ -50,6 +50,15 @@ class DomainError(ExpressionError):
         return self.message
 
 
+class NonFiniteCurveError(DomainError):
+    """Curve derivatives, or the speed, curvature or torsion built from them,
+    overflowed or are NaN at a parameter: no Frenet apparatus exists there."""
+
+    def __init__(self, param: float):
+        self.param = param
+        super().__init__(f"non-finite curve derivatives or curvature at parameter {param!r}")
+
+
 class GeometryError(Exception):
     """Base class for geometric failures along a curve or surface."""
 

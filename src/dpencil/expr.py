@@ -24,13 +24,15 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import (
     DomainError,
     ParseError,
     UnknownFunctionError,
     UnknownVariableError,
 )
-from .jets import FUNCTIONS, Jet3, apply_function, jet_pow
+from .jets import FUNCTIONS, MATH_ERRORS, ArrayRules, Jet3, ScalarRules
 
 Node = Union["Num", "Const", "Var", "Neg", "BinOp", "Call"]
 
@@ -286,38 +288,35 @@ def number_node(value: float) -> Node:
 
 # -- evaluation --------------------------------------------------------------
 
-# Raised by float arithmetic and the math module on overflow, out-of-domain
-# arguments (sin(inf)) or division by an underflowed zero.
-_MATH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
 
-
-def _eval(node: Node, active: str | None, point: float, fixed) -> Jet3:
-    """Jet of ``node`` in the variable ``active``; other variables come from
-    ``fixed`` as reals or jets.  With ``active=None`` every jet is constant
-    and only the value is computed."""
+def _eval(node: Node, active: str | None, var: Jet3 | None, fixed, rules) -> Jet3:
+    """Jet of ``node`` with ``var`` the jet of the variable ``active``; other
+    variables come from ``fixed`` as reals or jets.  ``rules`` gives the
+    division, power and function rules: :class:`ScalarRules` raise, an
+    :class:`ArrayRules` masks the failing points of array jets."""
     kind = type(node)
-    if kind is Num:
+    if kind is BinOp:
+        left = _eval(node.left, active, var, fixed, rules)
+        right = _eval(node.right, active, var, fixed, rules)
+    elif kind is Num:
         return Jet3(node.value)
-    if kind is Var:
+    elif kind is Var:
         if node.name == active:
-            return Jet3.variable(point)
+            return var
         try:
             value = fixed[node.name]
         except KeyError:
             raise UnknownVariableError(node.name) from None
         return value if isinstance(value, Jet3) else Jet3(float(value))
-    if kind is Const:
-        return Jet3(CONSTANTS[node.name])
-    if kind is Neg:
-        return -_eval(node.operand, active, point, fixed)
-    if kind is Call:
-        arg = _eval(node.arg, active, point, fixed)
+    elif kind is Call:
+        arg = _eval(node.arg, active, var, fixed, rules)
+    elif kind is Neg:
+        return -_eval(node.operand, active, var, fixed, rules)
     else:
-        left = _eval(node.left, active, point, fixed)
-        right = _eval(node.right, active, point, fixed)
+        return Jet3(CONSTANTS[node.name])
     try:
         if kind is Call:
-            return apply_function(node.func, arg)
+            return rules.call(node.func, arg)
         op = node.op
         if op == "+":
             return left + right
@@ -326,25 +325,38 @@ def _eval(node: Node, active: str | None, point: float, fixed) -> Jet3:
         if op == "*":
             return left * right
         if op == "/":
-            return left / right
-        return jet_pow(left, right)
+            return rules.div(left, right)
+        return rules.pow(left, right)
     except DomainError as e:
         if e.where is None:
             e.where = _fmt(node)
         raise
-    except _MATH_ERRORS as e:
+    except MATH_ERRORS as e:
         raise DomainError(str(e), _fmt(node)) from None
 
 
 def evaluate(expr: Expression, bindings=None) -> float:
     """Real value of ``expr``; every free variable must be bound."""
-    return _eval(expr.root, None, 0.0, bindings or {}).v0
+    return _eval(expr.root, None, None, bindings or {}, ScalarRules).v0
 
 
-def evaluate_jet3(expr: Expression, active_var: str, point: float, fixed=None) -> Jet3:
+def evaluate_jet3(expr: Expression, active_var: str, point, fixed=None):
     """Value and first three derivatives with respect to ``active_var`` at ``point``.
 
     Other free variables are looked up in ``fixed`` (reals or jets).  The
     result carries no truncation error beyond floating point.
+
+    With a 1-D array of points the result is ``(jet, ok)``: the jet fields
+    are arrays over the points, and ``ok`` is False where the scalar call
+    would raise a :class:`DomainError` (its fields are NaN there).  Every
+    other entry equals the scalar call at that point bit for bit.
     """
-    return _eval(expr.root, active_var, float(point), fixed or {})
+    if not isinstance(point, np.ndarray):
+        return _eval(expr.root, active_var, Jet3(float(point), 1.0), fixed or {}, ScalarRules)
+    points = point.astype(float)
+    rules = ArrayRules(points.size)
+    var = Jet3(points, np.ones_like(points), np.zeros_like(points), np.zeros_like(points))
+    with np.errstate(all="ignore"):
+        jet = _eval(expr.root, active_var, var, fixed or {}, rules)
+    bad = rules.bad
+    return Jet3(*(np.where(bad, math.nan, v) for v in (jet.v0, jet.v1, jet.v2, jet.v3))), ~bad

@@ -6,6 +6,23 @@ Curvature and torsion come from the general-parameter formulas
 
 with rho = |r'|; for unit-speed curves these reduce to |r''| and
 det(r', r'', r''') / |r''|^2.  All derivatives are exact (jet arithmetic).
+
+``frenet_at`` takes one parameter or a 1-D array of them.  At one
+parameter it returns the apparatus or raises.  Over an array it returns
+the stacked apparatus (scalars of shape (n,), vectors of shape (n, 3))
+and one reason per parameter in place of the error:
+
+- ``""``: the apparatus is defined;
+- ``"domain"``: a coordinate expression is undefined (DomainError);
+- ``"non_finite"``: the curve derivatives, or the speed, curvature or
+  torsion built from them, overflowed or are NaN (NonFiniteCurveError,
+  a DomainError);
+- ``"irregular"``: speed at most EPS_REGULAR (IrregularCurveError);
+- ``"unit_speed"``: declared unit speed but not (InvalidCurveError);
+- ``"inflection"``: curvature at most EPS_KAPPA (InflectionPointError).
+
+Entries with a reason are unspecified; every other entry equals the
+scalar call at that parameter bit for bit.
 """
 
 from __future__ import annotations
@@ -19,10 +36,10 @@ from .errors import (
     InflectionPointError,
     InvalidCurveError,
     IrregularCurveError,
+    NonFiniteCurveError,
     NotEnoughSamplesError,
 )
 from .expr import Expression, evaluate, evaluate_jet3
-from .jets import Jet3
 
 EPS_REGULAR = 1e-9
 EPS_KAPPA = 1e-9
@@ -63,8 +80,9 @@ class CurveSpec:
         b = {self.param: q}
         return np.array([evaluate(self.x, b), evaluate(self.y, b), evaluate(self.z, b)])
 
-    def jets(self, q: float) -> tuple[Jet3, Jet3, Jet3]:
-        """Componentwise jets of (x(q), y(q), z(q)) up to order 3."""
+    def jets(self, q) -> tuple:
+        """Componentwise jets of (x(q), y(q), z(q)) up to order 3; each is a
+        ``(jet, ok)`` pair when ``q`` is an array (see ``evaluate_jet3``)."""
         return (
             evaluate_jet3(self.x, self.param, q),
             evaluate_jet3(self.y, self.param, q),
@@ -83,39 +101,108 @@ class FrenetApparatus:
     W0: np.ndarray
 
 
-def frenet_at(curve: CurveSpec, q: float) -> FrenetApparatus:
+def frenet_at(curve: CurveSpec, q):
     """Frenet frame, curvature, torsion, speed, and unit Darboux vector at q.
 
     Raises :class:`IrregularCurveError` when the speed drops below the
-    regularity threshold and :class:`InflectionPointError` when the frame is
-    undefined (curvature below threshold).
+    regularity threshold, :class:`InflectionPointError` when the frame is
+    undefined (curvature below threshold) and :class:`NonFiniteCurveError`
+    when the curve derivatives, or the speed, curvature or torsion built
+    from them, are not finite.  With a 1-D array ``q`` it
+    returns ``(apparatus, reasons)`` instead (see the module docstring).
     """
+    if isinstance(q, np.ndarray):
+        return _frenet_stack(curve, q)
     jx, jy, jz = curve.jets(q)
-    d1 = np.array([jx.v1, jy.v1, jz.v1])
-    d2 = np.array([jx.v2, jy.v2, jz.v2])
-    d3 = np.array([jx.v3, jy.v3, jz.v3])
+    derivatives = (jx.v1, jy.v1, jz.v1, jx.v2, jy.v2, jz.v2, jx.v3, jy.v3, jz.v3)
+    if not all(map(math.isfinite, derivatives)):
+        raise NonFiniteCurveError(q)
+    x1, y1, z1, x2, y2, z2 = derivatives[:6]
+    d1 = np.array(derivatives[:3])
 
-    rho = float(np.linalg.norm(d1))
+    rho = math.sqrt(d1.dot(d1))
     if rho <= EPS_REGULAR:
         raise IrregularCurveError(q, rho)
     if curve.unit_speed and abs(rho - 1.0) > UNIT_SPEED_TOL:
         raise InvalidCurveError(
             f"curve declared unit speed but |r'({q!r})| = {rho!r}"
         )
-
-    cr = np.cross(d1, d2)
-    ncr = float(np.linalg.norm(cr))
-    kappa = ncr / rho**3
+    # r' x r'' and B x T written out: np.cross of two 3-vectors costs more
+    # than the rest of the apparatus, and rounds the same.
+    cr = np.array([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2])
+    ncr = math.sqrt(cr.dot(cr))
+    rho3 = _cube(rho)
+    kappa = ncr / rho3
+    if not (math.isfinite(rho3) and math.isfinite(kappa)):
+        raise NonFiniteCurveError(q)
     if kappa <= EPS_KAPPA:
         raise InflectionPointError(q, kappa)
 
-    T = d1 / rho
-    B = cr / ncr
-    N = np.cross(B, T)
-    tau = float(np.dot(cr, d3)) / (ncr * ncr)
+    tau = float(cr.dot(derivatives[6:])) / (ncr * ncr)
     w = math.hypot(kappa, tau)
-    W0 = (tau * T + kappa * B) / w
-    return FrenetApparatus(T=T, N=N, B=B, kappa=kappa, tau=tau, rho=rho, W0=W0)
+    if not math.isfinite(w):
+        raise NonFiniteCurveError(q)
+    tx, ty, tz = x1 / rho, y1 / rho, z1 / rho
+    bx, by, bz = (v / ncr for v in cr.tolist())
+    return FrenetApparatus(
+        T=np.array([tx, ty, tz]),
+        N=np.array([by * tz - bz * ty, bz * tx - bx * tz, bx * ty - by * tx]),
+        B=np.array([bx, by, bz]),
+        kappa=kappa, tau=tau, rho=rho,
+        W0=np.array([(tau * tx + kappa * bx) / w, (tau * ty + kappa * by) / w,
+                     (tau * tz + kappa * bz) / w]),
+    )
+
+
+def _cube(rho: float) -> float:
+    """rho ** 3 rounded as Python rounds it, inf where it overflows."""
+    try:
+        return rho ** 3
+    except OverflowError:
+        return math.inf
+
+
+def _frenet_stack(curve: CurveSpec, qs: np.ndarray):
+    """``frenet_at`` over the parameters ``qs``: (apparatus, reasons)."""
+    (jx, okx), (jy, oky), (jz, okz) = curve.jets(qs)
+    d1, d2, d3 = (np.stack([getattr(j, f) for j in (jx, jy, jz)], axis=-1)
+                  for f in ("v1", "v2", "v3"))
+    with np.errstate(all="ignore"):
+        rho = np.sqrt(np.vecdot(d1, d1))
+        rho3 = np.array([_cube(r) for r in rho.tolist()], dtype=float)
+        cr = np.cross(d1, d2)
+        ncr = np.sqrt(np.vecdot(cr, cr))
+        kappa = ncr / rho3
+        T = d1 / rho[:, None]
+        B = cr / ncr[:, None]
+        tau = np.vecdot(cr, d3) / (ncr * ncr)
+        w = np.array(list(map(math.hypot, kappa.tolist(), tau.tolist())))
+        W0 = (tau[:, None] * T + kappa[:, None] * B) / w[:, None]
+    finite = np.isfinite(np.concatenate([d1, d2, d3], axis=-1)).all(axis=-1)
+    # In the order the scalar form checks them.
+    reasons = np.select(
+        [~(okx & oky & okz), ~finite, rho <= EPS_REGULAR,
+         curve.unit_speed & (np.abs(rho - 1.0) > UNIT_SPEED_TOL),
+         ~(np.isfinite(rho3) & np.isfinite(kappa)), kappa <= EPS_KAPPA, ~np.isfinite(w)],
+        ["domain", "non_finite", "irregular", "unit_speed", "non_finite", "inflection",
+         "non_finite"],
+        "",
+    )
+    app = FrenetApparatus(T=T, N=np.cross(B, T), B=B, kappa=kappa, tau=tau, rho=rho, W0=W0)
+    return app, reasons
+
+
+# Reasons for which callers leave a parameter out; the others are errors.
+SKIPPED = ("irregular", "inflection")
+
+
+def raise_first(curve: CurveSpec, qs: np.ndarray, failed: np.ndarray) -> None:
+    """Raise what the scalar ``frenet_at`` raises at the first parameter of
+    ``qs`` marked in ``failed``; do nothing when none is marked."""
+    if failed.any():
+        q = float(qs[np.argmax(failed)])
+        frenet_at(curve, q)
+        raise AssertionError(f"frenet_at is defined at {q!r}, where its array form failed")
 
 
 @dataclass(frozen=True)
@@ -164,25 +251,19 @@ def classify_from_samples(kappas, taus, tol: float, skipped: int = 0) -> CurveCl
 def classify_curve(curve: CurveSpec, sample_count: int = 256, tol: float = 1e-6) -> CurveClass:
     """Classify by sampling kappa and tau uniformly over the curve domain.
 
-    Parameters where the frame is undefined are skipped (isolated
-    inflections do not change a curve's global character) and counted in
-    ``CurveClass.skipped``.
+    Parameters where the frame is undefined or the curve derivatives are
+    not finite are skipped (isolated inflections do not change a curve's
+    global character) and counted in ``CurveClass.skipped``.
     """
     if sample_count < 8:
         raise ValueError("sample_count must be at least 8")
     qs = np.linspace(curve.domain[0], curve.domain[1], sample_count)
-    kappas, taus = [], []
-    skipped = 0
-    for q in qs:
-        try:
-            app = frenet_at(curve, float(q))
-        except (InflectionPointError, IrregularCurveError):
-            skipped += 1
-            continue
-        kappas.append(app.kappa)
-        taus.append(app.tau)
-    if len(kappas) < 2:
+    app, reasons = frenet_at(curve, qs)
+    raise_first(curve, qs, ~np.isin(reasons, ("", "non_finite") + SKIPPED))
+    good = reasons == ""
+    usable = int(np.count_nonzero(good))
+    if usable < 2:
         raise NotEnoughSamplesError(
-            f"only {len(kappas)} of {sample_count} samples have a defined frame"
+            f"only {usable} of {sample_count} samples have a defined frame"
         )
-    return classify_from_samples(kappas, taus, tol, skipped)
+    return classify_from_samples(app.kappa[good], app.tau[good], tol, sample_count - usable)

@@ -6,14 +6,28 @@ functions propagate derivatives exactly (Leibniz / Faa di Bruno rules
 truncated at order 3), which is as far as the curvature and torsion
 formulas need.  A constant jet carries a plain real value, so the same
 arithmetic also serves real-valued evaluation.
+
+The fields may also be NumPy arrays over a vector of parameters: the
+operators are elementwise, and :class:`ArrayRules` supplies the division,
+power and function rules that would raise per point.  Instead of raising
+they record the point in a mask, and every other point gets the bits the
+scalar rule gives.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
+
+# Raised by float arithmetic and the math module on overflow, out-of-domain
+# arguments (sin(inf)) or division by an underflowed zero.
+MATH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+_FAILURES = (DomainError,) + MATH_ERRORS
 
 
 @dataclass(slots=True)
@@ -22,15 +36,6 @@ class Jet3:
     v1: float = 0.0
     v2: float = 0.0
     v3: float = 0.0
-
-    @staticmethod
-    def constant(value: float) -> "Jet3":
-        return Jet3(float(value))
-
-    @staticmethod
-    def variable(point: float) -> "Jet3":
-        """Jet of the identity function at ``point``."""
-        return Jet3(float(point), 1.0)
 
     def is_constant(self) -> bool:
         return self.v1 == 0.0 and self.v2 == 0.0 and self.v3 == 0.0
@@ -81,13 +86,7 @@ class Jet3:
             return NotImplemented
         if o.v0 == 0.0:
             raise DomainError("division by zero")
-        a0, a1, a2, a3 = self.v0, self.v1, self.v2, self.v3
-        b0, b1, b2, b3 = o.v0, o.v1, o.v2, o.v3
-        h0 = a0 / b0
-        h1 = (a1 - h0 * b1) / b0
-        h2 = (a2 - h0 * b2 - 2.0 * h1 * b1) / b0
-        h3 = (a3 - h0 * b3 - 3.0 * h1 * b2 - 3.0 * h2 * b1) / b0
-        return Jet3(h0, h1, h2, h3)
+        return _quotient(self, o)
 
     def __rtruediv__(self, other):
         o = _coerce(other)
@@ -110,6 +109,15 @@ def _coerce(x) -> Jet3 | None:
     return None
 
 
+def _quotient(a: Jet3, b: Jet3) -> Jet3:
+    b0, b1, b2 = b.v0, b.v1, b.v2
+    h0 = a.v0 / b0
+    h1 = (a.v1 - h0 * b1) / b0
+    h2 = (a.v2 - h0 * b2 - 2.0 * h1 * b1) / b0
+    h3 = (a.v3 - h0 * b.v3 - 3.0 * h1 * b2 - 3.0 * h2 * b1) / b0
+    return Jet3(h0, h1, h2, h3)
+
+
 def _compose(f0: float, f1: float, f2: float, f3: float, u: Jet3) -> Jet3:
     """Chain rule for an outer univariate function with derivatives f0..f3 at u.v0."""
     u1, u2, u3 = u.v1, u.v2, u.v3
@@ -119,7 +127,6 @@ def _compose(f0: float, f1: float, f2: float, f3: float, u: Jet3) -> Jet3:
         f2 * u1 * u1 + f1 * u2,
         f3 * u1 * u1 * u1 + 3.0 * f2 * u1 * u2 + f1 * u3,
     )
-
 
 
 def _real_pow(x: float, y: float) -> float:
@@ -301,3 +308,118 @@ def apply_function(name: str, u: Jet3) -> Jet3:
         return Jet3(fx)
     f1, f2, f3 = derivatives(x, fx)
     return _compose(fx, f1, f2, f3, u)
+
+
+class ScalarRules:
+    """Division, power and function rules of the scalar walk: they raise."""
+
+    div = staticmethod(operator.truediv)
+    pow = staticmethod(jet_pow)
+    call = staticmethod(apply_function)
+
+
+# NumPy kernels for the functions whose ufuncs round like ``math``:
+# (value, points where the math function raises, derivatives plus the points
+# where they are undefined).  Every other function is applied per point.
+
+def _d_sin_array(x, s):
+    c = np.cos(x)
+    return c, -s, -c, False
+
+
+def _d_cos_array(x, c):
+    s = np.sin(x)
+    return -s, -c, s, False
+
+
+def _d_sqrt_array(x, r):
+    # Python raises on the division once x * x * r underflows to zero.
+    return 0.5 / r, -0.25 / (x * r), 0.375 / (x * x * r), x * x * r == 0.0
+
+
+_ARRAY_FUNCTIONS = {
+    "sin": (np.sin, np.isinf, _d_sin_array),
+    "cos": (np.cos, np.isinf, _d_cos_array),
+    "sqrt": (np.sqrt, lambda x: x < 0.0, _d_sqrt_array),
+}
+
+
+def _is_array(j: Jet3) -> bool:
+    return isinstance(j.v0, np.ndarray)
+
+
+def _constant(j: Jet3) -> np.ndarray:
+    return (j.v1 == 0.0) & (j.v2 == 0.0) & (j.v3 == 0.0)
+
+
+class ArrayRules:
+    """The rules of :class:`ScalarRules` over ``n`` points at once.
+
+    A jet is either scalar (float fields, constant in the points) or has
+    arrays of shape ``(n,)`` in every field.  Where the scalar rule would
+    raise, the point is set in ``bad`` and its entries are unspecified.
+    Integer powers and the functions in ``_ARRAY_FUNCTIONS`` are computed
+    on the arrays, except at points where the scalar rule takes another
+    branch (a constant jet there); those points, and every other power or
+    function, go through the scalar rule point by point.
+    """
+
+    def __init__(self, n: int):
+        self.bad = np.zeros(n, dtype=bool)
+
+    def div(self, a: Jet3, b: Jet3) -> Jet3:
+        if not (_is_array(a) or _is_array(b)):
+            return self._scalar(operator.truediv, a, b)
+        self.bad |= b.v0 == 0.0
+        return _quotient(a, b)
+
+    def pow(self, base: Jet3, expo: Jet3) -> Jet3:
+        if not (_is_array(base) or _is_array(expo)):
+            return self._scalar(jet_pow, base, expo)
+        p = expo.v0
+        if _is_array(expo) or not expo.is_constant() or not (
+                float(p).is_integer() and 0 <= p <= 512):
+            return self._each(Jet3(0.0), np.ones_like(self.bad), jet_pow, base, expo)
+        # A base constant at a point takes the real power there.
+        return self._each(_powi(base, int(p)), _constant(base), jet_pow, base, expo)
+
+    def call(self, name: str, u: Jet3) -> Jet3:
+        if not _is_array(u):
+            return self._scalar(apply_function, name, u)
+        kernel = _ARRAY_FUNCTIONS.get(name)
+        if kernel is None:
+            return self._each(Jet3(0.0), np.ones_like(self.bad), apply_function, name, u)
+        value, undefined, derivatives = kernel
+        x = u.v0
+        fx = value(x)
+        f1, f2, f3, no_derivative = derivatives(x, fx)
+        constant = _constant(u)
+        self.bad |= undefined(x) | (no_derivative & ~constant)
+        j = _compose(fx, f1, f2, f3, u)
+        return Jet3(fx, *(np.where(constant, 0.0, v) for v in (j.v1, j.v2, j.v3)))
+
+    def _scalar(self, rule, *args) -> Jet3:
+        try:
+            return rule(*args)
+        except _FAILURES:
+            self.bad[:] = True
+            return Jet3(math.nan)
+
+    def _each(self, result: Jet3, points: np.ndarray, rule, *args) -> Jet3:
+        """``result`` with the entries at ``points`` from the scalar ``rule``."""
+        index = np.flatnonzero(points)
+        if index.size == 0:
+            return result
+        n = self.bad.size
+        out = [np.array(np.broadcast_to(v, n)) for v in (result.v0, result.v1, result.v2, result.v3)]
+        for i in index.tolist():
+            at = [Jet3(*(float(v[i]) for v in (a.v0, a.v1, a.v2, a.v3)))
+                  if isinstance(a, Jet3) and _is_array(a) else a for a in args]
+            try:
+                j = rule(*at)
+            except _FAILURES:
+                self.bad[i] = True
+                continue
+            for field, v in zip(out, (j.v0, j.v1, j.v2, j.v3)):
+                field[i] = v
+        return Jet3(*out)

@@ -187,6 +187,17 @@ class TestClassify:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["skipped_samples"] >= 1
 
+    def test_overflowing_curve_exit_4(self, tmp_path, capsys):
+        # y' = 2e308 q overflows at every sample: no frame is defined, so
+        # there is nothing to classify.
+        cfg = load_preset("example3")
+        cfg["curve"] = {"x": "q", "y": "1e308*q*q", "z": "0", "param": "q",
+                        "range": [1.0, 5.0]}
+        code, out, err = run(capsys, "classify", "--config", write_config(tmp_path, cfg))
+        assert code == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
 
 class TestSynthesize:
     def test_circle(self, capsys):
