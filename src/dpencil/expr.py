@@ -289,29 +289,31 @@ def number_node(value: float) -> Node:
 # -- evaluation --------------------------------------------------------------
 
 
-def _eval(node: Node, active: str | None, var: Jet3 | None, fixed, rules) -> Jet3:
-    """Jet of ``node`` with ``var`` the jet of the variable ``active``; other
-    variables come from ``fixed`` as reals or jets.  ``rules`` gives the
-    division, power and function rules: :class:`ScalarRules` raise, an
-    :class:`ArrayRules` masks the failing points of array jets."""
+def _eval(node: Node, active: str | None, point, fixed, rules) -> Jet3:
+    """Jet of ``node`` in the variable ``active`` at ``point``; other
+    variables come from ``fixed`` (a mapping or None) as reals or jets.
+    ``rules`` gives the variable, division, power and function rules:
+    :class:`ScalarRules` raise, an :class:`ArrayRules` masks the failing
+    points of an array ``point``.  With ``active=None`` every jet is
+    constant."""
     kind = type(node)
-    if kind is BinOp:
-        left = _eval(node.left, active, var, fixed, rules)
-        right = _eval(node.right, active, var, fixed, rules)
-    elif kind is Num:
+    if kind is Num:
         return Jet3(node.value)
-    elif kind is Var:
+    if kind is Var:
         if node.name == active:
-            return var
+            return rules.variable(point)
         try:
             value = fixed[node.name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: no bindings (None)
             raise UnknownVariableError(node.name) from None
         return value if isinstance(value, Jet3) else Jet3(float(value))
+    if kind is BinOp:
+        left = _eval(node.left, active, point, fixed, rules)
+        right = _eval(node.right, active, point, fixed, rules)
     elif kind is Call:
-        arg = _eval(node.arg, active, var, fixed, rules)
+        arg = _eval(node.arg, active, point, fixed, rules)
     elif kind is Neg:
-        return -_eval(node.operand, active, var, fixed, rules)
+        return -_eval(node.operand, active, point, fixed, rules)
     else:
         return Jet3(CONSTANTS[node.name])
     try:
@@ -337,7 +339,7 @@ def _eval(node: Node, active: str | None, var: Jet3 | None, fixed, rules) -> Jet
 
 def evaluate(expr: Expression, bindings=None) -> float:
     """Real value of ``expr``; every free variable must be bound."""
-    return _eval(expr.root, None, None, bindings or {}, ScalarRules).v0
+    return _eval(expr.root, None, 0.0, bindings, ScalarRules).v0
 
 
 def evaluate_jet3(expr: Expression, active_var: str, point, fixed=None):
@@ -351,12 +353,11 @@ def evaluate_jet3(expr: Expression, active_var: str, point, fixed=None):
     would raise a :class:`DomainError` (its fields are NaN there).  Every
     other entry equals the scalar call at that point bit for bit.
     """
-    if not isinstance(point, np.ndarray):
-        return _eval(expr.root, active_var, Jet3(float(point), 1.0), fixed or {}, ScalarRules)
+    if type(point) is float or not isinstance(point, np.ndarray):
+        return _eval(expr.root, active_var, point, fixed, ScalarRules)
     points = point.astype(float)
     rules = ArrayRules(points.size)
-    var = Jet3(points, np.ones_like(points), np.zeros_like(points), np.zeros_like(points))
     with np.errstate(all="ignore"):
-        jet = _eval(expr.root, active_var, var, fixed or {}, rules)
+        jet = _eval(expr.root, active_var, points, fixed, rules)
     bad = rules.bad
     return Jet3(*(np.where(bad, math.nan, v) for v in (jet.v0, jet.v1, jet.v2, jet.v3))), ~bad

@@ -37,6 +37,11 @@ class Jet3:
     v2: float = 0.0
     v3: float = 0.0
 
+    @staticmethod
+    def variable(point: float) -> "Jet3":
+        """Jet of the identity function at ``point``."""
+        return Jet3(float(point), 1.0)
+
     def is_constant(self) -> bool:
         return self.v1 == 0.0 and self.v2 == 0.0 and self.v3 == 0.0
 
@@ -311,8 +316,10 @@ def apply_function(name: str, u: Jet3) -> Jet3:
 
 
 class ScalarRules:
-    """Division, power and function rules of the scalar walk: they raise."""
+    """Variable, division, power and function rules of the scalar walk;
+    they raise."""
 
+    variable = staticmethod(Jet3.variable)
     div = staticmethod(operator.truediv)
     pow = staticmethod(jet_pow)
     call = staticmethod(apply_function)
@@ -366,6 +373,10 @@ class ArrayRules:
 
     def __init__(self, n: int):
         self.bad = np.zeros(n, dtype=bool)
+
+    @staticmethod
+    def variable(points: np.ndarray) -> Jet3:
+        return Jet3(points, np.ones_like(points), np.zeros_like(points), np.zeros_like(points))
 
     def div(self, a: Jet3, b: Jet3) -> Jet3:
         if not (_is_array(a) or _is_array(b)):
