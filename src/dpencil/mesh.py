@@ -10,7 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InflectionPointError, IrregularCurveError
+from .errors import (
+    DomainError,
+    InflectionPointError,
+    IrregularCurveError,
+    NonFiniteCurveError,
+)
 from .dcurve import DTypeReport
 from .frenet import frenet_at
 from .pencil import (
@@ -83,6 +88,8 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int,
                     continue
         except IrregularCurveError:
             column_reason = "irregular"
+        except NonFiniteCurveError:
+            column_reason = "non_finite"
         except DomainError:
             column_reason = "domain"
 

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpencil.dcurve import SynthesisRequest, feasible_domain, synthesize_marching_scale
+from dpencil.dcurve import (
+    SynthesisRequest,
+    feasible_domain,
+    synthesize_marching_scale,
+    verify_dtype,
+)
 from dpencil.errors import (
     DomainError,
     InflectionPointError,
@@ -23,7 +28,9 @@ from dpencil.errors import (
 )
 from dpencil.expr import evaluate_jet3, parse_expression
 from dpencil.frenet import CurveSpec, FrenetApparatus, classify_curve, frenet_at
-from dpencil.presets import preset_names
+from dpencil.mesh import sample_grid
+from dpencil.presets import load_preset, preset_names
+from dpencil.scene import SceneConfig
 
 from conftest import preset_config
 
@@ -170,6 +177,21 @@ def test_non_finite_curve_is_skipped_by_classify():
     cls = classify_curve(curve)
     reasons = frenet_at(curve, np.linspace(*curve.domain, 256))[1]
     assert cls.skipped == np.count_nonzero(reasons != "") > 0
+
+
+def test_grid_and_verify_name_overflow_alike():
+    # Columns and samples past q ~ 354.9, where exp(q)^2 overflows, are
+    # non_finite in both; the frame does not exist there.
+    cfg = load_preset("example1")
+    cfg["curve"] = {"x": "cos(s)", "y": "sin(s)", "z": "1e-300*exp(s)^2", "param": "s",
+                    "range": [300.0, 360.0]}
+    pencil = SceneConfig.from_dict(cfg).pencil()
+    with np.errstate(all="ignore"):
+        mesh = sample_grid(pencil, 40, 5)
+        report = verify_dtype(pencil, 200, 1e-6)
+    grid = {d.reason for d in mesh.defects if d.s > 355.0}
+    skipped = {reason for s, reason in report.skipped if s > 355.0}
+    assert grid == skipped == {"non_finite"}
 
 
 def bisected_domain(curve, c, sample_count=256):
