@@ -108,8 +108,8 @@ def frenet_at(curve: CurveSpec, q):
     regularity threshold, :class:`InflectionPointError` when the frame is
     undefined (curvature below threshold) and :class:`NonFiniteCurveError`
     when the curve derivatives, or the speed, curvature or torsion built
-    from them, are not finite.  With a 1-D array ``q`` it
-    returns ``(apparatus, reasons)`` instead (see the module docstring).
+    from them, are not finite.  With a 1-D array ``q`` it returns
+    ``(apparatus, reasons)`` instead (see the module docstring).
     """
     if isinstance(q, np.ndarray):
         return _frenet_stack(curve, q)
