@@ -115,8 +115,17 @@ def frenet_at(curve: CurveSpec, q):
         return _frenet_stack(curve, q)
     jx, jy, jz = curve.jets(q)
     derivatives = (jx.v1, jy.v1, jz.v1, jx.v2, jy.v2, jz.v2, jx.v3, jy.v3, jz.v3)
+    # Below 1e75 no dot product overflows (r' x r'' < 2e150); past it numpy warns.
+    if sum(map(abs, derivatives)) < 1e75:
+        return _frenet_point(curve, q, derivatives)
     if not all(map(math.isfinite, derivatives)):
         raise NonFiniteCurveError(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _frenet_point(curve, q, derivatives)
+
+
+def _frenet_point(curve: CurveSpec, q: float, derivatives: tuple) -> FrenetApparatus:
+    """Scalar ``frenet_at`` from the finite curve derivatives."""
     x1, y1, z1, x2, y2, z2 = derivatives[:6]
     d1 = np.array(derivatives[:3])
 
@@ -129,7 +138,8 @@ def frenet_at(curve: CurveSpec, q):
         )
     # r' x r'' and B x T written out: np.cross of two 3-vectors costs more
     # than the rest of the apparatus, and rounds the same.
-    cr = np.array([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2])
+    cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+    cr = np.array([cx, cy, cz])
     ncr = math.sqrt(cr.dot(cr))
     rho3 = _cube(rho)
     kappa = ncr / rho3
@@ -143,7 +153,7 @@ def frenet_at(curve: CurveSpec, q):
     if not math.isfinite(w):
         raise NonFiniteCurveError(q)
     tx, ty, tz = x1 / rho, y1 / rho, z1 / rho
-    bx, by, bz = (v / ncr for v in cr.tolist())
+    bx, by, bz = cx / ncr, cy / ncr, cz / ncr
     return FrenetApparatus(
         T=np.array([tx, ty, tz]),
         N=np.array([by * tz - bz * ty, bz * tx - bx * tz, bx * ty - by * tx]),

@@ -1,7 +1,13 @@
 """Grid sampling of pencil surfaces and OBJ / CSV serialization.
 
+``sample_grid`` takes the Frenet frames of all grid columns in one array
+``frenet_at`` call and the marching scale in one ``marching_grid`` call;
+only the nudged frames of inflection columns and the curve points are
+taken per column (``verify_dtype`` still takes its frames per sample).
+
 Output formatting is bit-exact: identical inputs produce identical bytes.
-Vertex data uses 9 significant digits, report rows 12.
+Vertex data uses 9 significant digits, report rows 12, and each block of
+lines is formatted in one call.
 """
 
 from __future__ import annotations
@@ -10,21 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InflectionPointError,
-    IrregularCurveError,
-    NonFiniteCurveError,
-)
+from .errors import DomainError, InflectionPointError, IrregularCurveError
 from .dcurve import DTypeReport
-from .frenet import frenet_at
-from .pencil import (
-    SurfacePencil,
-    marching_grid,
-    pencil_normal,
-    pencil_point,
-    stack_frames,
-)
+from .frenet import FrenetApparatus, frenet_at, raise_first
+from .pencil import SurfacePencil, marching_grid, pencil_normal, pencil_point
 
 
 @dataclass(frozen=True)
@@ -57,12 +52,11 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int,
                 t_range: tuple[float, float] | None = None) -> SurfaceMesh:
     """Sample positions and normals on a uniform (ns x nt) parameter grid.
 
-    Nothing here is fatal: vertices whose frame or marching scale cannot be
-    evaluated fall back to the curve point (inflection columns borrow a
-    frame from a nudged parameter) and are listed in the defect report with
-    a zero normal.  Frames and curve points are taken once per column, the
-    marching scale once per grid (``marching_grid``), and positions and
-    normals in one array pass.
+    Undefined geometry is not fatal: vertices whose frame or marching scale
+    cannot be evaluated fall back to the curve point (inflection columns
+    borrow a frame from a nudged parameter) and are listed in the defect
+    report with a zero normal.  A curve falsely declared unit-speed raises
+    :class:`InvalidCurveError` at its first such column.
     """
     if ns < 2 or nt < 2:
         raise ValueError("grid sizes must be at least 2x2")
@@ -72,41 +66,36 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int,
     ts = np.linspace(t_lo, t_hi, nt)
     nudge = 1e-6 * (s_hi - s_lo)
 
-    frames, points, column_reasons = [], [], []
-    for s in ss.tolist():
-        frame = None
-        column_reason = ""
+    app, column_reason = frenet_at(p.curve, ss)
+    framed = column_reason == ""
+    unit_speed = column_reason == "unit_speed"
+    # Inflection columns borrow the frame of a nudged parameter.  A column
+    # walk raises at the first falsely unit-speed column: nudges stop there.
+    for i in np.flatnonzero((column_reason == "inflection")
+                            & np.logical_and.accumulate(~unit_speed)).tolist():
+        for cand in (float(ss[i]) + nudge, float(ss[i]) - nudge):
+            try:
+                nudged = frenet_at(p.curve, cand)
+            except (InflectionPointError, IrregularCurveError, DomainError):
+                continue
+            for name, v in vars(app).items():
+                v[i] = getattr(nudged, name)
+            framed[i] = True
+            break
+    raise_first(p.curve, ss, unit_speed)
+    r = np.zeros((ns, 1, 3))
+    for i, s in enumerate(ss.tolist()):
         try:
-            frame = p.frame(s)
-        except InflectionPointError:
-            column_reason = "inflection"
-            for cand in (s + nudge, s - nudge):
-                try:
-                    frame = frenet_at(p.curve, cand)
-                    break
-                except (InflectionPointError, IrregularCurveError, DomainError):
-                    continue
-        except IrregularCurveError:
-            column_reason = "irregular"
-        except NonFiniteCurveError:
-            column_reason = "non_finite"
+            r[i, 0] = p.curve.point(s)
         except DomainError:
-            column_reason = "domain"
-
-        try:
-            curve_point = p.curve.point(s)
-        except DomainError:
-            curve_point = np.zeros(3)
-            if frame is not None:
-                frame, column_reason = None, "domain"
-        frames.append(frame)
-        points.append(curve_point)
-        column_reasons.append(column_reason)
-
-    framed = np.array([f is not None for f in frames])[:, None]
-    frame = stack_frames(frames)
-    r = np.array(points)[:, None, :]
-    column_reason = np.array(column_reasons)[:, None]
+            if framed[i]:
+                framed[i], column_reason[i] = False, "domain"
+    # Entries without a frame are unspecified: zero them like a missing frame.
+    frame = FrenetApparatus(**{
+        name: np.where(framed.reshape((-1,) + (1,) * (v.ndim - 1)), v, 0.0)[:, None]
+        for name, v in vars(app).items()
+    })
+    framed, column_reason = framed[:, None], column_reason[:, None]
     mv, ok = marching_grid(p.marching, ss, ts)
     unit, degenerate, non_finite = pencil_normal(frame, mv)
     # First matching reason wins.  A column with a nudged frame keeps its
@@ -130,15 +119,16 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int,
     return SurfaceMesh(ns=ns, nt=nt, positions=positions, normals=normals,
                        faces=faces, defects=defects)
 
-_VERTEX = "v %#.9g %#.9g %#.9g"
-_NORMAL = "vn %#.9g %#.9g %#.9g"
-_FACE = "f {0}//{0} {1}//{1} {2}//{2} {3}//{3}"
-_REPORT_ROW = ",".join(["%#.12g"] * 5)
+_VERTEX = "v %#.9g %#.9g %#.9g\n"
+_NORMAL = "vn %#.9g %#.9g %#.9g\n"
+_FACE = "f %d//%d %d//%d %d//%d %d//%d\n"
+_REPORT_ROW = ",".join(["%#.12g"] * 5) + "\n"
 
 
-def _lines(fmt: str, rows) -> list[str]:
-    """``fmt`` over each row of ``rows``; adding 0.0 prints -0.0 as 0.0."""
-    return [fmt % tuple(row) for row in (np.asarray(rows, dtype=float) + 0.0).tolist()]
+def _block(line: str, rows) -> str:
+    """``line`` over each row of ``rows``; adding 0.0 prints -0.0 as 0.0."""
+    rows = np.asarray(rows, dtype=float) + 0.0
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def write_obj(mesh: SurfaceMesh, sink) -> None:
@@ -147,15 +137,16 @@ def write_obj(mesh: SurfaceMesh, sink) -> None:
     One ``v`` line per position, one ``vn`` per normal, quads as
     ``f i//i j//j k//k l//l`` with 1-based indices.
     """
-    lines = _lines(_VERTEX, mesh.positions) + _lines(_NORMAL, mesh.normals)
-    lines += [_FACE.format(*f) for f in (mesh.faces + 1).tolist()]
-    sink.write(("\n".join(lines) + "\n").encode("ascii"))
+    faces = np.repeat(mesh.faces + 1, 2, axis=1)
+    text = (_block(_VERTEX, mesh.positions) + _block(_NORMAL, mesh.normals)
+            + (_FACE * len(faces)) % tuple(faces.ravel().tolist()))
+    sink.write(text.encode("ascii"))
 
 
 def write_report_csv(report: DTypeReport, sink) -> None:
     """CSV verification report: per-sample rows plus summary rows."""
     rows = [(smp.s, smp.inner, smp.phi2, smp.phi3, smp.theta) for smp in report.samples]
-    lines = ["s,inner,phi2,phi3,theta"] + _lines(_REPORT_ROW, rows)
-    lines.append("c_estimate,%#.12g" % (report.c_estimate + 0.0))
-    lines.append("max_deviation,%#.12g" % (report.max_deviation + 0.0))
-    sink.write(("\n".join(lines) + "\n").encode("ascii"))
+    text = ("s,inner,phi2,phi3,theta\n" + _block(_REPORT_ROW, rows)
+            + "c_estimate,%#.12g\nmax_deviation,%#.12g\n"
+            % (report.c_estimate + 0.0, report.max_deviation + 0.0))
+    sink.write(text.encode("ascii"))

@@ -10,12 +10,14 @@ t = t0 parameter line of every member.
 
 ``marching_values`` evaluates the scale at one (s, t); ``marching_grid``
 evaluates it on a whole (s, t) grid with an ``ok`` mask instead of a
-``DomainError`` per vertex.  Product forms separate, so their s-parts are
-evaluated once per grid column and their t-parts once per row.
-``pencil_point``, ``pencil_partials`` and ``pencil_normal`` broadcast: the
-frame fields (scalars of shape F, vectors of shape F + (3,), see
-``stack_frames``) broadcast against the marching fields, and a single frame
-with scalar marching values gives a single 3-vector.
+``DomainError`` per vertex.  Each expression takes one array
+``evaluate_jet3`` call: product forms separate, so their s-parts run over
+the grid columns and their t-parts over the rows; a general form runs over
+the flattened grid.  ``pencil_point``, ``pencil_partials`` and
+``pencil_normal`` broadcast: the frame fields (scalars of shape F, vectors
+of shape F + (3,), as ``frenet_at`` over an array or ``stack_frames``
+gives them) broadcast against the marching fields, and a single frame with
+scalar marching values gives a single 3-vector.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .errors import (
 )
 from .expr import Expression, evaluate_jet3
 from .frenet import EPS_REGULAR, CurveSpec, FrenetApparatus, frenet_at
+from .jets import Jet3
 
 T_VAR = "t"
 
@@ -183,19 +186,22 @@ def marching_grid(ms: MarchingScale, ss: Sequence[float],
             a0, a1 = (ctrl * c0)[:, None], (ctrl * c1)[:, None]
             parts.append((a0 * r0, a1 * r0, a0 * r1))
             ok &= c_ok[:, None] & r_ok
-        (u, u_s, u_t), (v, v_s, v_t), (w, w_s, w_t) = parts
-        values = (u, v, w, u_s, v_s, w_s, u_t, v_t, w_t)
+        values = [f for group in zip(*parts) for f in group]  # u, v, w, u_s, ...
     elif isinstance(form, GeneralForm):
-        # Bivariate: nothing separates, so evaluate vertex by vertex.
+        # Bivariate: nothing separates, so evaluate on the flattened grid,
+        # the other variable fixed as a constant jet with array fields.
+        s_flat, t_flat = np.repeat(ss, ts.size), np.tile(ts, ss.size)
+        zero = np.zeros(s_flat.size)
+        s_fixed = {ms.param: Jet3(s_flat, zero, zero, zero)}
+        t_fixed = {T_VAR: Jet3(t_flat, zero, zero, zero)}
         ok = np.ones(shape, dtype=bool)
-        grid = np.zeros((len(MarchingValues._fields),) + shape)
-        for i, s in enumerate(ss.tolist()):
-            for j, t in enumerate(ts.tolist()):
-                try:
-                    grid[:, i, j] = marching_values(ms, s, t)
-                except DomainError:
-                    ok[i, j] = False
-        values = tuple(grid)
+        parts = []
+        for ctrl, e in zip(form.controls, (form.u, form.v, form.w)):
+            js, s_ok = evaluate_jet3(e, ms.param, s_flat, fixed=t_fixed)
+            jt, t_ok = evaluate_jet3(e, T_VAR, t_flat, fixed=s_fixed)
+            parts.append([(ctrl * f).reshape(shape) for f in (js.v0, js.v1, jt.v1)])
+            ok &= (s_ok & t_ok).reshape(shape)
+        values = [f for group in zip(*parts) for f in group]
     else:
         assert isinstance(form, TabulatedProductForm)
         r0, r1, r_ok = _jets(form.u_profile, T_VAR, ts)
@@ -208,18 +214,9 @@ def marching_grid(ms: MarchingScale, ss: Sequence[float],
 
 
 def _jets(expr: Expression, var: str, points: np.ndarray):
-    """(value, first derivative, defined) arrays of ``expr`` over ``points``."""
-    v0 = np.zeros(points.size)
-    v1 = np.zeros(points.size)
-    ok = np.ones(points.size, dtype=bool)
-    for k, q in enumerate(points.tolist()):
-        try:
-            jet = evaluate_jet3(expr, var, q)
-        except DomainError:
-            ok[k] = False
-            continue
-        v0[k], v1[k] = jet.v0, jet.v1
-    return v0, v1, ok
+    """(value, first derivative, defined) of ``expr`` over ``points``; zero where undefined."""
+    jet, ok = evaluate_jet3(expr, var, points)
+    return np.where(ok, jet.v0, 0.0), np.where(ok, jet.v1, 0.0), ok
 
 
 class SurfacePencil:
@@ -316,7 +313,7 @@ _NO_FRAME = FrenetApparatus(T=np.zeros(3), N=np.zeros(3), B=np.zeros(3),
 def stack_frames(frames: Sequence[FrenetApparatus | None]) -> FrenetApparatus:
     """One apparatus for ``n`` frames (None where a frame is missing):
     scalar fields of shape (n, 1) and vectors of shape (n, 1, 3), which
-    broadcast against (n, m) marching fields (one frame per grid column)."""
+    broadcast against (n, m) marching fields (one frame per sample)."""
     frames = [_NO_FRAME if fr is None else fr for fr in frames]
     return FrenetApparatus(**{
         f.name: np.array([getattr(fr, f.name) for fr in frames])[:, None]

@@ -7,6 +7,7 @@ call raises, with the reason matching the exception class.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,9 @@ SPECIAL = {
     "false_unit_speed": make_curve("q", "q^2", "q^3", (-1.0, 1.0), unit_speed=True),
     "overflow": make_curve("q", "1e308*q*q", "0", (1.0, 5.0)),
     "overflow_part": make_curve("cos(q)", "sin(q)", "1e-300*exp(q)^2", (300.0, 360.0)),
+    # Derivatives past 1e75 with a defined apparatus at q = 0 (curvature
+    # 2e80) and none elsewhere.
+    "large": make_curve("q", "1e80*q^2", "q^3", (-1.0, 1.0)),
 }
 CURVES = {**{name: preset_config(name).curve() for name in preset_names()}, **SPECIAL}
 
@@ -98,6 +102,18 @@ def test_special_curves_cover_every_reason():
     for curve in SPECIAL.values():
         seen.update(frenet_at(curve, np.linspace(*curve.domain, 257))[1].tolist())
     assert seen == {"", "domain", "non_finite", "irregular", "unit_speed", "inflection"}
+
+
+@pytest.mark.parametrize("source, q, reason", [
+    ("1e300*q^10", 2.0, "non_finite"),  # |r'|^2 and |r' x r''|^2 overflow
+    ("1e160*q^2", 1.0, "non_finite"),
+    ("1e80*q^2", 0.0, ""),  # large derivatives, defined apparatus
+])
+def test_scalar_frenet_does_not_warn(source, q, reason):
+    curve = make_curve("q", source, "q^3", (-3.0, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scalar_reason(curve, q)[1] == reason
 
 
 @settings(max_examples=20, deadline=None)

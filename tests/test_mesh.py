@@ -1,15 +1,26 @@
 import collections
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dpencil.dcurve import DTypeReport, SynthesisRequest, synthesize_marching_scale, verify_dtype
+from dpencil.dcurve import (
+    DTypeReport,
+    DTypeSample,
+    SynthesisRequest,
+    synthesize_marching_scale,
+    verify_dtype,
+)
 from dpencil.errors import (
     DegenerateNormalError,
     DomainError,
     InflectionPointError,
+    InvalidCurveError,
     IrregularCurveError,
     NonFiniteNormalError,
 )
@@ -19,7 +30,7 @@ from dpencil.pencil import SurfacePencil, TabulatedProductForm
 from dpencil.presets import load_preset
 from dpencil.scene import SceneConfig
 
-from conftest import preset_config, preset_pencil
+from conftest import SRC, preset_config, preset_pencil
 from oracles import read_csv_report, read_obj
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -109,6 +120,18 @@ def explicit_pencil(name, t_range=None, **explicit):
     return SceneConfig.from_dict(cfg).pencil()
 
 
+def curve_pencil(curve, **explicit):
+    """Preset example1 (marching scale unchanged unless given) over ``curve``."""
+    cfg = load_preset("example1")
+    cfg["curve"] = curve
+    if explicit:
+        cfg["marching"]["explicit"] = explicit
+    return SceneConfig.from_dict(cfg).pencil()
+
+
+STRAIGHT_LINE = {"x": "s", "y": "0", "z": "0", "param": "s", "range": [0.0, 1.0]}
+
+
 def synthesized_pencil():
     curve = preset_config("example3").curve()
     ms = synthesize_marching_scale(SynthesisRequest(curve=curve, c=0.3))
@@ -183,6 +206,9 @@ GRID_CASES = {
     "general_form": (lambda: explicit_pencil(
         "example1", u="t*cos(s)", v="sqrt(3)/2*t", w="t*sqrt(1-s*t)"), 11, 8),
     "tabulated": (synthesized_pencil, 9, 14),
+    # Curvature zero everywhere: every column is an inflection, and so is
+    # each nudged parameter.
+    "straight_line": (lambda: curve_pencil(STRAIGHT_LINE), 7, 4),
 }
 
 
@@ -202,12 +228,60 @@ class TestGridMatchesPerVertex:
         for d in mesh.defects:
             assert (d.s, d.t) == (ss[d.index // nt], ts[d.index % nt])
 
+    def test_straight_line_has_no_frame(self):
+        mesh = sample_grid(curve_pencil(STRAIGHT_LINE), 7, 4)
+        assert [d.reason for d in mesh.defects] == ["inflection"] * 28
+        assert not mesh.normals.any()
+
     def test_faces_walk_the_grid(self):
         mesh = sample_grid(preset_pencil("example1"), 4, 3)
         expected = [(i * 3 + j, (i + 1) * 3 + j, (i + 1) * 3 + j + 1, i * 3 + j + 1)
                     for i in range(3) for j in range(2)]
         assert mesh.faces.dtype == np.int64
         assert mesh.faces.tolist() == [list(q) for q in expected]
+
+
+class TestFalseUnitSpeed:
+    # Declared unit speed, but |r'(q)| = sqrt(1 + 4 q^2 + 9 q^4), which is
+    # sqrt(14) at the first column q = -1.
+    CURVE = {"x": "q", "y": "q^2", "z": "q^3", "param": "q", "range": [-1.0, 1.0],
+             "unit_speed": True}
+    MESSAGE = f"curve declared unit speed but |r'(-1.0)| = {math.sqrt(14.0)!r}"
+
+    def test_sample_grid_raises_invalid_curve(self):
+        with pytest.raises(InvalidCurveError) as got:
+            sample_grid(curve_pencil(self.CURVE), 9, 4)
+        assert str(got.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("lo, raised_at", [
+        (0.0, 1e-6),  # column 0 is an inflection; its nudged frame raises
+        (-1.0, -1.0),  # column 0 raises before the inflection column at 0
+    ])
+    def test_nudges_raise_in_column_order(self, lo, raised_at):
+        # r = (q + q^2, q^3, 0): speed 1 and r'' parallel to r' at q = 0 only.
+        curve = {"x": "q+q^2", "y": "q^3", "z": "0", "param": "q", "range": [lo, 1.0],
+                 "unit_speed": True}
+        p = curve_pencil(curve)
+        with pytest.raises(InvalidCurveError) as expected:
+            frenet_at(p.curve, raised_at)
+        with pytest.raises(InvalidCurveError) as got:
+            sample_grid(p, 9, 4)
+        assert str(got.value) == str(expected.value)
+
+    def test_build_exit_2(self, tmp_path):
+        cfg = load_preset("example1")
+        cfg["curve"] = self.CURVE
+        cfg["grid"].update(ns=9, nt=4)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpencil", "build", "--config", str(path),
+             "-o", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {self.MESSAGE}\n"
 
 
 class TestNonFiniteNormals:
@@ -225,6 +299,48 @@ class TestNonFiniteNormals:
         good = np.setdiff1d(np.arange(200 * 50), [d.index for d in mesh.defects])
         lens = np.linalg.norm(mesh.normals[good], axis=1)
         assert np.max(np.abs(lens - 1.0)) <= 1e-12
+
+
+# Values that format specially: signed zero, NaN, infinities, the extremes.
+AWKWARD = [-0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 1.0 / 3.0]
+
+
+def awkward_rows(n, width, shift):
+    """``n`` rows of ``width`` values cycling through AWKWARD."""
+    return np.array([[AWKWARD[(shift + i * width + j) % len(AWKWARD)] for j in range(width)]
+                     for i in range(n)])
+
+
+def line_at_a_time(fmt, rows):
+    """One ``%`` per line; adding 0.0 prints -0.0 as 0.0."""
+    return [fmt % tuple(float(x) + 0.0 for x in row) for row in rows]
+
+
+class TestWritersMatchLineAtATime:
+    def test_obj(self):
+        positions, normals = awkward_rows(6, 3, 0), awkward_rows(6, 3, 5)
+        faces = np.array([[0, 2, 3, 1], [2, 4, 5, 3]], dtype=np.int64)
+        mesh = SurfaceMesh(ns=3, nt=2, positions=positions, normals=normals, faces=faces)
+        lines = (line_at_a_time("v %#.9g %#.9g %#.9g", positions)
+                 + line_at_a_time("vn %#.9g %#.9g %#.9g", normals)
+                 + ["f {0}//{0} {1}//{1} {2}//{2} {3}//{3}".format(*(f + 1).tolist())
+                    for f in faces])
+        assert obj_bytes(mesh) == ("\n".join(lines) + "\n").encode("ascii")
+        assert b"-0.0" not in obj_bytes(mesh)
+
+    @pytest.mark.parametrize("summary", [(-0.0, math.nan), (math.inf, 1e308), (-math.inf, -0.0)])
+    def test_csv(self, summary):
+        samples = tuple(DTypeSample(*row) for row in awkward_rows(7, 5, 3).tolist())
+        report = DTypeReport(
+            samples=samples, c_estimate=summary[0], max_deviation=summary[1], skipped=(),
+            verdict=False, tolerance=1e-9, geodesic=False, asymptotic_planar=False,
+        )
+        lines = (["s,inner,phi2,phi3,theta"]
+                 + line_at_a_time(",".join(["%#.12g"] * 5),
+                                  [(x.s, x.inner, x.phi2, x.phi3, x.theta) for x in samples])
+                 + line_at_a_time("c_estimate,%#.12g", [[summary[0]]])
+                 + line_at_a_time("max_deviation,%#.12g", [[summary[1]]]))
+        assert csv_bytes(report) == ("\n".join(lines) + "\n").encode("ascii")
 
 
 class TestWriteObj:
