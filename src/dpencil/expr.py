@@ -13,7 +13,17 @@ Grammar (whitespace insignificant)::
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 ``^`` is right-associative and binds tighter than unary minus, so ``-q^2``
-reads as ``-(q^2)``.  Parsed trees are immutable and evaluation is pure, so
+reads as ``-(q^2)``.  Operators and function calls may nest at most
+:data:`MAX_DEPTH` deep, and parentheses too; deeper input is a
+:class:`ParseError`, so every accepted expression parses, evaluates and
+prints within Python's default recursion limit.
+
+Every largest variable-free subtree of two or more nodes is evaluated once,
+when the :class:`Expression` is built, and the walk evaluates that folded
+tree (constant folding, as in Aho, Lam, Sethi & Ullman, *Compilers*).  A
+subtree whose evaluation raises is kept as it is, so it raises with the same
+message at every evaluation.  Parsed and folded trees are immutable, each
+evaluation copies the folded jets it reads, and evaluation is pure, so
 expressions can be shared freely between threads.
 """
 
@@ -21,8 +31,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -34,7 +44,12 @@ from .errors import (
 )
 from .jets import FUNCTIONS, MATH_ERRORS, ArrayRules, Jet3, ScalarRules
 
-Node = Union["Num", "Const", "Var", "Neg", "BinOp", "Call"]
+Node = Union["Num", "Const", "Var", "Neg", "BinOp", "Call", "Folded"]
+
+MAX_DEPTH = 100
+"""Deepest nesting of operators and calls, and of parentheses, accepted by
+the parser: well within the default recursion limit of the walks (one frame
+per level) and of the parser (five frames per parenthesis)."""
 
 
 @dataclass(frozen=True)
@@ -71,11 +86,28 @@ class Call:
 
 
 @dataclass(frozen=True)
+class Folded:
+    """A variable-free subtree ``node`` together with its jet."""
+
+    jet: Jet3
+    node: Node
+
+
+@dataclass(frozen=True)
 class Expression:
-    """A parsed expression tree plus the set of variables it references."""
+    """A parsed expression tree plus the set of variables it references.
+
+    ``folded`` is ``root`` with its variable-free subtrees folded; it is
+    what evaluation walks.  Printing, equality and hashing use ``root``.
+    """
 
     root: Node
     free_vars: frozenset[str]
+    folded: Node = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        folded = _fold(self.root)
+        object.__setattr__(self, "folded", _fold_constant(self.root) if folded is None else folded)
 
 
 CONSTANTS = {"pi": math.pi}
@@ -83,12 +115,19 @@ CONSTANTS = {"pi": math.pi}
 
 # -- lexer / parser ----------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One alternative per token kind, tried in this order: number, name,
+# operator, and any other non-space character (an error).  Whitespace
+# matches none of them and is skipped.
+_TOKEN_RE = re.compile(
+    r"(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|([A-Za-z_][A-Za-z_0-9]*)"
+    r"|([-+*/^()])"
+    r"|(\S)"
+)
+_KINDS = (None, "num", "ident", "op")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "ident" | "op" | "end"
     text: str
     pos: int
@@ -96,28 +135,19 @@ class _Token:
 
 def _lex(source: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            m = _NUMBER_RE.match(source, i)
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _IDENT_RE.match(source, i)
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    depth = 0  # open parentheses
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastindex, m.group()
+        if kind == 4:
+            raise ParseError(f"unexpected character {text!r}", m.start())
+        if text == "(":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", m.start())
+        elif text == ")":
+            depth -= 1
+        tokens.append(_Token._make((_KINDS[kind], text, m.start())))
+    tokens.append(_Token("end", "", len(source)))
     return tokens
 
 
@@ -138,65 +168,83 @@ class _Parser:
         return tok
 
     def _match_op(self, chars: str) -> _Token | None:
-        tok = self._peek()
+        tok = self._tokens[self._i]
         if tok.kind == "op" and tok.text in chars:
-            return self._advance()
+            self._i += 1
+            return tok
         return None
 
+    # Each rule returns its node and the node's depth (a leaf is 1).
+
     def parse(self) -> Node:
-        node = self._expr()
+        node, _ = self._expr()
         tok = self._peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r}", tok.pos)
         return node
 
-    def _expr(self) -> Node:
-        node = self._term()
+    def _expr(self) -> tuple[Node, int]:
+        node, depth = self._term()
         while True:
             tok = self._match_op("+-")
             if tok is None:
-                return node
-            node = BinOp(tok.text, node, self._term())
+                return node, depth
+            right, right_depth = self._term()
+            node, depth = BinOp(tok.text, node, right), _deeper(depth, right_depth, tok)
 
-    def _term(self) -> Node:
-        node = self._factor()
+    def _term(self) -> tuple[Node, int]:
+        node, depth = self._factor()
         while True:
             tok = self._match_op("*/")
             if tok is None:
-                return node
-            node = BinOp(tok.text, node, self._factor())
+                return node, depth
+            right, right_depth = self._factor()
+            node, depth = BinOp(tok.text, node, right), _deeper(depth, right_depth, tok)
 
-    def _factor(self) -> Node:
-        if self._match_op("-"):
-            return Neg(self._power())
-        return self._power()
+    def _factor(self) -> tuple[Node, int]:
+        tok = self._match_op("-")
+        if tok is None:
+            return self._power()
+        node, depth = self._power()
+        return Neg(node), _deeper(depth, 0, tok)
 
-    def _power(self) -> Node:
-        node = self._atom()
-        if self._match_op("^"):
-            return BinOp("^", node, self._power())
-        return node
+    def _power(self) -> tuple[Node, int]:
+        # atom ('^' atom)*, folded from the right: ^ is right-associative.
+        node, depth = self._atom()
+        tok = self._match_op("^")
+        if tok is None:
+            return node, depth
+        operands, carets = [(node, depth)], []
+        while tok is not None:
+            carets.append(tok)
+            operands.append(self._atom())
+            tok = self._match_op("^")
+        node, depth = operands.pop()
+        while carets:
+            left, left_depth = operands.pop()
+            node, depth = BinOp("^", left, node), _deeper(left_depth, depth, carets.pop())
+        return node, depth
 
-    def _atom(self) -> Node:
+    def _atom(self) -> tuple[Node, int]:
         tok = self._advance()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "ident":
             nxt = self._peek()
             if nxt.kind == "op" and nxt.text == "(":
                 if tok.text not in FUNCTIONS:
                     raise UnknownFunctionError(tok.text, tok.pos)
                 self._advance()
-                arg = self._expr()
+                arg, depth = self._expr()
                 if self._match_op(")") is None:
                     raise ParseError("expected ')'", self._peek().pos)
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), _deeper(depth, 0, tok)
             if tok.text in CONSTANTS:
-                return Const(tok.text)
+                return Const(tok.text), 1
             if tok.text not in self._allowed:
                 raise UnknownVariableError(tok.text, tok.pos)
             self.seen_vars.add(tok.text)
-            return Var(tok.text)
+            return Var(tok.text), 1
         if tok.kind == "op" and tok.text == "(":
             node = self._expr()
             if self._match_op(")") is None:
@@ -204,6 +252,15 @@ class _Parser:
             return node
         got = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ParseError(f"expected a number, name, or '(', got {got}", tok.pos)
+
+
+def _deeper(depth: int, other: int, tok: _Token) -> int:
+    """Depth of a node built at ``tok`` over children this deep."""
+    if depth < other:
+        depth = other
+    if depth >= MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH}", tok.pos)
+    return depth + 1
 
 
 def parse_expression(source: str, allowed_vars=()) -> Expression:
@@ -224,6 +281,8 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _precedence(node: Node) -> int:
+    if isinstance(node, Folded):
+        node = node.node
     if isinstance(node, BinOp):
         if node.op in "+-":
             return _PREC_ADD
@@ -242,6 +301,8 @@ def _format_number(value: float) -> str:
 
 
 def _fmt(node: Node) -> str:
+    if isinstance(node, Folded):
+        node = node.node
     if isinstance(node, Num):
         return _format_number(node.value)
     if isinstance(node, (Const, Var)):
@@ -314,6 +375,10 @@ def _eval(node: Node, active: str | None, point, fixed, rules) -> Jet3:
         arg = _eval(node.arg, active, point, fixed, rules)
     elif kind is Neg:
         return -_eval(node.operand, active, point, fixed, rules)
+    elif kind is Folded:
+        # A fresh jet per call, with every field (derivatives may be -0.0).
+        j = node.jet
+        return Jet3(j.v0, j.v1, j.v2, j.v3)
     else:
         return Jet3(CONSTANTS[node.name])
     try:
@@ -339,7 +404,7 @@ def _eval(node: Node, active: str | None, point, fixed, rules) -> Jet3:
 
 def evaluate(expr: Expression, bindings=None) -> float:
     """Real value of ``expr``; every free variable must be bound."""
-    return _eval(expr.root, None, 0.0, bindings, ScalarRules).v0
+    return _eval(expr.folded, None, 0.0, bindings, ScalarRules).v0
 
 
 def evaluate_jet3(expr: Expression, active_var: str, point, fixed=None):
@@ -354,10 +419,52 @@ def evaluate_jet3(expr: Expression, active_var: str, point, fixed=None):
     other entry equals the scalar call at that point bit for bit.
     """
     if type(point) is float or not isinstance(point, np.ndarray):
-        return _eval(expr.root, active_var, point, fixed, ScalarRules)
+        return _eval(expr.folded, active_var, point, fixed, ScalarRules)
     points = point.astype(float)
     rules = ArrayRules(points.size)
     with np.errstate(all="ignore"):
-        jet = _eval(expr.root, active_var, points, fixed, rules)
+        jet = _eval(expr.folded, active_var, points, fixed, rules)
     bad = rules.bad
     return Jet3(*(np.where(bad, math.nan, v) for v in (jet.v0, jet.v1, jet.v2, jet.v3))), ~bad
+
+
+# -- constant folding ----------------------------------------------------------
+
+
+def _fold(node: Node) -> Node | None:
+    """``node`` with its largest variable-free subtrees folded, or None if
+    it has no variable (the caller then folds it in one piece)."""
+    kind = type(node)
+    if kind is BinOp:
+        left, right = _fold(node.left), _fold(node.right)
+        if left is None and right is None:
+            return None
+        return BinOp(node.op, _fold_constant(node.left) if left is None else left,
+                     _fold_constant(node.right) if right is None else right)
+    if kind is Call:
+        arg = _fold(node.arg)
+        return None if arg is None else Call(node.func, arg)
+    if kind is Neg:
+        operand = _fold(node.operand)
+        return None if operand is None else Neg(operand)
+    return node if kind is Var else None
+
+
+def _fold_constant(node: Node) -> Node:
+    """A :class:`Folded` leaf for the variable-free ``node``.  A lone
+    literal stays as it is; where the evaluation raises, only the subtrees
+    below are folded, so the walk raises there as the unfolded one would.
+    Under :class:`ArrayRules` such a subtree already runs through the
+    scalar rules, so the stored jet holds the bits of either walk."""
+    kind = type(node)
+    if kind is Num or kind is Const:
+        return node
+    try:
+        return Folded(_eval(node, None, 0.0, None, ScalarRules), node)
+    except DomainError:
+        pass
+    if kind is BinOp:
+        return BinOp(node.op, _fold_constant(node.left), _fold_constant(node.right))
+    if kind is Call:
+        return Call(node.func, _fold_constant(node.arg))
+    return Neg(_fold_constant(node.operand))

@@ -367,8 +367,9 @@ class ArrayRules:
     raise, the point is set in ``bad`` and its entries are unspecified.
     Integer powers and the functions in ``_ARRAY_FUNCTIONS`` are computed
     on the arrays, except at points where the scalar rule takes another
-    branch (a constant jet there); those points, and every other power or
-    function, go through the scalar rule point by point.
+    branch (a constant jet there).  There a power takes ``math.pow`` in one
+    loop over those points; a function, like every other power or
+    function, goes through the scalar rule point by point.
     """
 
     def __init__(self, n: int):
@@ -391,8 +392,24 @@ class ArrayRules:
         if _is_array(expo) or not expo.is_constant() or not (
                 float(p).is_integer() and 0 <= p <= 512):
             return self._each(Jet3(0.0), np.ones_like(self.bad), jet_pow, base, expo)
-        # A base constant at a point takes the real power there.
-        return self._each(_powi(base, int(p)), _constant(base), jet_pow, base, expo)
+        # A base constant at a point takes the real power there, as in
+        # jet_pow; with 0 <= p no check of _real_pow applies.
+        result = _powi(base, int(p))
+        index = np.flatnonzero(_constant(base))
+        if index.size == 0:
+            return result
+        out = self._fields(result)
+        values = []
+        for i, x in zip(index.tolist(), base.v0[index].tolist()):
+            try:
+                values.append(math.pow(x, p))
+            except OverflowError:
+                self.bad[i] = True
+                values.append(math.nan)
+        out[0][index] = values
+        for field in out[1:]:
+            field[index] = 0.0
+        return Jet3(*out)
 
     def call(self, name: str, u: Jet3) -> Jet3:
         if not _is_array(u):
@@ -416,13 +433,16 @@ class ArrayRules:
             self.bad[:] = True
             return Jet3(math.nan)
 
+    def _fields(self, j: Jet3) -> list[np.ndarray]:
+        """Writable copies of the fields of ``j``, each of shape ``(n,)``."""
+        return [np.array(np.broadcast_to(v, self.bad.size)) for v in (j.v0, j.v1, j.v2, j.v3)]
+
     def _each(self, result: Jet3, points: np.ndarray, rule, *args) -> Jet3:
         """``result`` with the entries at ``points`` from the scalar ``rule``."""
         index = np.flatnonzero(points)
         if index.size == 0:
             return result
-        n = self.bad.size
-        out = [np.array(np.broadcast_to(v, n)) for v in (result.v0, result.v1, result.v2, result.v3)]
+        out = self._fields(result)
         for i in index.tolist():
             at = [Jet3(*(float(v[i]) for v in (a.v0, a.v1, a.v2, a.v3)))
                   if isinstance(a, Jet3) and _is_array(a) else a for a in args]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dpencil.cli import main
-from dpencil.expr import evaluate, format_expression, parse_expression
+from dpencil.expr import MAX_DEPTH, evaluate, format_expression, parse_expression
 from dpencil.presets import load_preset, preset_names
 
 from conftest import SRC, preset_config
@@ -303,3 +303,58 @@ class TestPresetFidelity:
         assert body["marching"]["controls"]["z"] == 1.0
         assert alt["marching"]["controls"]["z"] == -1.0
         assert body["grid"]["t_range"] == [-4.0, 4.0]
+
+
+# Runs ``classify`` on each config path in argv within one fresh interpreter
+# (default recursion limit, no pytest frames) and prints the exit code,
+# stdout and stderr of each run as JSON.
+CLASSIFY_EACH = """
+import contextlib, io, json, sys
+from dpencil.cli import main
+results = []
+for path in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classify", "--config", path])
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+class TestDeepExpressions:
+    # Each of these once escaped as a RecursionError traceback (exit 1).
+    CRASHERS = {
+        "power_chain": "^".join(["s"] * 3000) + "^1",
+        "sum_chain": "+".join(["cos(s)"] * 3000),
+        "constant_sum_chain": "1+" * 3000 + "cos(s)",
+        "parentheses": "(" * 3000 + "s" + ")" * 3000,
+    }
+    # Every component exactly as deep as the parser accepts.
+    AT_LIMIT = {
+        "x": "+".join(["cos(s)"] * (MAX_DEPTH - 1)),
+        "y": "(" * (MAX_DEPTH - 1) + "sin(s)" + ")" * (MAX_DEPTH - 1),
+        "z": "s^" + "^".join(["1"] * (MAX_DEPTH - 1)),
+    }
+
+    def test_in_a_real_process(self, tmp_path):
+        curves = [{"x": x, "y": "sin(s)", "z": "0"} for x in self.CRASHERS.values()]
+        paths = []
+        for i, curve in enumerate(curves + [self.AT_LIMIT]):
+            cfg = load_preset("example3")
+            cfg["curve"] = {**curve, "param": "s", "range": [0.5, 1.5]}
+            paths.append(write_config(tmp_path, cfg, f"scene{i}.json"))
+        proc = subprocess.run(
+            [sys.executable, "-c", CLASSIFY_EACH, *paths],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        *too_deep, at_limit = json.loads(proc.stdout)
+        for name, (code, out, err) in zip(self.CRASHERS, too_deep):
+            assert code == 2, name
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert "nested deeper than" in err
+        code, out, err = at_limit
+        assert code == 0, err
+        assert err == ""
+        assert json.loads(out)["kind"]

@@ -1,7 +1,11 @@
+import copy
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpencil.errors import (
     DomainError,
@@ -10,8 +14,13 @@ from dpencil.errors import (
     UnknownVariableError,
 )
 from dpencil.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
+    Expression,
+    Folded,
+    Neg,
+    Num,
     Var,
     evaluate,
     evaluate_jet3,
@@ -253,3 +262,180 @@ class TestPrinting:
     def test_canonical_number_formatting(self):
         expr = parse_expression("2.0*q + 0.5", ["q"])
         assert format_expression(expr) == "2*q+0.5"
+
+
+# -- constant folding ------------------------------------------------------
+
+
+def unfolded(expr):
+    """``expr`` with evaluation walking ``root`` as it is."""
+    twin = copy.copy(expr)
+    object.__setattr__(twin, "folded", expr.root)
+    return twin
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` gives: the bytes of each float, or the error."""
+    try:
+        result = f(*args)
+    except DomainError as e:
+        return type(e), str(e), e.where
+    if isinstance(result, tuple):  # the array form: (jet, ok)
+        jet, ok = result
+        return [v.tobytes() for v in (jet.v0, jet.v1, jet.v2, jet.v3)], ok.tobytes()
+    if isinstance(result, Jet3):
+        return [struct.pack("d", v) for v in (result.v0, result.v1, result.v2, result.v3)]
+    return struct.pack("d", result)
+
+
+def assert_folding_invisible(source, points):
+    expr = parse_expression(source, ["q"])
+    plain = unfolded(expr)
+    qs = np.array(points, dtype=float)
+    assert outcome(evaluate_jet3, expr, "q", qs) == outcome(evaluate_jet3, plain, "q", qs)
+    for q in points:
+        assert outcome(evaluate_jet3, expr, "q", q) == outcome(evaluate_jet3, plain, "q", q)
+        assert outcome(evaluate, expr, {"q": q}) == outcome(evaluate, plain, {"q": q})
+
+
+def folded_leaves(node):
+    if isinstance(node, Folded):
+        return [node]
+    return [leaf for child in vars(node).values() if isinstance(child, (BinOp, Call, Folded, Neg))
+            for leaf in folded_leaves(child)]
+
+
+FOLD_FUNCTIONS = ("sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh", "tanh",
+                  "exp", "ln", "sqrt", "abs")
+
+
+def _trees(leaves, max_leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(lambda f, a: f"{f}({a})", st.sampled_from(FOLD_FUNCTIONS), inner),
+            st.builds(lambda a, op, b: f"({a}){op}({b})", inner, st.sampled_from("+-*/^"), inner),
+            st.builds(lambda a: f"-({a})", inner),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+# Variable-free subtrees (some of which raise or overflow) mixed with q.
+constant_trees = _trees(st.sampled_from(["0", "1", "2", "0.5", "3", "1000", "1e308", "pi"]), 4)
+mixed_trees = _trees(st.one_of(st.just("q"), constant_trees), 4)
+
+
+class TestFolding:
+    @settings(max_examples=80, deadline=None)
+    @given(source=mixed_trees, points=st.lists(st.floats(-4.0, 4.0), max_size=5))
+    def test_folded_walk_matches_unfolded(self, source, points):
+        assert_folding_invisible(source, points + [0.0, 1.0, -1.0, 2.5])
+
+    @pytest.mark.parametrize("source, where", [
+        ("sqrt(-1)*q", "sqrt(-1)"),
+        ("q/(1-1)", "q/(1-1)"),
+        ("exp(1000)+q", "exp(1000)"),
+        ("ln(0)*q", "ln(0)"),
+        ("1e308*10*q", None),
+        ("-(2)*q", None),
+        ("pi*q", None),
+    ])
+    def test_named_cases(self, source, where):
+        assert_folding_invisible(source, [0.0, 1.0, -1.0, 2.5])
+        expr = parse_expression(source, ["q"])
+        if where is None:
+            evaluate_jet3(expr, "q", 1.0)
+        else:
+            with pytest.raises(DomainError) as info:
+                evaluate_jet3(expr, "q", 1.0)
+            assert info.value.where == where
+
+    def test_fold_keeps_signed_zero_derivatives(self):
+        expr = parse_expression("-(2)*q", ["q"])
+        assert isinstance(expr.folded.left, Folded)
+        assert math.copysign(1.0, evaluate_jet3(expr, "q", 1.0).v2) == -1.0
+
+    def test_raising_subtree_is_not_folded(self):
+        # Its argument -1 is folded; sqrt(-1) itself raises at each call.
+        expr = parse_expression("sqrt(-1)*q", ["q"])
+        assert isinstance(expr.folded.left, Call)
+        assert isinstance(expr.folded.left.arg, Folded)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="sqrt of negative value"):
+                evaluate(expr, {"q": 1.0})
+
+    def test_largest_subtrees_only(self):
+        expr = parse_expression("5/sqrt(26)*sin((1 + sqrt(26)/13)*q) + pi*q - 2", ["q"])
+        assert [format_expression(f.node) for f in folded_leaves(expr.folded)] == [
+            "5/sqrt(26)", "1+sqrt(26)/13"]
+
+    def test_each_call_gets_a_fresh_jet(self):
+        expr = parse_expression("2*3", [])
+        first = evaluate_jet3(expr, "q", 1.0)
+        first.v0 = 0.0
+        assert evaluate_jet3(expr, "q", 1.0).v0 == 6.0
+
+    def test_printing_and_equality_ignore_folding(self):
+        source = "5/sqrt(26)*sin((1 + sqrt(26)/13)*q)"
+        expr = parse_expression(source, ["q"])
+        assert expr.folded != expr.root
+        assert format_expression(expr) == format_expression(expr.root)
+        built = Expression(root=expr.root, free_vars=expr.free_vars)
+        assert built == expr and hash(built) == hash(expr)
+        assert "Folded" not in repr(expr)
+        assert parse_expression(format_expression(expr), ["q"]) == expr
+
+    def test_built_expressions_are_folded(self):
+        expr = Expression(root=BinOp("*", BinOp("/", Num(1.0), Num(4.0)), Var("t")),
+                          free_vars=frozenset({"t"}))
+        assert isinstance(expr.folded.left, Folded)
+        assert evaluate(expr, {"t": 2.0}) == 0.5
+
+
+def tree_depth(node):
+    if isinstance(node, BinOp):
+        return 1 + max(tree_depth(node.left), tree_depth(node.right))
+    if isinstance(node, Call):
+        return 1 + tree_depth(node.arg)
+    if isinstance(node, Neg):
+        return 1 + tree_depth(node.operand)
+    return 1
+
+
+class TestDepthLimit:
+    # (source at the limit, one level deeper): operators and calls.
+    CHAINS = {
+        "power": (lambda n: "^".join(["q"] * n), MAX_DEPTH),
+        "sum": (lambda n: "+".join(["cos(q)"] * n), MAX_DEPTH - 1),
+        "product": (lambda n: "*".join(["2"] * n) + "*q", MAX_DEPTH - 1),
+        "negation": (lambda n: "-(" * n + "q" + ")" * n, MAX_DEPTH - 1),
+        "calls": (lambda n: "sin(" * n + "q" + ")" * n, MAX_DEPTH - 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_limit_is_exact(self, name):
+        make, n = self.CHAINS[name]
+        expr = parse_expression(make(n), ["q"])
+        assert tree_depth(expr.root) == MAX_DEPTH
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}"):
+            parse_expression(make(n + 1), ["q"])
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_at_the_limit_evaluates_and_prints(self, name):
+        make, n = self.CHAINS[name]
+        expr = parse_expression(make(n), ["q"])
+        assert parse_expression(format_expression(expr), ["q"]) == expr
+        assert_folding_invisible(make(n), [0.5, 0.75])
+
+    def test_parentheses(self):
+        source = "(" * MAX_DEPTH + "q" + ")" * MAX_DEPTH
+        assert parse_expression(source, ["q"]).root == Var("q")
+        with pytest.raises(ParseError, match="parentheses nested deeper") as info:
+            parse_expression("(" + source + ")", ["q"])
+        assert info.value.position == MAX_DEPTH
+
+    @pytest.mark.parametrize("source", ["é", "q²", "2*q³"])
+    def test_non_ascii_is_a_parse_error(self, source):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_expression(source, ["q"])

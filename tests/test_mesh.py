@@ -205,6 +205,13 @@ GRID_CASES = {
     # Bivariate, undefined where s t > 1.
     "general_form": (lambda: explicit_pencil(
         "example1", u="t*cos(s)", v="sqrt(3)/2*t", w="t*sqrt(1-s*t)"), 11, 8),
+    # Powers of the fixed variable: a base constant at every point.
+    "general_form_power": (lambda: explicit_pencil(
+        "example1", u="t^2*cos(s)", v="sqrt(3)/2*t", w="t*sqrt(1-s*t)"), 11, 8),
+    # s^400 overflows past |s| = 5.9: a domain defect where s is fixed (a
+    # real power), an infinite jet where s is the variable (a product).
+    "general_form_power_overflow": (lambda: explicit_pencil(
+        "example1", u="1e-300*s^400*t", v="t", w="t*sqrt(1-s*t)"), 23, 5),
     "tabulated": (synthesized_pencil, 9, 14),
     # Curvature zero everywhere: every column is an inflection, and so is
     # each nudged parameter.
