@@ -123,9 +123,20 @@ def _assemble(cfg: SceneConfig):
     return curve, marching, note
 
 
-def _out_path(args, name: str) -> Path:
+def _samples(args, default: int) -> int:
+    return default if args.samples is None else args.samples
+
+
+def _write(args, name: str, write, data) -> Path:
+    """``write(data, sink)`` into ``name`` under the output directory; an
+    output that cannot be created or written is a config error."""
     path = Path(args.out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as sink:
+            write(data, sink)
+    except OSError as e:
+        raise SceneValidationError(f"cannot write {str(path)!r}: {e}") from None
     return path
 
 
@@ -136,16 +147,11 @@ def _emit(summary: dict) -> None:
 def cmd_build(cfg: SceneConfig, args) -> int:
     curve, marching, note = _assemble(cfg)
     pencil = SurfacePencil(curve, marching, cfg.t_range)
-    mesh = sample_grid(pencil, cfg.ns, cfg.nt, s_range=curve.domain,
-                       t_range=cfg.t_range)
+    mesh = sample_grid(pencil, cfg.ns, cfg.nt)
     tol = _default_tol(cfg, args)
-    report = verify_dtype(pencil, args.samples or 1000, tol)
-    obj_path = _out_path(args, cfg.obj_path)
-    csv_path = _out_path(args, cfg.csv_path)
-    with open(obj_path, "wb") as sink:
-        write_obj(mesh, sink)
-    with open(csv_path, "wb") as sink:
-        write_report_csv(report, sink)
+    report = verify_dtype(pencil, _samples(args, 1000), tol)
+    obj_path = _write(args, cfg.obj_path, write_obj, mesh)
+    csv_path = _write(args, cfg.csv_path, write_report_csv, report)
     summary = {
         "command": "build",
         "c_estimate": report.c_estimate,
@@ -168,10 +174,8 @@ def cmd_verify(cfg: SceneConfig, args) -> int:
     curve, marching, note = _assemble(cfg)
     pencil = SurfacePencil(curve, marching, cfg.t_range)
     tol = _default_tol(cfg, args)
-    report = verify_dtype(pencil, args.samples or 1000, tol)
-    csv_path = _out_path(args, cfg.csv_path)
-    with open(csv_path, "wb") as sink:
-        write_report_csv(report, sink)
+    report = verify_dtype(pencil, _samples(args, 1000), tol)
+    csv_path = _write(args, cfg.csv_path, write_report_csv, report)
     summary = {
         "command": "verify",
         "c_estimate": report.c_estimate,
@@ -191,7 +195,7 @@ def cmd_verify(cfg: SceneConfig, args) -> int:
 
 def cmd_classify(cfg: SceneConfig, args) -> int:
     curve = cfg.curve()
-    cls = classify_curve(curve, args.samples or 256, args.tol or 1e-6)
+    cls = classify_curve(curve, _samples(args, 256), 1e-6 if args.tol is None else args.tol)
     _emit({
         "command": "classify",
         "kind": cls.kind,
@@ -205,7 +209,7 @@ def cmd_classify(cfg: SceneConfig, args) -> int:
 def cmd_synthesize(cfg: SceneConfig, args) -> int:
     if cfg.c is None:
         raise SceneValidationError("synthesize requires marching.c in the config")
-    curve, intervals = feasible_curve(cfg.curve(), cfg.c, max(args.samples or 256, 64))
+    curve, intervals = feasible_curve(cfg.curve(), cfg.c, max(_samples(args, 256), 64))
     out = cfg.to_dict()
     if intervals:
         out["curve"]["range"] = list(curve.domain)

@@ -21,24 +21,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleConstantError,
-    InflectionPointError,
-    IrregularCurveError,
-    NonFiniteCurveError,
-    NotEnoughSamplesError,
-)
+from .errors import InfeasibleConstantError, NotEnoughSamplesError
 from .expr import BinOp, Expression, Var, number_node, parse_expression
 from .frenet import (
     ANTI_SALKOWSKI,
     GENERAL_HELIX,
+    NO_FRAME,
     PLANAR,
     SALKOWSKI,
     SKIPPED,
     CurveClass,
     CurveSpec,
-    FrenetApparatus,
     classify_curve,
     frenet_at,
     raise_first,
@@ -50,8 +43,8 @@ from .pencil import (
     SurfacePencil,
     TabulatedProductForm,
     marching_grid,
-    pencil_normal,
     stack_frames,
+    surface_normals,
 )
 
 # Radicand values inside this band count as boundary-touching: phi2 would be
@@ -78,28 +71,16 @@ def _t0_normals(p: SurfacePencil, sample_count: int):
         frame, reason = None, ""
         try:
             frame = p.frame(s)
-        except InflectionPointError:
-            reason = "inflection"
-        except IrregularCurveError:
-            reason = "irregular"
-        except NonFiniteCurveError:
-            reason = "non_finite"
-        except DomainError:
-            reason = "domain"
+        except NO_FRAME as e:
+            reason = e.reason
         frames.append(frame)
         frame_reasons.append(reason)
     frame = stack_frames(frames)
-    frame_reason = np.array(frame_reasons)[:, None]
+    frame_reason = np.array(frame_reasons)
     mv, ok = marching_grid(p.marching, ss, [p.t0])
-    normals, degenerate, non_finite = pencil_normal(frame, mv)
-    reasons = np.select(
-        [frame_reason != "", ~ok, non_finite, degenerate],
-        [frame_reason, "domain", "non_finite", "degenerate_normal"],
-        "",
-    )
-    frame = FrenetApparatus(**{name: v[:, 0] for name, v in vars(frame).items()})
     mv = MarchingValues(*(f[:, 0] for f in mv))
-    return ss, frame, mv, normals[:, 0], reasons[:, 0]
+    normals, reasons = surface_normals(frame, frame_reason == "", frame_reason, mv, ok[:, 0])
+    return ss, frame, mv, normals, reasons
 
 
 @dataclass(frozen=True)
@@ -211,15 +192,14 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
     phi1, phi2, phi3 = (np.vecdot(n, v[good]) for v in (frame.T, frame.N, frame.B))
     iso_err = float(np.max(np.abs([mv.u[good], mv.v[good], mv.w[good]]), initial=0.0))
     phi1_err = float(np.max(np.abs(phi1), initial=0.0))
-    phi2_err = phi3_err = 0.0
-    for s, kappa, tau, a, b in zip(ss[good].tolist(), frame.kappa[good].tolist(),
-                                   frame.tau[good].tolist(), phi2.tolist(), phi3.tolist()):
-        ratio = math.hypot(kappa, tau) / kappa
-        radicand = 1.0 - c * c * ratio * ratio
-        if radicand < -tol:
-            raise InfeasibleConstantError(c, s, radicand)
-        phi3_err = max(phi3_err, abs(b - c * ratio))
-        phi2_err = max(phi2_err, abs(a - sign * math.sqrt(max(radicand, 0.0))))
+    ratio, radicand = _phi2_radicand(frame.kappa[good], frame.tau[good], c)
+    infeasible = radicand < -tol
+    if infeasible.any():
+        i = int(np.argmax(infeasible))
+        raise InfeasibleConstantError(c, float(ss[good][i]), float(radicand[i]))
+    phi3_err = float(np.max(np.abs(phi3 - c * ratio), initial=0.0))
+    phi2_err = float(np.max(np.abs(phi2 - sign * np.sqrt(np.maximum(radicand, 0.0))),
+                            initial=0.0))
     if usable < 2:
         raise NotEnoughSamplesError(f"only {usable} of {sample_count} samples usable")
 
@@ -287,19 +267,21 @@ def _default_u_profile(t0: float) -> Expression:
     return Expression(root=node, free_vars=names)
 
 
-def _radicands(curve: CurveSpec, c: float, qs: np.ndarray):
-    """``frenet_at`` over ``qs`` with the phi2 radicand
-    1 - c^2 (kappa^2 + tau^2) / kappa^2.
-
-    Returns ``(app, ratio, radicand, reasons)``, where ``ratio`` is
-    sqrt(kappa^2 + tau^2) / kappa and ``reasons`` come from ``frenet_at``.
-    """
-    app, reasons = frenet_at(curve, qs)
-    hyp = np.array(list(map(math.hypot, app.kappa.tolist(), app.tau.tolist())))
+def _phi2_radicand(kappa: np.ndarray, tau: np.ndarray, c: float):
+    """``(ratio, radicand)`` over arrays of curvature and torsion: the ratio
+    sqrt(kappa^2 + tau^2) / kappa and the phi2 radicand 1 - c^2 ratio^2,
+    each element rounded as the scalar formula rounds it."""
+    hyp = np.array(list(map(math.hypot, kappa.tolist(), tau.tolist())))
     with np.errstate(all="ignore"):
-        ratio = hyp / app.kappa
-        radicand = 1.0 - c * c * ratio * ratio
-    return app, ratio, radicand, reasons
+        ratio = hyp / kappa
+        return ratio, 1.0 - c * c * ratio * ratio
+
+
+def _radicands(curve: CurveSpec, c: float, qs: np.ndarray):
+    """``frenet_at`` over ``qs`` with ``_phi2_radicand``: ``(app, ratio,
+    radicand, reasons)``, where ``reasons`` come from ``frenet_at``."""
+    app, reasons = frenet_at(curve, qs)
+    return (app, *_phi2_radicand(app.kappa, app.tau, c), reasons)
 
 
 def _failed(reasons: np.ndarray) -> np.ndarray:
@@ -502,13 +484,13 @@ def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256
     return restrict_curve(curve, largest), intervals
 
 
-def restrict_curve(curve: CurveSpec, interval: tuple[float, float],
-                   margin_fraction: float = 1e-6) -> CurveSpec:
-    """Curve restricted to ``interval`` shrunk by a relative margin.
+def restrict_curve(curve: CurveSpec, interval: tuple[float, float]) -> CurveSpec:
+    """Curve restricted to ``interval`` shrunk by 1e-6 of its length at
+    each end.
 
     The margin keeps synthesis away from boundary-touching parameters,
     where the phi2 radical is not smooth.
     """
     lo, hi = interval
-    margin = margin_fraction * (hi - lo)
+    margin = 1e-6 * (hi - lo)
     return replace(curve, domain=(lo + margin, hi - margin))

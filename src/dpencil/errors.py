@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The errors of a parameter without a Frenet frame carry ``reason``, the name
+under which samples and grid vertices report them."""
 
 from __future__ import annotations
 
@@ -39,6 +42,8 @@ class DomainError(ExpressionError):
     attach it at the innermost enclosing node.
     """
 
+    reason = "domain"
+
     def __init__(self, message: str, where: str | None = None):
         self.message = message
         self.where = where
@@ -54,6 +59,8 @@ class NonFiniteCurveError(DomainError):
     """Curve derivatives, or the speed, curvature or torsion built from them,
     overflowed or are NaN at a parameter: no Frenet apparatus exists there."""
 
+    reason = "non_finite"
+
     def __init__(self, param: float):
         self.param = param
         super().__init__(f"non-finite curve derivatives or curvature at parameter {param!r}")
@@ -66,6 +73,8 @@ class GeometryError(Exception):
 class IrregularCurveError(GeometryError):
     """Curve speed fell below the regularity threshold."""
 
+    reason = "irregular"
+
     def __init__(self, param: float, speed: float):
         self.param = param
         self.speed = speed
@@ -74,6 +83,8 @@ class IrregularCurveError(GeometryError):
 
 class InflectionPointError(GeometryError):
     """Curvature too small for the Frenet frame to be defined."""
+
+    reason = "inflection"
 
     def __init__(self, param: float, kappa: float):
         self.param = param

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DomainError,
     InflectionPointError,
     InvalidCurveError,
     IrregularCurveError,
@@ -204,6 +205,10 @@ def _frenet_stack(curve: CurveSpec, qs: np.ndarray):
 
 # Reasons for which callers leave a parameter out; the others are errors.
 SKIPPED = ("irregular", "inflection")
+
+# Scalar errors after which verification and grid sampling go on without a
+# frame, reporting the error's ``reason``; the others propagate.
+NO_FRAME = (InflectionPointError, IrregularCurveError, DomainError)
 
 
 def raise_first(curve: CurveSpec, qs: np.ndarray, failed: np.ndarray) -> None:

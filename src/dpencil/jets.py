@@ -45,35 +45,18 @@ class Jet3:
     def is_constant(self) -> bool:
         return self.v1 == 0.0 and self.v2 == 0.0 and self.v3 == 0.0
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: both operands are jets ---------------------------------
 
-    def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    def __add__(self, o: "Jet3") -> "Jet3":
         return Jet3(self.v0 + o.v0, self.v1 + o.v1, self.v2 + o.v2, self.v3 + o.v3)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    def __sub__(self, o: "Jet3") -> "Jet3":
         return Jet3(self.v0 - o.v0, self.v1 - o.v1, self.v2 - o.v2, self.v3 - o.v3)
-
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         return Jet3(-self.v0, -self.v1, -self.v2, -self.v3)
 
-    def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    def __mul__(self, o: "Jet3") -> "Jet3":
         a0, a1, a2, a3 = self.v0, self.v1, self.v2, self.v3
         b0, b1, b2, b3 = o.v0, o.v1, o.v2, o.v3
         return Jet3(
@@ -83,35 +66,10 @@ class Jet3:
             a3 * b0 + 3.0 * a2 * b1 + 3.0 * a1 * b2 + a0 * b3,
         )
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    def __truediv__(self, o: "Jet3") -> "Jet3":
         if o.v0 == 0.0:
             raise DomainError("division by zero")
         return _quotient(self, o)
-
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return jet_pow(self, o)
-
-
-def _coerce(x) -> Jet3 | None:
-    if isinstance(x, Jet3):
-        return x
-    if isinstance(x, (int, float)):
-        return Jet3(float(x))
-    return None
 
 
 def _quotient(a: Jet3, b: Jet3) -> Jet3:

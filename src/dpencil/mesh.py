@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InflectionPointError, IrregularCurveError
+from .errors import DomainError
 from .dcurve import DTypeReport
-from .frenet import FrenetApparatus, frenet_at, raise_first
-from .pencil import SurfacePencil, marching_grid, pencil_normal, pencil_point
+from .frenet import NO_FRAME, FrenetApparatus, frenet_at, raise_first
+from .pencil import SurfacePencil, marching_grid, pencil_point, surface_normals
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,9 @@ class SurfaceMesh:
     defects: list[MeshDefect] = field(default_factory=list)
 
 
-def sample_grid(p: SurfacePencil, ns: int, nt: int,
-                s_range: tuple[float, float] | None = None,
-                t_range: tuple[float, float] | None = None) -> SurfaceMesh:
-    """Sample positions and normals on a uniform (ns x nt) parameter grid.
+def sample_grid(p: SurfacePencil, ns: int, nt: int) -> SurfaceMesh:
+    """Sample positions and normals on a uniform (ns x nt) grid over the
+    curve domain and the pencil's t range.
 
     Undefined geometry is not fatal: vertices whose frame or marching scale
     cannot be evaluated fall back to the curve point (inflection columns
@@ -60,10 +59,9 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int,
     """
     if ns < 2 or nt < 2:
         raise ValueError("grid sizes must be at least 2x2")
-    s_lo, s_hi = s_range if s_range is not None else p.curve.domain
-    t_lo, t_hi = t_range if t_range is not None else p.t_range
+    s_lo, s_hi = p.curve.domain
     ss = np.linspace(s_lo, s_hi, ns)
-    ts = np.linspace(t_lo, t_hi, nt)
+    ts = np.linspace(*p.t_range, nt)
     nudge = 1e-6 * (s_hi - s_lo)
 
     app, column_reason = frenet_at(p.curve, ss)
@@ -76,7 +74,7 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int,
         for cand in (float(ss[i]) + nudge, float(ss[i]) - nudge):
             try:
                 nudged = frenet_at(p.curve, cand)
-            except (InflectionPointError, IrregularCurveError, DomainError):
+            except NO_FRAME:
                 continue
             for name, v in vars(app).items():
                 v[i] = getattr(nudged, name)
@@ -97,17 +95,12 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int,
     })
     framed, column_reason = framed[:, None], column_reason[:, None]
     mv, ok = marching_grid(p.marching, ss, ts)
-    unit, degenerate, non_finite = pencil_normal(frame, mv)
-    # First matching reason wins.  A column with a nudged frame keeps its
-    # positions, but its normals are not trustworthy, so they stay zero.
-    reason = np.select(
-        [~framed, ~ok, column_reason != "", non_finite, degenerate],
-        [column_reason, "domain", column_reason, "non_finite", "degenerate_normal"],
-        "",
-    )
+    # A column with a nudged frame keeps its positions, but its normals are
+    # not trustworthy: its reason keeps them zero.
+    normals, reason = surface_normals(frame, framed, column_reason, mv, ok)
     on_curve = np.expand_dims(~(framed & ok), -1)
     positions = np.where(on_curve, r, pencil_point(r, frame, mv)).reshape(-1, 3)
-    normals = np.where(np.expand_dims(reason == "", -1), unit, 0.0).reshape(-1, 3)
+    normals = normals.reshape(-1, 3)
     defects = [
         MeshDefect(idx, float(ss[idx // nt]), float(ts[idx % nt]), str(reason.flat[idx]))
         for idx in np.flatnonzero(reason != "").tolist()

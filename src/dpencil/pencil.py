@@ -17,7 +17,8 @@ the flattened grid.  ``pencil_point``, ``pencil_partials`` and
 ``pencil_normal`` broadcast: the frame fields (scalars of shape F, vectors
 of shape F + (3,), as ``frenet_at`` over an array or ``stack_frames``
 gives them) broadcast against the marching fields, and a single frame with
-scalar marching values gives a single 3-vector.
+scalar marching values gives a single 3-vector.  ``surface_normals`` names
+why a normal is missing, in one order of precedence for every caller.
 """
 
 from __future__ import annotations
@@ -228,8 +229,7 @@ class SurfacePencil:
     """
 
     def __init__(self, curve: CurveSpec, marching: MarchingScale,
-                 t_range: tuple[float, float], validate: bool = True,
-                 check_samples: int = 16):
+                 t_range: tuple[float, float]):
         if marching.param != curve.param:
             raise InvalidMarchingScaleError(
                 f"marching scale parameter {marching.param!r} does not match "
@@ -243,18 +243,17 @@ class SurfacePencil:
         self.curve = curve
         self.marching = marching
         self.t_range = (float(lo), float(hi))
-        if validate:
-            self._check_isoparametric(check_samples)
+        self._check_isoparametric()
 
     @property
     def t0(self) -> float:
         return self.marching.t0
 
-    def _check_isoparametric(self, samples: int) -> None:
+    def _check_isoparametric(self) -> None:
         lo, hi = self.curve.domain
         worst = 0.0
         usable = 0
-        for s in np.linspace(lo, hi, samples):
+        for s in np.linspace(lo, hi, 16):
             try:
                 mv = marching_values(self.marching, float(s), self.t0)
             except DomainError:
@@ -311,12 +310,12 @@ _NO_FRAME = FrenetApparatus(T=np.zeros(3), N=np.zeros(3), B=np.zeros(3),
 
 
 def stack_frames(frames: Sequence[FrenetApparatus | None]) -> FrenetApparatus:
-    """One apparatus for ``n`` frames (None where a frame is missing):
-    scalar fields of shape (n, 1) and vectors of shape (n, 1, 3), which
-    broadcast against (n, m) marching fields (one frame per sample)."""
+    """One apparatus for ``n`` frames (None where a frame is missing), in
+    the layout of ``frenet_at`` over an array: scalar fields of shape (n,)
+    and vectors of shape (n, 3)."""
     frames = [_NO_FRAME if fr is None else fr for fr in frames]
     return FrenetApparatus(**{
-        f.name: np.array([getattr(fr, f.name) for fr in frames])[:, None]
+        f.name: np.array([getattr(fr, f.name) for fr in frames])
         for f in fields(FrenetApparatus)
     })
 
@@ -370,3 +369,25 @@ def pencil_normal(frame: FrenetApparatus, mv: MarchingValues
     good = np.expand_dims(~(non_finite | degenerate), -1)
     unit = np.divide(cr, np.expand_dims(ncr, -1), out=np.zeros_like(cr), where=good)
     return unit, degenerate, non_finite
+
+
+def surface_normals(frame: FrenetApparatus, framed: np.ndarray, frame_reason: np.ndarray,
+                    mv: MarchingValues, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals over marching fields, and the reason each one is missing.
+
+    ``framed`` marks the parameters with a usable frame and ``frame_reason``
+    is "" where the frame is the parameter's own; both, like ``frame``,
+    broadcast against ``mv`` and its mask ``ok``.  The first matching
+    reason wins: the frame's reason where there is no frame, "domain" where
+    the marching scale is undefined, the frame's reason where the frame is
+    borrowed, then "non_finite" and "degenerate_normal" as ``pencil_normal``
+    masks them.  Returns ``(normals, reason)``, with a zero normal wherever
+    ``reason`` is set.
+    """
+    unit, degenerate, non_finite = pencil_normal(frame, mv)
+    reason = np.select(
+        [~framed, ~ok, frame_reason != "", non_finite, degenerate],
+        [frame_reason, "domain", frame_reason, "non_finite", "degenerate_normal"],
+        "",
+    )
+    return np.where(np.expand_dims(reason == "", -1), unit, 0.0), reason

@@ -103,7 +103,11 @@ class SceneConfig:
         z = _text(_require(curve, "z", "curve"), "curve.z")
         param = _text(_require(curve, "param", "curve"), "curve.param")
         crange = _pair(_require(curve, "range", "curve"), "curve.range")
-        unit_speed = bool(curve.get("unit_speed", False))
+        unit_speed = curve.get("unit_speed", False)
+        if not isinstance(unit_speed, bool):
+            raise SceneValidationError(
+                f"curve.unit_speed must be true or false, got {unit_speed!r}"
+            )
 
         t0 = _number(data.get("t0", 0.0), "t0")
 
@@ -135,7 +139,7 @@ class SceneConfig:
         if mode == "synthesized" and c is None:
             raise SceneValidationError("synthesized mode requires marching.c")
         sign = marching.get("sign", 1)
-        if sign not in (1, -1):
+        if isinstance(sign, bool) or sign not in (1, -1):
             raise SceneValidationError(f"marching.sign must be 1 or -1, got {sign!r}")
         controls_block = marching.get("controls", {})
         if not isinstance(controls_block, dict):

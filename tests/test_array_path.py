@@ -28,7 +28,7 @@ from dpencil.errors import (
     NonFiniteCurveError,
 )
 from dpencil.expr import evaluate_jet3, parse_expression
-from dpencil.frenet import CurveSpec, FrenetApparatus, classify_curve, frenet_at
+from dpencil.frenet import NO_FRAME, CurveSpec, FrenetApparatus, classify_curve, frenet_at
 from dpencil.mesh import sample_grid
 from dpencil.presets import load_preset, preset_names
 from dpencil.scene import SceneConfig
@@ -73,18 +73,21 @@ def bits(x) -> bytes:
 
 
 def scalar_reason(curve, q):
+    """(apparatus, reason, error) of the scalar call at ``q``."""
     try:
-        return frenet_at(curve, q), ""
+        return frenet_at(curve, q), "", None
     except tuple(cls for cls, _ in REASONS) as e:
-        return None, next(reason for cls, reason in REASONS if isinstance(e, cls))
+        return None, next(reason for cls, reason in REASONS if isinstance(e, cls)), e
 
 
 def assert_frenet_matches(curve, qs):
     app, reasons = frenet_at(curve, qs)
     assert reasons.shape == qs.shape
     for i, q in enumerate(qs.tolist()):
-        expected, reason = scalar_reason(curve, q)
+        expected, reason, error = scalar_reason(curve, q)
         assert reasons[i] == reason, q
+        if isinstance(error, NO_FRAME):
+            assert reasons[i] == type(error).reason, q
         if expected is not None:
             for name in FIELDS:
                 assert bits(getattr(app, name)[i]) == bits(getattr(expected, name)), (q, name)

@@ -106,6 +106,54 @@ class TestBuild:
         assert code == 2
         assert "curve.x" in err
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("curve", "unit_speed", "false"),  # a string, not a JSON boolean
+        ("marching", "sign", True),  # bool is an int, but not a sign
+    ])
+    def test_mistyped_field_exit_2(self, tmp_path, capsys, block, key, value):
+        cfg = load_preset("example3")
+        cfg[block][key] = value
+        path = write_config(tmp_path, cfg)
+        code, out, err = run(capsys, "build", "--config", path, "-o", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert f"{block}.{key}" in err
+
+    def test_output_dir_is_a_file_exit_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run(capsys, "verify", "--preset", "example1", "-o", str(taken))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot write")
+
+    def test_unwritable_output_in_a_real_process(self, tmp_path):
+        # A directory as the CSV path once escaped as an IsADirectoryError
+        # traceback (exit 1).
+        cfg = load_preset("example1")
+        cfg["outputs"]["csv_path"] = "."
+        path = write_config(tmp_path, cfg)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpencil", "verify", "--config", path,
+             "--samples", "64", "-o", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: cannot write")
+
+    @pytest.mark.parametrize("command, least", [("verify", 16), ("classify", 8)])
+    def test_zero_samples_exit_2(self, tmp_path, capsys, command, least):
+        code, out, err = run(capsys, command, "--preset", "example1", "--samples", "0",
+                             "-o", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: sample_count must be at least {least}\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerify:
     def test_example2(self, tmp_path, capsys):

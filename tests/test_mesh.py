@@ -61,7 +61,7 @@ class TestSampleGrid:
     def test_corner_vertex_value(self, ex1):
         # 5 x 3 grid includes s = 0; the (s, t) = (0, 5) vertex equals
         # r(0) + 5 T + 5 (sqrt3/2) N + (5/2) B.
-        mesh = sample_grid(ex1, 5, 3, s_range=ex1.curve.domain, t_range=(0.0, 5.0))
+        mesh = sample_grid(ex1, 5, 3)
         app = frenet_at(ex1.curve, 0.0)
         expected = (
             ex1.curve.point(0.0) + 5 * app.T + 5 * SQRT3_2 * app.N + 2.5 * app.B

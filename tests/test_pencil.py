@@ -9,8 +9,11 @@ from dpencil.frenet import frenet_at
 from dpencil.pencil import (
     GeneralForm,
     MarchingScale,
+    MarchingValues,
     SurfacePencil,
     marching_values,
+    stack_frames,
+    surface_normals,
 )
 
 from conftest import preset_config, preset_pencil
@@ -150,6 +153,25 @@ class TestSurfaceNormal:
                 phi2 = float(np.dot(n, app.N))
                 phi3 = float(np.dot(n, app.B))
                 assert abs(phi2 * phi2 + phi3 * phi3 - 1.0) <= 1e-10
+
+    def test_surface_normals_reason_precedence(self, ex1):
+        # One case per row: no frame beats an undefined marching scale,
+        # which beats a borrowed frame, which beats the normal's own defects.
+        framed = np.array([False, True, True, True, True, True, True])
+        frame_reason = np.array(["inflection", "", "inflection", "inflection", "", "", ""])
+        ok = np.array([False, False, False, True, True, True, True])
+        app = ex1.frame(0.5)
+        frame = stack_frames([None if f else app for f in ~framed])
+        fields = np.tile(marching_values(ex1.marching, 0.5, 1.0), (7, 1))
+        fields[4, 7] = math.inf  # v_t
+        fields[5, 6:] = 0.0  # u_t, v_t, w_t: dP/dt vanishes
+        mv = MarchingValues(*fields.T)
+        with np.errstate(all="ignore"):  # inf * 0 in the partials of row 4
+            normals, reason = surface_normals(frame, framed, frame_reason, mv, ok)
+        assert reason.tolist() == ["inflection", "domain", "domain", "inflection",
+                                   "non_finite", "degenerate_normal", ""]
+        assert not normals[:6].any()
+        assert np.array_equal(normals[6], ex1.normal(0.5, 1.0, app))
 
 
 class TestConstruction:
