@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -151,7 +152,11 @@ def cmd_build(cfg: SceneConfig, args) -> int:
     tol = _default_tol(cfg, args)
     report = verify_dtype(pencil, _samples(args, 1000), tol)
     obj_path = _write(args, cfg.obj_path, write_obj, mesh)
-    csv_path = _write(args, cfg.csv_path, write_report_csv, report)
+    try:
+        csv_path = _write(args, cfg.csv_path, write_report_csv, report)
+    except SceneValidationError:
+        obj_path.unlink(missing_ok=True)  # no partial outputs from a failed build
+        raise
     summary = {
         "command": "build",
         "c_estimate": report.c_estimate,
@@ -257,6 +262,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
         cfg = _load_config(args)
         # Overflowing vertices are reported as mesh defects; numpy's
         # per-operation warnings would only repeat that on stderr.

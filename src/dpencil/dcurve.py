@@ -54,6 +54,8 @@ _CONST_COEFF_TOL = 1e-10
 _INTERP_TARGET = 1e-9
 _FIRST_TABLE_NODES = 257
 _MAX_TABLE_NODES = 8193
+# Bisection steps of feasible_domain evaluated ahead in one frenet_at call.
+_SPECULATE = 5
 
 
 def _t0_normals(p: SurfacePencil, sample_count: int):
@@ -366,7 +368,10 @@ def _build_table(req: SynthesisRequest, u_profile: Expression, qs: np.ndarray,
     """Refine the coefficient table until cubic interpolation error is tiny.
 
     ``qs``, ``av``, ``g`` and ``usable`` are the first round, as returned
-    by ``_coefficients_at``; each later round doubles the node count.
+    by ``_coefficients_at``; each later round doubles the node count.  Its
+    even nodes are the previous round's nodes, bit for bit (``linspace``
+    halves its step exactly), so only the odd nodes are evaluated.  Those
+    raise what the whole round would: the even nodes raised nothing.
     """
     curve = req.curve
     lo, hi = curve.domain
@@ -382,7 +387,15 @@ def _build_table(req: SynthesisRequest, u_profile: Expression, qs: np.ndarray,
             form.max_interp_error = err
             return form
         qs = np.linspace(lo, hi, 2 * qs.size - 1)
-        av, _, g, usable = _coefficients_at(curve, req.c, req.sign, qs)
+        odd_av, _, odd_g, odd_usable = _coefficients_at(curve, req.c, req.sign, qs[1::2])
+        av, g, usable = (_interleave(*pair) for pair in
+                         ((av, odd_av), (g, odd_g), (usable, odd_usable)))
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    out = np.empty(even.size + odd.size, dtype=even.dtype)
+    out[::2], out[1::2] = even, odd
+    return out
 
 
 def _merge_holes(holes: list[float], step: float) -> list[tuple[float, float]]:
@@ -412,12 +425,27 @@ def _interp_error(form: TabulatedProductForm, curve: CurveSpec,
                      np.max(np.abs(form.w_coefficient(mids) - aw[usable]), initial=0.0)))
 
 
+def _speculate(q_true: np.ndarray, q_false: np.ndarray) -> np.ndarray:
+    """Every midpoint the next ``_SPECULATE`` bisection steps of the
+    brackets ``(q_true, q_false)`` could visit, whichever way each step
+    goes: 2^_SPECULATE - 1 per bracket, rounded as the bisection rounds."""
+    levels = []
+    for _ in range(_SPECULATE):
+        mid = 0.5 * (q_true + q_false)
+        levels.append(mid)
+        q_true, q_false = np.concatenate([mid, q_true]), np.concatenate([q_false, mid])
+    return np.concatenate(levels)
+
+
 def feasible_domain(curve: CurveSpec, c: float,
                     sample_count: int = 256) -> list[tuple[float, float]]:
     """Subintervals where the phi2 radicand is nonnegative and the frame exists.
 
     Boundaries are located by bisection to 1e-9 parameter resolution; all
-    of them are bisected together, with one ``frenet_at`` call per step.
+    of them are bisected together.  One ``frenet_at`` call evaluates every
+    midpoint of the next ``_SPECULATE`` steps of each live bracket, so a
+    search takes one call per ``_SPECULATE`` steps; the midpoints off the
+    path are never read.
     """
     if sample_count < 64:
         raise ValueError("sample_count must be at least 64")
@@ -425,6 +453,17 @@ def feasible_domain(curve: CurveSpec, c: float,
     def feasible(qs: np.ndarray):
         _, _, radicand, reasons = _radicands(curve, c, qs)
         return (reasons == "") & (radicand >= 0.0), _failed(reasons)
+
+    # (ok, failed) by midpoint, filled ahead of the bisection.
+    known: dict[float, tuple[bool, bool]] = {}
+
+    def step(mid: np.ndarray, q_true: np.ndarray, q_false: np.ndarray):
+        points = mid.tolist()
+        if not all(map(known.__contains__, points)):
+            ahead = _speculate(q_true, q_false)
+            ok, failed = feasible(ahead)
+            known.update(zip(ahead.tolist(), zip(ok.tolist(), failed.tolist())))
+        return np.array([known[q] for q in points], dtype=bool).T
 
     lo, hi = curve.domain
     qs = np.linspace(lo, hi, sample_count)
@@ -443,7 +482,7 @@ def feasible_domain(curve: CurveSpec, c: float,
         if live.size == 0:
             break
         mid = 0.5 * (q_true[live] + q_false[live])
-        ok, failed = feasible(mid)
+        ok, failed = step(mid, q_true[live], q_false[live])
         if failed.any():
             stop, error = live[np.argmax(failed)], (mid, failed)
         q_true[live] = np.where(ok, mid, q_true[live])

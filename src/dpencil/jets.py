@@ -323,11 +323,11 @@ class ArrayRules:
     A jet is either scalar (float fields, constant in the points) or has
     arrays of shape ``(n,)`` in every field.  Where the scalar rule would
     raise, the point is set in ``bad`` and its entries are unspecified.
-    Integer powers and the functions in ``_ARRAY_FUNCTIONS`` are computed
-    on the arrays, except at points where the scalar rule takes another
-    branch (a constant jet there).  There a power takes ``math.pow`` in one
-    loop over those points; a function, like every other power or
-    function, goes through the scalar rule point by point.
+    Integer powers (|p| <= 512) and the functions in ``_ARRAY_FUNCTIONS``
+    are computed on the arrays, except at points where the scalar rule
+    takes another branch (a constant jet there).  There a power takes
+    ``_real_pow`` in one loop over those points; a function, like every
+    other power or function, goes through the scalar rule point by point.
     """
 
     def __init__(self, n: int):
@@ -348,20 +348,29 @@ class ArrayRules:
             return self._scalar(jet_pow, base, expo)
         p = expo.v0
         if _is_array(expo) or not expo.is_constant() or not (
-                float(p).is_integer() and 0 <= p <= 512):
+                float(p).is_integer() and abs(p) <= 512):
             return self._each(Jet3(0.0), np.ones_like(self.bad), jet_pow, base, expo)
+        n = int(p)
+        constant = _constant(base)
+        if n >= 0:
+            result = _powi(base, n)
+        else:
+            power = _powi(base, -n)
+            # jet_pow's division raises where the power is zero: at a zero
+            # base, or where the power underflows.
+            self.bad |= ~constant & (power.v0 == 0.0)
+            result = _quotient(Jet3(1.0), power)
         # A base constant at a point takes the real power there, as in
-        # jet_pow; with 0 <= p no check of _real_pow applies.
-        result = _powi(base, int(p))
-        index = np.flatnonzero(_constant(base))
+        # jet_pow.
+        index = np.flatnonzero(constant)
         if index.size == 0:
             return result
         out = self._fields(result)
         values = []
         for i, x in zip(index.tolist(), base.v0[index].tolist()):
             try:
-                values.append(math.pow(x, p))
-            except OverflowError:
+                values.append(_real_pow(x, p))
+            except _FAILURES:
                 self.bad[i] = True
                 values.append(math.nan)
         out[0][index] = values

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpencil import dcurve
 from dpencil.dcurve import (
     SynthesisRequest,
+    feasible_curve,
     feasible_domain,
     synthesize_marching_scale,
     verify_dtype,
@@ -28,8 +30,16 @@ from dpencil.errors import (
     NonFiniteCurveError,
 )
 from dpencil.expr import evaluate_jet3, parse_expression
-from dpencil.frenet import NO_FRAME, CurveSpec, FrenetApparatus, classify_curve, frenet_at
+from dpencil.frenet import (
+    NO_FRAME,
+    CurveSpec,
+    FrenetApparatus,
+    classify_curve,
+    frenet_at,
+    raise_first,
+)
 from dpencil.mesh import sample_grid
+from dpencil.pencil import TabulatedProductForm
 from dpencil.presets import load_preset, preset_names
 from dpencil.scene import SceneConfig
 
@@ -147,8 +157,24 @@ expressions = st.recursive(
 @given(source=expressions,
        points=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8))
 def test_jets_array_matches_scalar(source, points):
+    assert_jets_match(source, np.array(points + [0.0, 1.0, -1.0]))
+
+
+@pytest.mark.parametrize("source", [
+    "q^(-1)",
+    "(q-1)^(-3)",
+    "(1+q*q)^(-512)",
+    "(1e-162*q)^(-2)",  # the power underflows to zero for |q| < ~1.5
+    "(0*q+1e-200)^(-2)",  # a constant base: the real power overflows
+    "(0*q)^(-1)",  # a constant zero base
+    "sin(q)^(-2)*q",
+])
+def test_negative_integer_powers_match_scalar(source):
+    assert_jets_match(source, np.array([-3.0, -1.0, -0.5, 0.0, 1e-3, 0.5, 1.0, 2.0, 3.0]))
+
+
+def assert_jets_match(source, qs):
     expr = parse_expression(source, ["q"])
-    qs = np.array(points + [0.0, 1.0, -1.0])
     jet, ok = evaluate_jet3(expr, "q", qs)
     for i, q in enumerate(qs.tolist()):
         try:
@@ -261,3 +287,140 @@ def test_batched_bisection_with_several_boundaries():
     got = feasible_domain(WAVY, 0.6)
     assert len(got) >= 3
     assert got == bisected_domain(WAVY, 0.6)
+
+
+# -- speculative bisection and table rounds ---------------------------------
+
+def stepwise_domain(curve, c, sample_count=256, visits=None):
+    """``feasible_domain`` with one array ``frenet_at`` call per bisection
+    step, as it was before the speculative search.  ``visits`` collects
+    ``(live, mid)`` of every step."""
+    def feasible(qs):
+        _, _, radicand, reasons = dcurve._radicands(curve, c, qs)
+        return (reasons == "") & (radicand >= 0.0), dcurve._failed(reasons)
+
+    lo, hi = curve.domain
+    qs = np.linspace(lo, hi, sample_count)
+    flags, failed = feasible(qs)
+    raise_first(curve, qs, failed)
+    edges = np.flatnonzero(flags[1:] != flags[:-1])
+    falling = flags[edges]
+    q_true = np.where(falling, qs[edges], qs[edges + 1])
+    q_false = np.where(falling, qs[edges + 1], qs[edges])
+    stop, error = edges.size, None
+    while True:
+        live = np.flatnonzero(np.abs(q_false[:stop] - q_true[:stop]) > 1e-9)
+        if live.size == 0:
+            break
+        mid = 0.5 * (q_true[live] + q_false[live])
+        if visits is not None:
+            visits.append((live.tolist(), mid.tolist()))
+        ok, failed = feasible(mid)
+        if failed.any():
+            stop, error = live[np.argmax(failed)], (mid, failed)
+        q_true[live] = np.where(ok, mid, q_true[live])
+        q_false[live] = np.where(ok, q_false[live], mid)
+    if error is not None:
+        raise_first(curve, *error)
+
+    intervals = []
+    start = float(qs[0]) if flags[0] else None
+    for end, fall in zip((0.5 * (q_true + q_false)).tolist(), falling.tolist()):
+        if fall:
+            intervals.append((start, end))
+            start = None
+        else:
+            start = end
+    if start is not None:
+        intervals.append((start, float(qs[-1])))
+    return intervals
+
+
+def wavy_with_holes(hx=None, hy=None):
+    """``WAVY`` with a domain hole at exactly ``hx`` in x and at ``hy`` in y:
+    an added ``0*ln((q-h)^2)``, zero wherever it is defined."""
+    def hole(h):
+        return "" if h is None else f"+0*ln((q-{h!r})^2)"
+    return make_curve("cos(q)" + hole(hx), "sin(q)" + hole(hy), "sin(3*q)/3", WAVY.domain)
+
+
+def test_speculative_hole_off_the_path_is_never_read(monkeypatch):
+    visits = []
+    assert stepwise_domain(WAVY, 0.6, visits=visits) == feasible_domain(WAVY, 0.6)
+    visited = {q for _, mid in visits for q in mid}
+    # The first bracket's second midpoint is one of two; the path never
+    # enters the other half, so a hole there is met only ahead of it.
+    lo, hi = WAVY.domain
+    qs = np.linspace(lo, hi, 256)
+    first = visits[0][1][0]
+    a, b = (q for q in qs.tolist() if abs(q - first) < qs[1] - qs[0])
+    (hole,) = {0.5 * (a + first), 0.5 * (first + b)} - visited
+    curve = wavy_with_holes(hx=hole)
+    with pytest.raises(DomainError):
+        frenet_at(curve, hole)
+    evaluated = []
+    array_frenet = dcurve.frenet_at
+
+    def spy(curve, q):
+        evaluated.extend(q.tolist())
+        return array_frenet(curve, q)
+
+    monkeypatch.setattr(dcurve, "frenet_at", spy)
+    got = feasible_domain(curve, 0.6)
+    assert hole in evaluated
+    assert got == bisected_domain(curve, 0.6) == stepwise_domain(curve, 0.6)
+
+
+def test_speculative_hole_on_the_path_raises_as_stepwise():
+    visits = []
+    stepwise_domain(WAVY, 0.6, visits=visits)
+    assert len(visits[0][0]) >= 3
+    # Bracket 2 meets its hole at step 3, bracket 0 at step 7: the search
+    # of bracket 0 goes on, and its error is the one raised.
+    late = dict(zip(*visits[3]))[2]
+    early = dict(zip(*visits[7]))[0]
+    curve = wavy_with_holes(hx=early, hy=late)
+    with pytest.raises(DomainError) as expected:
+        stepwise_domain(curve, 0.6)
+    with pytest.raises(DomainError) as got:
+        feasible_domain(curve, 0.6)
+    with pytest.raises(DomainError) as at_early:
+        frenet_at(curve, early)
+    with pytest.raises(DomainError) as at_late:
+        frenet_at(curve, late)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value) == str(at_early.value)
+    assert got.value.where == expected.value.where == at_early.value.where
+    assert at_early.value.where != at_late.value.where
+
+
+def table_by_rounds(req):
+    """The table of ``synthesize_marching_scale`` with every node of every
+    round evaluated afresh."""
+    curve = req.curve
+    lo, hi = curve.domain
+    u_profile = dcurve._default_u_profile(req.t0)
+    qs = np.linspace(lo, hi, dcurve._FIRST_TABLE_NODES)
+    while True:
+        av, _, g, usable = dcurve._coefficients_at(curve, req.c, req.sign, qs)
+        step = (hi - lo) / (qs.size - 1)
+        form = TabulatedProductForm(u_profile, req.t0, qs[usable], av[usable], g[usable],
+                                    req.sign, dcurve._merge_holes(qs[~usable].tolist(), step))
+        err = dcurve._interp_error(form, curve, req.c, req.sign)
+        if err <= dcurve._INTERP_TARGET or qs.size >= dcurve._MAX_TABLE_NODES:
+            form.max_interp_error = err
+            return form
+        qs = np.linspace(lo, hi, 2 * qs.size - 1)
+
+
+@pytest.mark.parametrize("name, c", [("example3", 0.3), ("example4", math.sqrt(3.0) / 2.0)])
+def test_table_rounds_match_recomputed_nodes(name, c):
+    curve, _ = feasible_curve(CURVES[name], c)
+    req = SynthesisRequest(curve=curve, c=c)
+    got = synthesize_marching_scale(req).form
+    expected = table_by_rounds(req)
+    assert got.nodes.size > dcurve._FIRST_TABLE_NODES
+    for field in ("nodes", "v_values", "g_values"):
+        assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
+    assert got.excluded == expected.excluded
+    assert got.max_interp_error == expected.max_interp_error

@@ -145,6 +145,42 @@ class TestBuild:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: cannot write")
 
+    def test_failed_csv_write_leaves_no_obj(self, tmp_path, capsys):
+        # The OBJ is written first; when the CSV then cannot be written, the
+        # build removes the OBJ it has just written.
+        cfg = load_preset("example1")
+        cfg["outputs"]["csv_path"] = "."
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
+                             "--samples", "64", "-o", str(out_dir))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot write")
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command, tol", [
+        ("classify", "-1"),  # once reported the helix as Generic, exit 0
+        ("verify", "nan"),  # once printed "tolerance": NaN, which is not JSON
+        ("verify", "inf"),  # once printed "tolerance": Infinity
+        ("verify", "-1"),  # once exited 1 on a D-type curve
+        ("build", "-inf"),
+        ("synthesize", "-0.5"),
+    ])
+    def test_invalid_tol_exit_2(self, tmp_path, capsys, command, tol):
+        code, out, err = run(capsys, command, "--preset", "example2", f"--tol={tol}",
+                             "-o", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --tol must be a finite number >= 0, got {float(tol)!r}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_tol_is_valid(self, tmp_path, capsys):
+        code, got, _ = run_json(capsys, "verify", "--preset", "example2", "--tol", "0",
+                                "-o", str(tmp_path))
+        assert got["tolerance"] == 0.0
+        assert code == (0 if got["max_deviation"] == 0.0 else 1)
+
     @pytest.mark.parametrize("command, least", [("verify", 16), ("classify", 8)])
     def test_zero_samples_exit_2(self, tmp_path, capsys, command, least):
         code, out, err = run(capsys, command, "--preset", "example1", "--samples", "0",

@@ -212,6 +212,13 @@ GRID_CASES = {
     # real power), an infinite jet where s is the variable (a product).
     "general_form_power_overflow": (lambda: explicit_pencil(
         "example1", u="1e-300*s^400*t", v="t", w="t*sqrt(1-s*t)"), 23, 5),
+    # A negative integer power: the array kernel divides by the power.
+    "general_form_negative_power": (lambda: explicit_pencil(
+        "example1", u="t*cos(s)*(1+t)^(-2)", v="sqrt(3)/2*t", w="t*sqrt(1-s*t)"), 11, 8),
+    # The base of a negative power is zero on the row t = 1: a constant
+    # base where s is the variable, a varying one where t is.
+    "general_form_negative_power_zero_base": (lambda: explicit_pencil(
+        "example1", (0.0, 2.0), u="t*cos(s)*(1-t)^(-3)", v="sqrt(3)/2*t", w="t/2"), 11, 9),
     "tabulated": (synthesized_pencil, 9, 14),
     # Curvature zero everywhere: every column is an inflection, and so is
     # each nudged parameter.
