@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -45,6 +46,8 @@ EXIT_NOT_DTYPE = 1
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
+
+MAX_SAMPLES = 1_000_000  # bounds --samples
 
 _VALIDATION_ERRORS = (
     SceneValidationError,
@@ -130,14 +133,27 @@ def _samples(args, default: int) -> int:
 
 def _write(args, name: str, write, data) -> Path:
     """``write(data, sink)`` into ``name`` under the output directory; an
-    output that cannot be created or written is a config error."""
+    output that cannot be created or written is a config error.
+
+    The data goes to a temporary file beside the output, which replaces the
+    output only once it is complete: a write that fails leaves no partial
+    file and no temporary file behind.
+    """
     path = Path(args.out_dir) / name
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    pending = False  # tmp exists and has not replaced the output
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as sink:
+        with open(tmp, "xb") as sink:
+            pending = True
             write(data, sink)
+        os.replace(tmp, path)
+        pending = False
     except OSError as e:
         raise SceneValidationError(f"cannot write {str(path)!r}: {e}") from None
+    finally:
+        if pending:
+            tmp.unlink()
     return path
 
 
@@ -264,6 +280,8 @@ def main(argv=None) -> int:
     try:
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
             raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+        if args.samples is not None and args.samples > MAX_SAMPLES:
+            raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
         cfg = _load_config(args)
         # Overflowing vertices are reported as mesh defects; numpy's
         # per-operation warnings would only repeat that on stderr.

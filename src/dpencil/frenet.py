@@ -226,7 +226,9 @@ class CurveClass:
 
     ``constant`` is 0 for planar curves, tau/kappa for general helices,
     kappa for Salkowski, tau for anti-Salkowski, and None for generic
-    curves.  ``deviation`` is the max sample deviation of that quantity.
+    curves.  ``deviation`` is the max sample deviation of that quantity;
+    for a generic curve it is the evidence against every class, the largest
+    relative spread, (max - min) / (1 + |mean|), of kappa, tau and tau/kappa.
     """
 
     kind: str
@@ -247,8 +249,11 @@ def classify_from_samples(kappas, taus, tol: float, skipped: int = 0) -> CurveCl
     def spread(v):
         return float(np.max(v) - np.min(v))
 
+    def scale(v):
+        return 1.0 + abs(float(np.mean(v)))
+
     def is_const(v):
-        return spread(v) <= tol * (1.0 + abs(float(np.mean(v))))
+        return spread(v) <= tol * scale(v)
 
     tau_abs_max = float(np.max(np.abs(taus)))
     if tau_abs_max <= tol:
@@ -260,7 +265,8 @@ def classify_from_samples(kappas, taus, tol: float, skipped: int = 0) -> CurveCl
         return CurveClass(SALKOWSKI, float(np.mean(kappas)), spread(kappas), skipped)
     if is_const(taus) and not is_const(kappas):
         return CurveClass(ANTI_SALKOWSKI, float(np.mean(taus)), spread(taus), skipped)
-    return CurveClass(GENERIC, None, 0.0, skipped)
+    return CurveClass(GENERIC, None,
+                      max(spread(v) / scale(v) for v in (kappas, taus, ratios)), skipped)
 
 
 def classify_curve(curve: CurveSpec, sample_count: int = 256, tol: float = 1e-6) -> CurveClass:

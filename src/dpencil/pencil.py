@@ -19,6 +19,15 @@ of shape F + (3,), as ``frenet_at`` over an array or ``stack_frames``
 gives them) broadcast against the marching fields, and a single frame with
 scalar marching values gives a single 3-vector.  ``surface_normals`` names
 why a normal is missing, in one order of precedence for every caller.
+
+A synthesized scale (``TabulatedProductForm``) interpolates its node table
+with ``_NotAKnotSpline``, a not-a-knot cubic (de Boor, *A Practical Guide
+to Splines*, ch. 4).  It is ``scipy.interpolate.CubicSpline`` rebuilt on
+``scipy.linalg.solve_banded`` alone: the same banded system for the slopes,
+the same Hermite coefficients, and evaluation in the rounding order of
+``PPoly``.  So every value and derivative, and every output built on them,
+is bit-identical to the ``CubicSpline`` it replaces, while importing the
+package no longer imports ``scipy.interpolate``.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import (
     DegenerateNormalError,
@@ -97,8 +106,8 @@ class TabulatedProductForm:
         self.g_values = np.asarray(g_values, dtype=float)
         self.excluded = tuple(excluded)
         self.max_interp_error = float(max_interp_error)
-        self._v = CubicSpline(self.nodes, self.v_values)
-        self._g = CubicSpline(self.nodes, self.g_values)
+        self._v = _NotAKnotSpline(self.nodes, self.v_values)
+        self._g = _NotAKnotSpline(self.nodes, self.g_values)
 
     def v_coefficient(self, s, derivative: int = 0):
         """a_v (or its derivative) at a float s, or at each s of an array."""
@@ -115,6 +124,57 @@ class TabulatedProductForm:
         else:
             value = self.sign * self._g(s, 1) / (2.0 * root)
         return _like(s, np.where(vanishing, 0.0, value))
+
+
+class _NotAKnotSpline:
+    """Not-a-knot cubic interpolant through the values ``y`` at the nodes
+    ``x``: the slopes and coefficients of ``scipy.interpolate.CubicSpline``,
+    evaluated in the rounding order of its ``PPoly`` and extrapolated by
+    the end pieces."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        n = x.size
+        dx = np.diff(x)
+        increasing = np.all(np.isfinite(dx) & (dx > 0.0))
+        if x.ndim != 1 or y.shape != x.shape or n < 4 or not increasing:
+            raise ValueError("a spline needs at least 4 finite, strictly increasing "
+                             "nodes and one value per node")
+        slope = np.diff(y) / dx
+        # Slopes m: tridiagonal system in banded (3, n) storage.
+        A = np.zeros((3, n))
+        b = np.empty(n)
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        A[1, 0] = dx[1]
+        A[0, 1] = d = x[2] - x[0]
+        b[0] = ((dx[0] + 2*d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+        A[1, -1] = dx[-2]
+        A[-1, -2] = d = x[-1] - x[-3]
+        b[-1] = (dx[-1]**2*slope[-2] + (2*d + dx[-1])*dx[-2]*slope[-1]) / d
+        m = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
+                         overwrite_b=True, check_finite=False).reshape(n)
+        # Cubic Hermite coefficients, highest power first, one column per piece.
+        t = (m[:-1] + m[1:] - 2 * slope) / dx
+        self.c = np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]))
+        self._inner = x[1:-1]
+        self._x = x
+
+    def __call__(self, q, derivative: int = 0):
+        """Value (derivative 0) or first derivative (1) at each q, an
+        array of q's shape."""
+        if derivative not in (0, 1):
+            raise ValueError(f"derivative must be 0 or 1, got {derivative!r}")
+        q = np.asarray(q, dtype=float)
+        # Counting interior nodes <= q is clip(searchsorted(x, q, "right") - 1,
+        # 0, n - 2): PPoly's piece, with the end pieces extended outward.
+        i = np.searchsorted(self._inner, q, "right")
+        s = q - self._x[i]
+        c3, c2, c1, c0 = self.c.take(i, axis=1)
+        if derivative == 0:
+            return (((0.0 + c0) + c1 * s) + c2 * (s * s)) + c3 * ((s * s) * s)
+        return ((0.0 + c1) + (c2 * s) * 2.0) + (c3 * (s * s)) * 3.0
 
 
 def _like(s, values):

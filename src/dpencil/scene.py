@@ -36,6 +36,7 @@ from .pencil import GeneralForm, MarchingScale, ProductForm, SurfacePencil
 
 DEFAULT_NS = 200
 DEFAULT_NT = 50
+MAX_GRID_VERTICES = 1_000_000  # bounds grid.ns * grid.nt
 
 _PRODUCT_KEYS = ("l", "m", "n", "U", "V", "W")
 _GENERAL_KEYS = ("u", "v", "w")
@@ -156,6 +157,10 @@ class SceneConfig:
         nt = grid.get("nt", DEFAULT_NT)
         if not isinstance(ns, int) or not isinstance(nt, int) or ns < 2 or nt < 2:
             raise SceneValidationError("grid.ns and grid.nt must be integers >= 2")
+        if ns * nt > MAX_GRID_VERTICES:
+            raise SceneValidationError(
+                f"grid.ns * grid.nt must be at most {MAX_GRID_VERTICES}, got {ns * nt}"
+            )
         t_range = _pair(_require(grid, "t_range", "grid"), "grid.t_range")
         if not t_range[0] <= t0 <= t_range[1]:
             raise SceneValidationError(

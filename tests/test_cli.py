@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from dpencil.cli import main
+from dpencil import cli
+from dpencil.cli import MAX_SAMPLES, main
 from dpencil.expr import MAX_DEPTH, evaluate, format_expression, parse_expression
 from dpencil.presets import load_preset, preset_names
+from dpencil.scene import MAX_GRID_VERTICES, SceneConfig
 
 from conftest import SRC, preset_config
 
@@ -159,6 +161,68 @@ class TestBuild:
         assert err.startswith("error: cannot write")
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("error", [OSError("no space left"), RuntimeError("interrupted")])
+    def test_failed_obj_write_leaves_nothing(self, tmp_path, capsys, monkeypatch, error):
+        # A writer that fails mid-write once left a partial OBJ behind.
+        def write_half_then_fail(mesh, sink):
+            sink.write(b"v 0 0 0\n" * 1000)
+            sink.flush()
+            raise error
+
+        monkeypatch.setattr(cli, "write_obj", write_half_then_fail)
+        out_dir = tmp_path / "out"
+        argv = ["build", "--preset", "example1", "--samples", "64", "-o", str(out_dir)]
+        if isinstance(error, OSError):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: cannot write {str(out_dir / 'example1.obj')!r}: {error}\n"
+        else:
+            with pytest.raises(RuntimeError, match="interrupted"):
+                main(argv)
+        assert list(out_dir.iterdir()) == []
+
+    def test_failed_rewrite_keeps_the_previous_output(self, tmp_path, capsys, monkeypatch):
+        previous = tmp_path / "example1.csv"
+        previous.write_bytes(b"previous report\n")
+
+        def fail(report, sink):
+            sink.write(b"s,")
+            raise OSError("no space left")
+
+        monkeypatch.setattr(cli, "write_report_csv", fail)
+        code, _, _ = run(capsys, "verify", "--preset", "example1", "--samples", "64",
+                         "-o", str(tmp_path))
+        assert code == 2
+        assert list(tmp_path.iterdir()) == [previous]
+        assert previous.read_bytes() == b"previous report\n"
+
+    @pytest.mark.parametrize("command", ["build", "verify", "classify", "synthesize"])
+    def test_samples_past_the_cap_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # Rejected before the scene is even loaded, so nothing is allocated.
+        monkeypatch.setattr(cli, "_load_config", lambda args: pytest.fail("config loaded"))
+        code, out, err = run(capsys, command, "--preset", "example1",
+                             "--samples", str(MAX_SAMPLES + 1), "-o", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --samples must be at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_grid_past_the_cap_exit_2(self, tmp_path, capsys):
+        # 101 x 9901 is one vertex past the cap; validation allocates nothing.
+        cfg = load_preset("example1")
+        cfg["grid"].update(ns=101, nt=9901)
+        assert 101 * 9901 == MAX_GRID_VERTICES + 1
+        code, out, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
+                             "-o", str(tmp_path / "out"))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: grid.ns * grid.nt must be at most {MAX_GRID_VERTICES}, "
+                       f"got {MAX_GRID_VERTICES + 1}\n")
+        assert not (tmp_path / "out").exists()
+        cfg["grid"].update(ns=1000, nt=1000)  # exactly at the cap: accepted
+        SceneConfig.from_dict(cfg)
+
     @pytest.mark.parametrize("command, tol", [
         ("classify", "-1"),  # once reported the helix as Generic, exit 0
         ("verify", "nan"),  # once printed "tolerance": NaN, which is not JSON
@@ -258,6 +322,16 @@ class TestClassify:
         assert code == 0
         assert got["kind"] == kind
         assert got["constant"] == pytest.approx(constant, abs=1e-9)
+
+    def test_generic_shows_its_deviation(self, capsys):
+        # At --tol 0 the helix's rounding spread makes it generic; the
+        # deviation reports that spread (it once read 0.0 for every
+        # generic verdict).
+        code, got, _ = run_json(capsys, "classify", "--preset", "example2", "--tol", "0")
+        assert code == 0
+        assert got["kind"] == "Generic"
+        assert got["constant"] is None
+        assert 0.0 < got["deviation"] < 1e-12
 
     def test_skips_leave_stderr_empty(self):
         # The eight curve has inflection samples: they are counted in the

@@ -190,6 +190,14 @@ class TestClassification:
         # priority: a circle is both planar and constant-curvature
         assert classify_from_samples(ones, np.zeros(32), 1e-9).kind == PLANAR
 
+    def test_generic_deviation_is_the_largest_relative_spread(self):
+        # kappa spread 1/2.5, tau spread 2/3, tau/kappa spread 0.5/2.25
+        got = classify_from_samples([1.0, 2.0], [1.0, 3.0], 1e-9)
+        assert got.kind == GENERIC
+        assert got.deviation == pytest.approx(2.0 / 3.0, rel=1e-15)
+        got = classify_from_samples([1.0, 4.0], [1.0, 1.5], 1e-9)
+        assert got.deviation == pytest.approx(3.0 / 3.5, rel=1e-15)
+
     def test_sample_count_floor(self):
         with pytest.raises(ValueError):
             classify_curve(CIRCLE, 4, 1e-9)
