@@ -106,11 +106,16 @@ def _default_tol(cfg: SceneConfig, args) -> float:
 
 def _assemble(cfg: SceneConfig):
     """(curve, marching, feasibility note) for either marching mode."""
-    curve = cfg.curve()
-    note = None
     if cfg.mode == "explicit":
-        return curve, cfg.explicit_marching(), note
-    curve, intervals = feasible_curve(curve, cfg.c)
+        return cfg.curve(), cfg.explicit_marching(), None
+    return _synthesize(cfg, 256)
+
+
+def _synthesize(cfg: SceneConfig, samples: int):
+    """(curve, marching, feasibility note): the scale synthesized for
+    ``cfg.c`` on the curve restricted to where that constant is feasible."""
+    curve, intervals = feasible_curve(cfg.curve(), cfg.c, samples)
+    note = None
     if intervals:
         note = {
             "feasible_domain": [[a, b] for a, b in intervals],
@@ -230,15 +235,11 @@ def cmd_classify(cfg: SceneConfig, args) -> int:
 def cmd_synthesize(cfg: SceneConfig, args) -> int:
     if cfg.c is None:
         raise SceneValidationError("synthesize requires marching.c in the config")
-    curve, intervals = feasible_curve(cfg.curve(), cfg.c, max(_samples(args, 256), 64))
+    _, marching, note = _synthesize(cfg, max(_samples(args, 256), 64))
     out = cfg.to_dict()
-    if intervals:
-        out["curve"]["range"] = list(curve.domain)
-        out["feasible_domain"] = [[a, b] for a, b in intervals]
-        print(f"feasible subdomain(s): {out['feasible_domain']}", file=sys.stderr)
-    marching = synthesize_marching_scale(
-        SynthesisRequest(curve=curve, c=cfg.c, sign=cfg.sign, t0=cfg.t0)
-    )
+    if note:
+        out["curve"]["range"] = note["restricted_to"]
+        out["feasible_domain"] = note["feasible_domain"]
     block = out["marching"]
     if isinstance(marching.form, ProductForm):
         form = marching.form

@@ -102,17 +102,23 @@ def _real_pow(x: float, y: float) -> float:
 
 
 def jet_pow(base: Jet3, expo: Jet3) -> Jet3:
+    """``base ^ expo``: repeated multiplication for an integer exponent
+    (|p| <= 512), which overflows to ``inf`` like a product; otherwise the
+    real power, which raises."""
     if expo.is_constant():
         p = expo.v0
-        if base.is_constant():
-            return Jet3(_real_pow(base.v0, p))
         if float(p).is_integer() and abs(p) <= 512:
             n = int(p)
-            if n >= 0:
-                return _powi(base, n)
-            if base.v0 == 0.0:
+            if n < 0 and base.v0 == 0.0:
                 raise DomainError("zero base with negative exponent")
-            return Jet3(1.0) / _powi(base, -n)
+            power = _powi(base, abs(n))
+            if n < 0:
+                power = Jet3(1.0) / power
+            # A constant stays constant where its power overflows and the
+            # products give NaN derivatives (inf * 0).
+            return Jet3(power.v0) if base.is_constant() else power
+        if base.is_constant():
+            return Jet3(_real_pow(base.v0, p))
         if base.v0 < 0.0:
             raise DomainError("negative base with non-integer exponent")
         if base.v0 == 0.0:
@@ -127,7 +133,10 @@ def jet_pow(base: Jet3, expo: Jet3) -> Jet3:
         )
     if base.v0 <= 0.0:
         raise DomainError("variable exponent requires a positive base")
-    return apply_function("exp", expo * apply_function("ln", base))
+    # exp(expo * ln(base)), with the value of the constant rule above so that
+    # real evaluation agrees bit for bit; every derivative of exp is its value.
+    v = jet_pow(Jet3(base.v0), Jet3(expo.v0)).v0
+    return _compose(v, v, v, v, expo * apply_function("ln", base))
 
 
 def _powi(b: Jet3, n: int) -> Jet3:
@@ -324,10 +333,9 @@ class ArrayRules:
     arrays of shape ``(n,)`` in every field.  Where the scalar rule would
     raise, the point is set in ``bad`` and its entries are unspecified.
     Integer powers (|p| <= 512) and the functions in ``_ARRAY_FUNCTIONS``
-    are computed on the arrays, except at points where the scalar rule
-    takes another branch (a constant jet there).  There a power takes
-    ``_real_pow`` in one loop over those points; a function, like every
-    other power or function, goes through the scalar rule point by point.
+    are computed on the arrays, with zero derivatives where the base or
+    argument is constant, as in the scalar rule.  Every other power or
+    function goes through the scalar rule point by point.
     """
 
     def __init__(self, n: int):
@@ -351,32 +359,15 @@ class ArrayRules:
                 float(p).is_integer() and abs(p) <= 512):
             return self._each(Jet3(0.0), np.ones_like(self.bad), jet_pow, base, expo)
         n = int(p)
-        constant = _constant(base)
-        if n >= 0:
-            result = _powi(base, n)
-        else:
-            power = _powi(base, -n)
+        j = _powi(base, abs(n))
+        if n < 0:
             # jet_pow's division raises where the power is zero: at a zero
             # base, or where the power underflows.
-            self.bad |= ~constant & (power.v0 == 0.0)
-            result = _quotient(Jet3(1.0), power)
-        # A base constant at a point takes the real power there, as in
-        # jet_pow.
-        index = np.flatnonzero(constant)
-        if index.size == 0:
-            return result
-        out = self._fields(result)
-        values = []
-        for i, x in zip(index.tolist(), base.v0[index].tolist()):
-            try:
-                values.append(_real_pow(x, p))
-            except _FAILURES:
-                self.bad[i] = True
-                values.append(math.nan)
-        out[0][index] = values
-        for field in out[1:]:
-            field[index] = 0.0
-        return Jet3(*out)
+            self.bad |= j.v0 == 0.0
+            j = _quotient(Jet3(1.0), j)
+        if not _is_array(j):  # base^0 is the scalar jet 1
+            return j
+        return Jet3(j.v0, *(np.where(_constant(base), 0.0, v) for v in (j.v1, j.v2, j.v3)))
 
     def call(self, name: str, u: Jet3) -> Jet3:
         if not _is_array(u):

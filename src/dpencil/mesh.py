@@ -1,9 +1,10 @@
 """Grid sampling of pencil surfaces and OBJ / CSV serialization.
 
 ``sample_grid`` takes the Frenet frames of all grid columns in one array
-``frenet_at`` call and the marching scale in one ``marching_grid`` call;
-only the nudged frames of inflection columns and the curve points are
-taken per column (``verify_dtype`` still takes its frames per sample).
+``frenet_at`` call, the curve points in one array call per coordinate and
+the marching scale in one ``marching_grid`` call; only the nudged frames
+of inflection columns are taken per column (``verify_dtype`` still takes
+its frames per sample).
 
 Output formatting is bit-exact: identical inputs produce identical bytes.
 Vertex data uses 9 significant digits, report rows 12, and each block of
@@ -16,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
 from .dcurve import DTypeReport
+from .expr import evaluate_jet3
 from .frenet import NO_FRAME, FrenetApparatus, frenet_at, raise_first
+from .jets import Jet3
 from .pencil import SurfacePencil, marching_grid, pencil_point, surface_normals
 
 
@@ -54,7 +56,9 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int) -> SurfaceMesh:
     Undefined geometry is not fatal: vertices whose frame or marching scale
     cannot be evaluated fall back to the curve point (inflection columns
     borrow a frame from a nudged parameter) and are listed in the defect
-    report with a zero normal.  A curve falsely declared unit-speed raises
+    report with a zero normal.  Positions are always finite: one that
+    overflows falls back to the curve point, or to the origin, as a
+    ``non_finite`` defect.  A curve falsely declared unit-speed raises
     :class:`InvalidCurveError` at its first such column.
     """
     if ns < 2 or nt < 2:
@@ -81,13 +85,14 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int) -> SurfaceMesh:
             framed[i] = True
             break
     raise_first(p.curve, ss, unit_speed)
-    r = np.zeros((ns, 1, 3))
-    for i, s in enumerate(ss.tolist()):
-        try:
-            r[i, 0] = p.curve.point(s)
-        except DomainError:
-            if framed[i]:
-                framed[i], column_reason[i] = False, "domain"
+    # Curve points as constant jets: per column, the bits of CurveSpec.point.
+    zero = np.zeros(ns)
+    coords = [evaluate_jet3(e, None, ss, {p.curve.param: Jet3(ss, zero, zero, zero)})
+              for e in (p.curve.x, p.curve.y, p.curve.z)]
+    defined = np.logical_and.reduce([ok for _, ok in coords])
+    column_reason[framed & ~defined] = "domain"
+    framed &= defined
+    r = np.where(defined[:, None], np.stack([j.v0 for j, _ in coords], axis=1), 0.0)[:, None]
     # Entries without a frame are unspecified: zero them like a missing frame.
     frame = FrenetApparatus(**{
         name: np.where(framed.reshape((-1,) + (1,) * (v.ndim - 1)), v, 0.0)[:, None]
@@ -95,12 +100,19 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int) -> SurfaceMesh:
     })
     framed, column_reason = framed[:, None], column_reason[:, None]
     mv, ok = marching_grid(p.marching, ss, ts)
+    on_curve = np.expand_dims(~(framed & ok), -1)
     # A column with a nudged frame keeps its positions, but its normals are
     # not trustworthy: its reason keeps them zero.
-    normals, reason = surface_normals(frame, framed, column_reason, mv, ok)
-    on_curve = np.expand_dims(~(framed & ok), -1)
-    positions = np.where(on_curve, r, pencil_point(r, frame, mv)).reshape(-1, 3)
-    normals = normals.reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        normals, reason = surface_normals(frame, framed, column_reason, mv, ok)
+        positions = np.where(on_curve, r, pencil_point(r, frame, mv))
+    # A position that overflowed falls back to its curve point, or to the
+    # origin where that is not finite either: a non_finite defect.
+    overflow = ~np.isfinite(positions).all(axis=-1, keepdims=True)
+    fallback = np.where(np.isfinite(r).all(axis=-1, keepdims=True), r, 0.0)
+    positions = np.where(overflow, fallback, positions).reshape(-1, 3)
+    normals = np.where(overflow, 0.0, normals).reshape(-1, 3)
+    reason[overflow[..., 0]] = "non_finite"
     defects = [
         MeshDefect(idx, float(ss[idx // nt]), float(ts[idx % nt]), str(reason.flat[idx]))
         for idx in np.flatnonzero(reason != "").tolist()

@@ -27,7 +27,9 @@ scale is generated to meet it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from pathlib import PurePath
 
 from .errors import SceneValidationError
 from .expr import parse_expression
@@ -51,7 +53,13 @@ def _require(data: dict, key: str, context: str):
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SceneValidationError(f"{context} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):  # json also reads NaN, Infinity and 1e400
+        raise SceneValidationError(f"{context} must be a finite number, got {value!r}")
+    return number
 
 
 def _pair(value, context: str) -> tuple[float, float]:
@@ -68,6 +76,15 @@ def _text(value, context: str) -> str:
     if not isinstance(value, str):
         raise SceneValidationError(f"{context} must be a string, got {value!r}")
     return value
+
+
+def _output_name(value, context: str) -> str:
+    """A relative path without ``..``: outputs stay under the output directory."""
+    name = _text(value, context)
+    path = PurePath(name)
+    if path.is_absolute() or ".." in path.parts:
+        raise SceneValidationError(f"{context} must stay under the output directory, got {name!r}")
+    return name
 
 
 @dataclass
@@ -170,8 +187,8 @@ class SceneConfig:
         outputs = data.get("outputs", {})
         if not isinstance(outputs, dict):
             raise SceneValidationError("config.outputs must be an object")
-        obj_path = _text(outputs.get("obj_path", "surface.obj"), "outputs.obj_path")
-        csv_path = _text(outputs.get("csv_path", "report.csv"), "outputs.csv_path")
+        obj_path = _output_name(outputs.get("obj_path", "surface.obj"), "outputs.obj_path")
+        csv_path = _output_name(outputs.get("csv_path", "report.csv"), "outputs.csv_path")
 
         return cls(
             curve_x=x, curve_y=y, curve_z=z, param=param, curve_range=crange,

@@ -100,6 +100,57 @@ class TestBuild:
         assert len(proc.stderr.splitlines()) <= 1
         assert json.loads(proc.stdout)["defect_count"] > 0
 
+    def test_positions_stay_finite(self, tmp_path, capsys):
+        # exp(s/2)*exp(s/2) overflows without raising past s ~ 709.8: those
+        # vertices are non_finite defects at the origin, not "inf" in the OBJ.
+        cfg = load_preset("example1")
+        cfg["curve"].update(x="s", y="exp(s/2)*exp(s/2)", z="0", range=[0.0, 1000.0],
+                            unit_speed=False)
+        cfg["grid"].update(ns=11, nt=3)
+        code, summary, _ = run_json(capsys, "build", "--config", write_config(tmp_path, cfg),
+                                    "-o", str(tmp_path))
+        assert code == 0
+        assert summary["defect_count"] == 30
+        obj = (tmp_path / "example1.obj").read_text(encoding="ascii")
+        assert "inf" not in obj and "nan" not in obj
+
+    @pytest.mark.parametrize("block, key, value, error", [
+        ("grid", "t_range", [0.0, math.inf], "grid.t_range[1] must be a finite number, got inf"),
+        ("marching", "c", math.nan, "marching.c must be a finite number, got nan"),
+        ("marching", "controls", {"x": math.inf},
+         "marching.controls.x must be a finite number, got inf"),
+        ("curve", "range", [-math.inf, 1.0], "curve.range[0] must be a finite number, got -inf"),
+        (None, "t0", math.nan, "t0 must be a finite number, got nan"),
+        ("marching", "c", 10**400, f"marching.c must be a finite number, got {10**400!r}"),
+    ], ids=["grid.t_range", "marching.c", "marching.controls", "curve.range", "t0",
+            "integer_past_float"])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, block, key, value, error):
+        # json reads NaN and Infinity as numbers.
+        cfg = load_preset("example1")
+        (cfg if block is None else cfg[block])[key] = value
+        code, out, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
+                             "-o", str(tmp_path / "out"))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {error}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["obj_path", "csv_path"])
+    @pytest.mark.parametrize("escape", ["../escape.out", "sub/../../escape.out", "ABSOLUTE"])
+    def test_output_outside_the_directory_exit_2(self, tmp_path, capsys, key, escape):
+        target = str(tmp_path / "escape.out") if escape == "ABSOLUTE" else escape
+        cfg = load_preset("example1")
+        cfg["outputs"][key] = target
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
+                             "--samples", "64", "-o", str(out_dir))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: outputs.{key} must stay under the output directory, got {target!r}"]
+        assert not out_dir.exists()
+        assert not (tmp_path / "escape.out").exists()
+
     def test_missing_field_exit_2(self, tmp_path, capsys):
         cfg = load_preset("example1")
         del cfg["curve"]["x"]

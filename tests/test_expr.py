@@ -393,6 +393,52 @@ class TestFolding:
         assert evaluate(expr, {"t": 2.0}) == 0.5
 
 
+def assert_one_rule(source, points):
+    """Wherever the jet of ``source`` is defined, ``evaluate`` gives its
+    value, and the array forms (the jet, and the constant jet that grid
+    curve points use) give the scalar forms' bytes."""
+    expr = parse_expression(source, ["q"])
+    qs = np.array(points, dtype=float)
+    jets, jets_ok = evaluate_jet3(expr, "q", qs)
+    zero = np.zeros(qs.size)
+    values, values_ok = evaluate_jet3(expr, None, qs, {"q": Jet3(qs, zero, zero, zero)})
+    for i, q in enumerate(points):
+        jet = outcome(evaluate_jet3, expr, "q", q)
+        value = outcome(evaluate, expr, {"q": q})
+        assert jets_ok[i] == isinstance(jet, list)
+        assert values_ok[i] == isinstance(value, bytes)
+        if jets_ok[i]:
+            assert [v[i].tobytes() for v in (jets.v0, jets.v1, jets.v2, jets.v3)] == jet
+            assert value == jet[0]
+        if values_ok[i]:
+            assert values.v0[i].tobytes() == value
+
+
+class TestOneRule:
+    @settings(max_examples=150, deadline=None)
+    @given(source=mixed_trees, points=st.lists(st.floats(-4.0, 4.0), max_size=5))
+    def test_evaluators_agree(self, source, points):
+        assert_one_rule(source, points + [0.0, 0.125, 1.0, -1.0, 2.5, 3.0])
+
+    @pytest.mark.parametrize("source, q", [
+        ("q^3", 0.09457299760205373),  # math.pow rounds this one ulp apart
+        ("q^q", 0.125),  # so does exp(q*ln(q))
+        ("(q+0.1)^q", 4.0),  # a varying exponent at an integer multiplies
+        ("q^((-q)^q)", -256.0),  # 256^-256 underflows to a constant 0
+        ("sin(q^0)", 2.0),  # the array base^0 is the scalar jet 1
+    ])
+    def test_named_cases(self, source, q):
+        assert_one_rule(source, [q])
+
+    def test_integer_power_overflows_like_a_product(self):
+        assert_one_rule("exp(q)^2", [360.0])
+        expr = parse_expression("exp(q)^2", ["q"])
+        at, zero = np.array([360.0]), np.zeros(1)
+        assert evaluate(expr, {"q": 360.0}) == math.inf
+        assert evaluate_jet3(expr, "q", 360.0).v0 == math.inf
+        assert evaluate_jet3(expr, None, at, {"q": Jet3(at, zero, zero, zero)})[0].v0[0] == math.inf
+
+
 def tree_depth(node):
     if isinstance(node, BinOp):
         return 1 + max(tree_depth(node.left), tree_depth(node.right))

@@ -147,6 +147,7 @@ def per_vertex_grid(p, ns, nt):
     ts = np.linspace(*p.t_range, nt).tolist()
     positions = np.zeros((ns * nt, 3))
     normals = np.zeros((ns * nt, 3))
+    curve_points = np.zeros((ns, 3))
     reasons = {}
     for i, s in enumerate(np.linspace(s_lo, s_hi, ns).tolist()):
         frame, column = None, None
@@ -165,7 +166,7 @@ def per_vertex_grid(p, ns, nt):
         except DomainError:
             column = "domain"
         try:
-            r = p.curve.point(s)
+            r = curve_points[i] = p.curve.point(s)
         except DomainError:
             r = np.zeros(3)
             if frame is not None:
@@ -177,7 +178,8 @@ def per_vertex_grid(p, ns, nt):
                 reasons[k] = column
                 continue
             try:
-                positions[k] = p.point(s, t, frame)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    positions[k] = p.point(s, t, frame)
             except DomainError:
                 reasons[k] = "domain"
                 continue
@@ -185,11 +187,19 @@ def per_vertex_grid(p, ns, nt):
                 reasons[k] = column
                 continue
             try:
-                normals[k] = p.normal(s, t, frame)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    normals[k] = p.normal(s, t, frame)
             except DegenerateNormalError:
                 reasons[k] = "degenerate_normal"
             except NonFiniteNormalError:
                 reasons[k] = "non_finite"
+    # Positions stay finite: one that overflowed falls back to its curve
+    # point, or to the origin, as a non_finite defect.
+    for k in np.flatnonzero(~np.isfinite(positions).all(axis=1)).tolist():
+        r = curve_points[k // nt]
+        positions[k] = r if np.isfinite(r).all() else 0.0
+        normals[k] = 0.0
+        reasons[k] = "non_finite"
     return positions, normals, reasons
 
 
@@ -208,8 +218,8 @@ GRID_CASES = {
     # Powers of the fixed variable: a base constant at every point.
     "general_form_power": (lambda: explicit_pencil(
         "example1", u="t^2*cos(s)", v="sqrt(3)/2*t", w="t*sqrt(1-s*t)"), 11, 8),
-    # s^400 overflows past |s| = 5.9: a domain defect where s is fixed (a
-    # real power), an infinite jet where s is the variable (a product).
+    # s^400 overflows past |s| = 5.9 to inf, as a product does, where s is
+    # fixed or the variable: those positions fall back as non_finite defects.
     "general_form_power_overflow": (lambda: explicit_pencil(
         "example1", u="1e-300*s^400*t", v="t", w="t*sqrt(1-s*t)"), 23, 5),
     # A negative integer power: the array kernel divides by the power.
