@@ -95,6 +95,8 @@ def _load_config(args) -> SceneConfig:
         raise SceneValidationError(f"cannot read config {args.config!r}: {e}") from None
     except json.JSONDecodeError as e:
         raise SceneValidationError(f"config {args.config!r} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise SceneValidationError(f"config {args.config!r} nests too deeply") from None
     return SceneConfig.from_dict(raw)
 
 
@@ -121,15 +123,20 @@ def _synthesize(cfg: SceneConfig, samples: int):
             "feasible_domain": [[a, b] for a, b in intervals],
             "restricted_to": list(curve.domain),
         }
-        print(
-            f"target constant feasible only on {note['feasible_domain']}; "
-            f"restricting to {note['restricted_to']}",
-            file=sys.stderr,
-        )
     marching = synthesize_marching_scale(
         SynthesisRequest(curve=curve, c=cfg.c, sign=cfg.sign, t0=cfg.t0)
     )
     return curve, marching, note
+
+
+def _print_restriction(note: dict) -> None:
+    """The restriction line on stderr.  Commands print it once they have
+    succeeded, so that a failing one prints only its error line."""
+    print(
+        f"target constant feasible only on {note['feasible_domain']}; "
+        f"restricting to {note['restricted_to']}",
+        file=sys.stderr,
+    )
 
 
 def _samples(args, default: int) -> int:
@@ -192,6 +199,7 @@ def cmd_build(cfg: SceneConfig, args) -> int:
     }
     if note:
         summary["feasibility"] = note
+        _print_restriction(note)
     _emit(summary)
     return EXIT_OK
 
@@ -215,6 +223,7 @@ def cmd_verify(cfg: SceneConfig, args) -> int:
     }
     if note:
         summary["feasibility"] = note
+        _print_restriction(note)
     _emit(summary)
     return EXIT_OK if report.verdict else EXIT_NOT_DTYPE
 
@@ -240,6 +249,7 @@ def cmd_synthesize(cfg: SceneConfig, args) -> int:
     if note:
         out["curve"]["range"] = note["restricted_to"]
         out["feasible_domain"] = note["feasible_domain"]
+        _print_restriction(note)
     block = out["marching"]
     if isinstance(marching.form, ProductForm):
         form = marching.form

@@ -368,10 +368,13 @@ def _build_table(req: SynthesisRequest, u_profile: Expression, qs: np.ndarray,
     """Refine the coefficient table until cubic interpolation error is tiny.
 
     ``qs``, ``av``, ``g`` and ``usable`` are the first round, as returned
-    by ``_coefficients_at``; each later round doubles the node count.  Its
-    even nodes are the previous round's nodes, bit for bit (``linspace``
-    halves its step exactly), so only the odd nodes are evaluated.  Those
-    raise what the whole round would: the even nodes raised nothing.
+    by ``_coefficients_at``; each later round doubles the node count.  A
+    round's interpolant is checked at the next round's odd nodes
+    (``linspace`` halves its step exactly, so the next round's even nodes
+    are this round's, bit for bit).  When the check fails, the coefficients
+    evaluated there become the next round's new nodes, so every table
+    point gets exactly one ``frenet_at`` evaluation.  The check raises
+    what the next round would: this round's nodes raised nothing.
     """
     curve = req.curve
     lo, hi = curve.domain
@@ -382,12 +385,14 @@ def _build_table(req: SynthesisRequest, u_profile: Expression, qs: np.ndarray,
         excluded = _merge_holes(qs[~usable].tolist(), step)
         form = TabulatedProductForm(u_profile, req.t0, qs[usable], av[usable], g[usable],
                                     req.sign, excluded)
-        err = _interp_error(form, curve, req.c, req.sign)
+        finer = np.linspace(lo, hi, 2 * qs.size - 1)
+        odd = finer[1::2]
+        odd_av, odd_aw, odd_g, odd_usable = _coefficients_at(curve, req.c, req.sign, odd)
+        err = _interp_error(form, odd[odd_usable], odd_av[odd_usable], odd_aw[odd_usable])
         if err <= _INTERP_TARGET or qs.size >= _MAX_TABLE_NODES:
             form.max_interp_error = err
             return form
-        qs = np.linspace(lo, hi, 2 * qs.size - 1)
-        odd_av, _, odd_g, odd_usable = _coefficients_at(curve, req.c, req.sign, qs[1::2])
+        qs = finer
         av, g, usable = (_interleave(*pair) for pair in
                          ((av, odd_av), (g, odd_g), (usable, odd_usable)))
 
@@ -413,16 +418,12 @@ def _merge_holes(holes: list[float], step: float) -> list[tuple[float, float]]:
     return windows
 
 
-def _interp_error(form: TabulatedProductForm, curve: CurveSpec,
-                  c: float, sign: int) -> float:
-    """Largest gap between the interpolated and the exact coefficients at
-    the midpoints between table nodes."""
-    nodes = form.nodes
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    av, aw, _, usable = _coefficients_at(curve, c, sign, mids)
-    mids = mids[usable]
-    return float(max(np.max(np.abs(form.v_coefficient(mids) - av[usable]), initial=0.0),
-                     np.max(np.abs(form.w_coefficient(mids) - aw[usable]), initial=0.0)))
+def _interp_error(form: TabulatedProductForm, qs: np.ndarray,
+                  av: np.ndarray, aw: np.ndarray) -> float:
+    """Largest gap between the interpolated coefficients of ``form`` at
+    ``qs`` and the exact ones, ``av`` and ``aw``, given there."""
+    return float(max(np.max(np.abs(form.v_coefficient(qs) - av), initial=0.0),
+                     np.max(np.abs(form.w_coefficient(qs) - aw), initial=0.0)))
 
 
 def _speculate(q_true: np.ndarray, q_false: np.ndarray) -> np.ndarray:

@@ -176,12 +176,16 @@ def _cube(rho: float) -> float:
 def _frenet_stack(curve: CurveSpec, qs: np.ndarray):
     """``frenet_at`` over the parameters ``qs``: (apparatus, reasons)."""
     (jx, okx), (jy, oky), (jz, okz) = curve.jets(qs)
-    d1, d2, d3 = (np.stack([getattr(j, f) for j in (jx, jy, jz)], axis=-1)
-                  for f in ("v1", "v2", "v3"))
+    columns = [getattr(j, f) for f in ("v1", "v2", "v3") for j in (jx, jy, jz)]
+    x1, y1, z1, x2, y2, z2 = columns[:6]
+    derivatives = np.stack(columns, axis=-1)
+    d1, d3 = derivatives[:, :3], derivatives[:, 6:]
     with np.errstate(all="ignore"):
         rho = np.sqrt(np.vecdot(d1, d1))
         rho3 = np.array([_cube(r) for r in rho.tolist()], dtype=float)
-        cr = np.cross(d1, d2)
+        # r' x r'' and B x T written out on the columns, as in _frenet_point:
+        # the same bits as np.cross without its axis shuffling.
+        cr = np.stack([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2], axis=-1)
         ncr = np.sqrt(np.vecdot(cr, cr))
         kappa = ncr / rho3
         T = d1 / rho[:, None]
@@ -189,17 +193,21 @@ def _frenet_stack(curve: CurveSpec, qs: np.ndarray):
         tau = np.vecdot(cr, d3) / (ncr * ncr)
         w = np.array(list(map(math.hypot, kappa.tolist(), tau.tolist())))
         W0 = (tau[:, None] * T + kappa[:, None] * B) / w[:, None]
-    finite = np.isfinite(np.concatenate([d1, d2, d3], axis=-1)).all(axis=-1)
+        (tx, ty, tz), (bx, by, bz) = T.T, B.T
+        N = np.stack([by * tz - bz * ty, bz * tx - bx * tz, bx * ty - by * tx], axis=-1)
+    finite = np.isfinite(derivatives).all(axis=-1)
     # In the order the scalar form checks them.
-    reasons = np.select(
-        [~(okx & oky & okz), ~finite, rho <= EPS_REGULAR,
-         curve.unit_speed & (np.abs(rho - 1.0) > UNIT_SPEED_TOL),
-         ~(np.isfinite(rho3) & np.isfinite(kappa)), kappa <= EPS_KAPPA, ~np.isfinite(w)],
-        ["domain", "non_finite", "irregular", "unit_speed", "non_finite", "inflection",
-         "non_finite"],
-        "",
-    )
-    app = FrenetApparatus(T=T, N=np.cross(B, T), B=B, kappa=kappa, tau=tau, rho=rho, W0=W0)
+    conditions = [
+        ~(okx & oky & okz), ~finite, rho <= EPS_REGULAR,
+        curve.unit_speed & (np.abs(rho - 1.0) > UNIT_SPEED_TOL),
+        ~(np.isfinite(rho3) & np.isfinite(kappa)), kappa <= EPS_KAPPA, ~np.isfinite(w),
+    ]
+    if np.logical_or.reduce(conditions).any():
+        reasons = np.select(conditions, ["domain", "non_finite", "irregular", "unit_speed",
+                                         "non_finite", "inflection", "non_finite"], "")
+    else:  # as wide as np.select makes it: callers write reasons into it
+        reasons = np.full(qs.shape, "", dtype="<U10")
+    app = FrenetApparatus(T=T, N=N, B=B, kappa=kappa, tau=tau, rho=rho, W0=W0)
     return app, reasons
 
 

@@ -396,7 +396,8 @@ def test_speculative_hole_on_the_path_raises_as_stepwise():
 
 def table_by_rounds(req):
     """The table of ``synthesize_marching_scale`` with every node of every
-    round evaluated afresh."""
+    round evaluated afresh, each round checked at the next round's odd
+    nodes."""
     curve = req.curve
     lo, hi = curve.domain
     u_profile = dcurve._default_u_profile(req.t0)
@@ -406,11 +407,14 @@ def table_by_rounds(req):
         step = (hi - lo) / (qs.size - 1)
         form = TabulatedProductForm(u_profile, req.t0, qs[usable], av[usable], g[usable],
                                     req.sign, dcurve._merge_holes(qs[~usable].tolist(), step))
-        err = dcurve._interp_error(form, curve, req.c, req.sign)
+        finer = np.linspace(lo, hi, 2 * qs.size - 1)
+        check = finer[1::2]
+        check_av, check_aw, _, check_ok = dcurve._coefficients_at(curve, req.c, req.sign, check)
+        err = dcurve._interp_error(form, check[check_ok], check_av[check_ok], check_aw[check_ok])
         if err <= dcurve._INTERP_TARGET or qs.size >= dcurve._MAX_TABLE_NODES:
             form.max_interp_error = err
             return form
-        qs = np.linspace(lo, hi, 2 * qs.size - 1)
+        qs = finer
 
 
 @pytest.mark.parametrize("name, c", [("example3", 0.3), ("example4", math.sqrt(3.0) / 2.0)])
@@ -424,3 +428,25 @@ def test_table_rounds_match_recomputed_nodes(name, c):
         assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
     assert got.excluded == expected.excluded
     assert got.max_interp_error == expected.max_interp_error
+
+
+def test_each_table_point_is_evaluated_once(monkeypatch):
+    c = math.sqrt(3.0) / 2.0
+    curve, _ = feasible_curve(CURVES["example3"], c)
+    sizes, evaluated = [], []
+    array_frenet = dcurve.frenet_at
+
+    def spy(curve, q):
+        sizes.append(q.size)
+        evaluated.extend(q.tolist())
+        return array_frenet(curve, q)
+
+    monkeypatch.setattr(dcurve, "frenet_at", spy)
+    form = synthesize_marching_scale(SynthesisRequest(curve=curve, c=c)).form
+    # The final round has N = 2049 nodes; its check is the odd nodes of the
+    # round it did not need, so 2N - 1 points are evaluated, each once.
+    final = np.linspace(*curve.domain, 2049)
+    assert np.isin(form.nodes, final).all() and form.nodes.size > 1025
+    assert sizes == [257, 256, 512, 1024, 2048]
+    assert sum(sizes) == 2 * final.size - 1
+    assert sorted(evaluated) == np.linspace(*curve.domain, 2 * final.size - 1).tolist()

@@ -173,6 +173,19 @@ class TestBuild:
         assert len(err.splitlines()) == 1
         assert f"{block}.{key}" in err
 
+    @pytest.mark.parametrize("command", ["build", "verify", "classify", "synthesize"])
+    @pytest.mark.parametrize("text", ["[" * 1000, "[" * 1000 + "]" * 1000,
+                                      '{"a": ' * 1000 + "1" + "}" * 1000],
+                             ids=["unclosed_arrays", "arrays", "objects"])
+    def test_deeply_nested_config_exit_2(self, tmp_path, capsys, command, text):
+        # Once escaped json.loads as a RecursionError traceback.
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, command, "--config", str(path), "-o", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: config {str(path)!r} nests too deeply\n"
+
     def test_output_dir_is_a_file_exit_2(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -445,6 +458,30 @@ class TestSynthesize:
         )
         assert code == 0
         assert summary["c_estimate"] == pytest.approx(SQRT3_2, abs=1e-6)
+
+    @pytest.mark.parametrize("command", ["build", "verify", "synthesize"])
+    def test_failure_after_a_restriction_prints_one_line(self, tmp_path, capsys, command):
+        # The 256-sample feasibility scan misses an infeasible window inside
+        # the interval it keeps, so synthesis fails after restricting.  The
+        # restriction line once came before the error line.
+        cfg = load_preset("example1")
+        cfg["curve"].update(x="cos(s/sqrt(2))", y="-(s*s)", z="s", unit_speed=False,
+                            range=[-778.1577501817875, 26.48608246329104])
+        cfg["marching"]["mode"] = "synthesized"
+        cfg["marching"]["c"] = 0.5
+        path = write_config(tmp_path, cfg)
+        code, out, err = run(capsys, command, "--config", path, "-o", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: target constant 0.5 infeasible at parameter 1.3770088375306158 "
+            "(radicand -5.037e-02)"]
+
+    def test_restriction_line_on_success(self, capsys):
+        code, cfg, err = run_json(capsys, "synthesize", "--preset", "example4")
+        assert code == 0
+        assert err == (f"target constant feasible only on {cfg['feasible_domain']}; "
+                       f"restricting to {cfg['curve']['range']}\n")
 
     def test_requires_target(self, tmp_path, capsys):
         cfg = load_preset("example1")

@@ -1,0 +1,159 @@
+"""The CLI's exit-code contract over generated input.
+
+Every ``pencil`` command, whatever its config, expressions and options,
+must exit 0..4 with at most one line on stderr: no traceback, no warning.
+Configs start from a preset and take generated curve and marching
+expressions, ranges, constants and grid sizes, and now and then a field of
+the wrong type or a missing one; they run in process through ``cli.main``.
+The examples replay every input that once broke the contract.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dpencil.cli import MAX_SAMPLES, main
+from dpencil.presets import load_preset, preset_names
+
+COMMANDS = ("build", "verify", "classify", "synthesize")
+FUNCTIONS = ("sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh", "tanh",
+             "exp", "ln", "sqrt", "abs")
+NUMBERS = ("0", "1", "2", "0.5", "3", "1e308", "1e-300", "800")
+# In an option, replaced by the path of the config file.
+CONFIG = "{config}"
+
+
+def run_cli(command: str, config, options=()):
+    """``pencil command --config FILE -o DIR *options``, where FILE holds
+    ``config`` (a dict, or the raw text of the file): (exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config),
+                        encoding="utf-8")
+        argv = [command, "--config", str(path), "-o", str(Path(tmp) / "out"),
+                *(str(path) if o == CONFIG else o for o in options)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+def expressions(var: str):
+    """Expressions in ``var``: operators, calls and constants that overflow."""
+    leaves = st.sampled_from((var,) * len(NUMBERS) + NUMBERS)
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda p: f"({p[0]}){p[1]}({p[2]})"),
+        st.tuples(st.sampled_from(FUNCTIONS), inner).map(lambda p: f"{p[0]}({p[1]})"),
+        inner.map(lambda e: f"-({e})"),
+    ), max_leaves=6)
+
+
+finite = st.floats(-1e3, 1e3)
+rarely = st.sampled_from((True,) + (False,) * 7)
+odd_values = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                       st.integers(-2, 2) | st.just(10 ** 400), st.floats(),
+                       st.lists(st.integers(0, 3), max_size=3), st.just({}))
+
+
+@st.composite
+def configs(draw):
+    cfg = load_preset(draw(st.sampled_from(preset_names())))
+    curve, marching, grid = cfg["curve"], cfg["marching"], cfg["grid"]
+    param = curve["param"]
+    for key in ("x", "y", "z"):
+        if draw(st.booleans()):
+            curve[key] = draw(expressions(param))
+            curve["unit_speed"] = False
+    if draw(st.booleans()):
+        lo = draw(finite)
+        curve["range"] = [lo, lo + draw(st.floats(1e-3, 1e3))]
+    if draw(rarely):
+        curve["unit_speed"] = not curve["unit_speed"]
+    marching["mode"] = draw(st.sampled_from(("explicit", "synthesized")))
+    marching["c"] = draw(st.sampled_from((0.0, 0.25, 0.5, 3 ** 0.5 / 2, 1.0, 1.5)) | finite)
+    marching["sign"] = draw(st.sampled_from((1, -1)))
+    parts = marching["explicit"]
+    key = draw(st.sampled_from(sorted(parts)))
+    parts[key] = draw(expressions(param if key in "lmn" else "t"))
+    grid["ns"], grid["nt"] = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    grid["t_range"] = draw(st.sampled_from(([0.0, 1.0], [-1.0, 1.0], [0.0, 800.0])))
+    if draw(rarely):  # a field of the wrong type, or none at all
+        block = draw(st.sampled_from((cfg, curve, marching, grid, cfg["outputs"])))
+        field = draw(st.sampled_from(sorted(block)))
+        if draw(st.booleans()):
+            del block[field]
+        else:
+            block[field] = draw(odd_values)
+    return cfg
+
+
+options = st.lists(st.one_of(
+    st.integers(16, 64).map(lambda n: f"--samples={n}"),
+    st.sampled_from((0.0, 1e-8, 1e-6, 1.0)).map(lambda x: f"--tol={x}"),
+), max_size=2)
+
+
+def preset(name: str, **fields) -> dict:
+    """Preset ``name`` on a small grid, with ``fields`` ("block.key": value)
+    replaced."""
+    cfg = load_preset(name)
+    cfg["grid"].update(ns=6, nt=4)
+    for path, value in fields.items():
+        block, key = path.split(".")
+        cfg[block][key] = value
+    return cfg
+
+
+def with_curve(x: str, y: str = "sin(q)", z: str = "0", lo=0.5, hi=1.5) -> dict:
+    """Preset example3 on a small grid with the curve (x, y, z) in q."""
+    cfg = preset("example3")
+    cfg["curve"].update(x=x, y=y, z=z, range=[lo, hi])
+    return cfg
+
+
+# Each of these once escaped as a traceback, printed invalid JSON or gave the
+# wrong exit code; see CHANGES.md.
+@example("classify", with_curve("^".join(["q"] * 3000) + "^1"), [])
+@example("classify", with_curve("+".join(["cos(q)"] * 3000)), [])
+@example("classify", with_curve("1+" * 3000 + "cos(q)"), [])
+@example("classify", with_curve("(" * 3000 + "q" + ")" * 3000), [])
+@example("classify", with_curve("é*q"), [])
+@example("classify", with_curve("q²"), [])
+@example("classify", with_curve("q³"), [])
+@example("build", with_curve("exp(q)*cos(q)", "exp(q)*sin(q)", "q", 0.0, 800.0), [])
+@example("build", with_curve("q", "exp(q/2)*exp(q/2)", "0", 0.0, 1000.0), [])
+@example("classify", with_curve("q", "1e308*q*q", lo=1.0, hi=2.0), [])
+@example("build", with_curve("q", "exp(q)^2", lo=350.0, hi=370.0), ["--samples=64"])
+@example("build", preset("example1", **{"marching.explicit": {
+    "l": "1", "m": "1", "n": "1", "U": "exp(t)-1", "V": "t", "W": "t"},
+    "grid.t_range": [0.0, 800.0]}), [])
+@example("verify", preset("example1"), ["-o", CONFIG])
+@example("verify", preset("example1", **{"outputs.csv_path": "."}), ["--samples=64"])
+@example("build", preset("example1", **{"outputs.csv_path": "."}), [])
+@example("build", preset("example1", **{"outputs.obj_path": "../escape.obj"}), [])
+@example("classify", preset("example2"), ["--tol=-1"])
+@example("verify", preset("example2"), ["--tol=nan"])
+@example("verify", preset("example2"), ["--tol=inf"])
+@example("verify", preset("example1"), ["--samples=0"])
+@example("verify", preset("example1"), [f"--samples={MAX_SAMPLES + 1}"])
+@example("build", preset("example1", **{"grid.ns": 101, "grid.nt": 9901}), [])
+@example("build", preset("example3", **{"curve.unit_speed": "false"}), [])
+@example("build", preset("example3", **{"marching.sign": True}), [])
+@example("build", preset("example3", **{"grid.t_range": [0.0, 10 ** 400]}), [])
+@example("build", preset("example3", **{"curve.range": [0.0, float("inf")]}), [])
+@example("synthesize", "[" * 1000, [])
+@example("verify", preset("example1", **{
+    "curve.x": "cos(s/sqrt(2))", "curve.y": "-(s*s)", "curve.z": "s", "curve.unit_speed": False,
+    "curve.range": [-778.1577501817875, 26.48608246329104], "marching.mode": "synthesized",
+    "marching.c": 0.5}), [])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(COMMANDS), configs(), options)
+def test_exit_code_contract(command, config, opts):
+    code, err = run_cli(command, config, opts)
+    assert code in range(5)
+    assert len(err.splitlines()) <= 1, err
