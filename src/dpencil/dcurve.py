@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +86,7 @@ def _t0_normals(p: SurfacePencil, sample_count: int):
     return ss, frame, mv, normals, reasons
 
 
-@dataclass(frozen=True)
-class DTypeSample:
+class DTypeSample(NamedTuple):
     s: float
     inner: float
     phi2: float
@@ -131,10 +131,9 @@ def verify_dtype(p: SurfacePencil, sample_count: int = 1000,
     good = reasons == ""
     n = normals[good]
     inner, phi2, phi3 = (np.vecdot(n, v[good]) for v in (frame.W0, frame.N, frame.B))
-    samples = [
-        DTypeSample(s, i, a, b, math.atan2(b, a))
-        for s, i, a, b in zip(ss[good].tolist(), inner.tolist(), phi2.tolist(), phi3.tolist())
-    ]
+    phi2s, phi3s = phi2.tolist(), phi3.tolist()
+    samples = tuple(map(DTypeSample, ss[good].tolist(), inner.tolist(), phi2s, phi3s,
+                        map(math.atan2, phi3s, phi2s)))
     max_abs_tau = float(np.max(np.abs(frame.tau[good]), initial=0.0))
     if len(samples) < 2:
         raise NotEnoughSamplesError(
@@ -145,7 +144,7 @@ def verify_dtype(p: SurfacePencil, sample_count: int = 1000,
     flag_tol = max(tolerance, 1e-9)
     min_abs_phi3 = float(np.min(np.abs(phi3)))
     return DTypeReport(
-        samples=tuple(samples),
+        samples=samples,
         c_estimate=c_estimate,
         max_deviation=max_deviation,
         skipped=tuple(skipped),
@@ -194,7 +193,7 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
     phi1, phi2, phi3 = (np.vecdot(n, v[good]) for v in (frame.T, frame.N, frame.B))
     iso_err = float(np.max(np.abs([mv.u[good], mv.v[good], mv.w[good]]), initial=0.0))
     phi1_err = float(np.max(np.abs(phi1), initial=0.0))
-    ratio, radicand = _phi2_radicand(frame.kappa[good], frame.tau[good], c)
+    ratio, radicand = _phi2_radicand(frame.kappa[good], frame.omega[good], c)
     infeasible = radicand < -tol
     if infeasible.any():
         i = int(np.argmax(infeasible))
@@ -269,13 +268,12 @@ def _default_u_profile(t0: float) -> Expression:
     return Expression(root=node, free_vars=names)
 
 
-def _phi2_radicand(kappa: np.ndarray, tau: np.ndarray, c: float):
-    """``(ratio, radicand)`` over arrays of curvature and torsion: the ratio
-    sqrt(kappa^2 + tau^2) / kappa and the phi2 radicand 1 - c^2 ratio^2,
-    each element rounded as the scalar formula rounds it."""
-    hyp = np.array(list(map(math.hypot, kappa.tolist(), tau.tolist())))
+def _phi2_radicand(kappa: np.ndarray, omega: np.ndarray, c: float):
+    """``(ratio, radicand)`` over arrays of curvature and Darboux norm: the
+    ratio omega / kappa = sqrt(kappa^2 + tau^2) / kappa and the phi2
+    radicand 1 - c^2 ratio^2."""
     with np.errstate(all="ignore"):
-        ratio = hyp / kappa
+        ratio = omega / kappa
         return ratio, 1.0 - c * c * ratio * ratio
 
 
@@ -283,7 +281,7 @@ def _radicands(curve: CurveSpec, c: float, qs: np.ndarray):
     """``frenet_at`` over ``qs`` with ``_phi2_radicand``: ``(app, ratio,
     radicand, reasons)``, where ``reasons`` come from ``frenet_at``."""
     app, reasons = frenet_at(curve, qs)
-    return (app, *_phi2_radicand(app.kappa, app.tau, c), reasons)
+    return (app, *_phi2_radicand(app.kappa, app.omega, c), reasons)
 
 
 def _failed(reasons: np.ndarray) -> np.ndarray:

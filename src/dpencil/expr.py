@@ -353,10 +353,10 @@ def number_node(value: float) -> Node:
 def _eval(node: Node, active: str | None, point, fixed, rules) -> Jet3:
     """Jet of ``node`` in the variable ``active`` at ``point``; other
     variables come from ``fixed`` (a mapping or None) as reals or jets.
-    ``rules`` gives the variable, division, power and function rules:
-    :class:`ScalarRules` raise, an :class:`ArrayRules` masks the failing
-    points of an array ``point``.  With ``active=None`` every jet is
-    constant."""
+    ``rules`` gives the variable, product, division, power and function
+    rules: :class:`ScalarRules` raise, an :class:`ArrayRules` masks the
+    failing points of an array ``point``.  With ``active=None`` every jet
+    is constant."""
     kind = type(node)
     if kind is Num:
         return Jet3(node.value)
@@ -390,7 +390,7 @@ def _eval(node: Node, active: str | None, point, fixed, rules) -> Jet3:
         if op == "-":
             return left - right
         if op == "*":
-            return left * right
+            return rules.mul(left, right)
         if op == "/":
             return rules.div(left, right)
         return rules.pow(left, right)

@@ -91,8 +91,12 @@ class CurveSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class FrenetApparatus:
+    """Frame, curvature, torsion, speed and unit Darboux vector at a
+    parameter, or stacked over parameters; ``omega`` is the Darboux norm
+    hypot(kappa, tau) that ``W0`` is divided by."""
+
     T: np.ndarray
     N: np.ndarray
     B: np.ndarray
@@ -100,6 +104,7 @@ class FrenetApparatus:
     tau: float
     rho: float
     W0: np.ndarray
+    omega: float
 
 
 def frenet_at(curve: CurveSpec, q):
@@ -155,14 +160,11 @@ def _frenet_point(curve: CurveSpec, q: float, derivatives: tuple) -> FrenetAppar
         raise NonFiniteCurveError(q)
     tx, ty, tz = x1 / rho, y1 / rho, z1 / rho
     bx, by, bz = cx / ncr, cy / ncr, cz / ncr
-    return FrenetApparatus(
-        T=np.array([tx, ty, tz]),
-        N=np.array([by * tz - bz * ty, bz * tx - bx * tz, bx * ty - by * tx]),
-        B=np.array([bx, by, bz]),
-        kappa=kappa, tau=tau, rho=rho,
-        W0=np.array([(tau * tx + kappa * bx) / w, (tau * ty + kappa * by) / w,
-                     (tau * tz + kappa * bz) / w]),
-    )
+    T, N, B, W0 = np.array([
+        tx, ty, tz, by * tz - bz * ty, bz * tx - bx * tz, bx * ty - by * tx, bx, by, bz,
+        (tau * tx + kappa * bx) / w, (tau * ty + kappa * by) / w, (tau * tz + kappa * bz) / w,
+    ]).reshape(4, 3)
+    return FrenetApparatus(T, N, B, kappa, tau, rho, W0, w)
 
 
 def _cube(rho: float) -> float:
@@ -207,8 +209,7 @@ def _frenet_stack(curve: CurveSpec, qs: np.ndarray):
                                          "non_finite", "inflection", "non_finite"], "")
     else:  # as wide as np.select makes it: callers write reasons into it
         reasons = np.full(qs.shape, "", dtype="<U10")
-    app = FrenetApparatus(T=T, N=N, B=B, kappa=kappa, tau=tau, rho=rho, W0=W0)
-    return app, reasons
+    return FrenetApparatus(T, N, B, kappa, tau, rho, W0, w), reasons
 
 
 # Reasons for which callers leave a parameter out; the others are errors.

@@ -8,8 +8,8 @@ formulas need.  A constant jet carries a plain real value, so the same
 arithmetic also serves real-valued evaluation.
 
 The fields may also be NumPy arrays over a vector of parameters: the
-operators are elementwise, and :class:`ArrayRules` supplies the division,
-power and function rules that would raise per point.  Instead of raising
+operators are elementwise, and :class:`ArrayRules` supplies the product,
+division, power and function rules.  Where the scalar rule would raise
 they record the point in a mask, and every other point gets the bits the
 scalar rule gives.
 """
@@ -69,7 +69,17 @@ class Jet3:
     def __truediv__(self, o: "Jet3") -> "Jet3":
         if o.v0 == 0.0:
             raise DomainError("division by zero")
+        if self.is_constant() and o.is_constant():
+            return Jet3(self.v0 / o.v0)
         return _quotient(self, o)
+
+
+def jet_mul(a: Jet3, b: Jet3) -> Jet3:
+    """``a * b``, constant when both are: the product rule would give an
+    overflowed constant NaN derivatives (inf * 0)."""
+    if a.v1 == 0.0 == b.v1 and a.is_constant() and b.is_constant():
+        return Jet3(a.v0 * b.v0)
+    return a * b
 
 
 def _quotient(a: Jet3, b: Jet3) -> Jet3:
@@ -283,18 +293,20 @@ def apply_function(name: str, u: Jet3) -> Jet3:
 
 
 class ScalarRules:
-    """Variable, division, power and function rules of the scalar walk;
-    they raise."""
+    """Variable, product, division, power and function rules of the scalar
+    walk; they raise."""
 
     variable = staticmethod(Jet3.variable)
+    mul = staticmethod(jet_mul)
     div = staticmethod(operator.truediv)
     pow = staticmethod(jet_pow)
     call = staticmethod(apply_function)
 
 
-# NumPy kernels for the functions whose ufuncs round like ``math``:
-# (value, points where the math function raises, derivatives plus the points
-# where they are undefined).  Every other function is applied per point.
+# Array kernels: (value, points where the math function raises, derivatives
+# plus the points where they are undefined).  sin, cos and sqrt are ufuncs
+# that round like ``math``; tan maps ``math.tan`` once over the points (the
+# ufunc rounds differently).  Every other function is applied per point.
 
 def _d_sin_array(x, s):
     c = np.cos(x)
@@ -311,9 +323,19 @@ def _d_sqrt_array(x, r):
     return 0.5 / r, -0.25 / (x * r), 0.375 / (x * x * r), x * x * r == 0.0
 
 
+def _tan_array(x):
+    # math.tan raises at +/-inf: those points are marked bad.
+    return np.array(list(map(math.tan, np.where(np.isinf(x), 0.0, x).tolist())))
+
+
+def _d_tan_array(x, t):
+    return (*_d_tan(x, t), False)
+
+
 _ARRAY_FUNCTIONS = {
     "sin": (np.sin, np.isinf, _d_sin_array),
     "cos": (np.cos, np.isinf, _d_cos_array),
+    "tan": (_tan_array, np.isinf, _d_tan_array),
     "sqrt": (np.sqrt, lambda x: x < 0.0, _d_sqrt_array),
 }
 
@@ -326,16 +348,35 @@ def _constant(j: Jet3) -> np.ndarray:
     return (j.v1 == 0.0) & (j.v2 == 0.0) & (j.v3 == 0.0)
 
 
+def _keep_constant(j: Jet3, a: Jet3, b: Jet3) -> Jet3:
+    """``j`` with zero derivatives where ``a`` and ``b`` are both constant."""
+    if _varies(a) or _varies(b):  # cheap, and the common case
+        return j
+    constant = _constant(a) & _constant(b)
+    return Jet3(j.v0, *(np.where(constant, 0.0, v) for v in (j.v1, j.v2, j.v3)))
+
+
+def _varies(j: Jet3) -> bool:
+    """Whether one derivative of ``j`` is nonzero at every point, so that
+    ``j`` is nowhere constant."""
+    if not _is_array(j):
+        return not j.is_constant()
+    n = j.v0.size
+    return (np.count_nonzero(j.v1) == n or np.count_nonzero(j.v2) == n
+            or np.count_nonzero(j.v3) == n)
+
+
 class ArrayRules:
     """The rules of :class:`ScalarRules` over ``n`` points at once.
 
     A jet is either scalar (float fields, constant in the points) or has
     arrays of shape ``(n,)`` in every field.  Where the scalar rule would
     raise, the point is set in ``bad`` and its entries are unspecified.
-    Integer powers (|p| <= 512) and the functions in ``_ARRAY_FUNCTIONS``
-    are computed on the arrays, with zero derivatives where the base or
-    argument is constant, as in the scalar rule.  Every other power or
-    function goes through the scalar rule point by point.
+    Products, quotients, integer powers (|p| <= 512) and the functions in
+    ``_ARRAY_FUNCTIONS`` (sin, cos, tan, sqrt) are computed on the arrays,
+    with zero derivatives where the operands or argument are constant, as
+    in the scalar rule.  Every other power or function goes through the
+    scalar rule point by point.
     """
 
     def __init__(self, n: int):
@@ -345,11 +386,17 @@ class ArrayRules:
     def variable(points: np.ndarray) -> Jet3:
         return Jet3(points, np.ones_like(points), np.zeros_like(points), np.zeros_like(points))
 
+    @staticmethod
+    def mul(a: Jet3, b: Jet3) -> Jet3:
+        if not (_is_array(a) or _is_array(b)):
+            return jet_mul(a, b)
+        return _keep_constant(a * b, a, b)
+
     def div(self, a: Jet3, b: Jet3) -> Jet3:
         if not (_is_array(a) or _is_array(b)):
             return self._scalar(operator.truediv, a, b)
         self.bad |= b.v0 == 0.0
-        return _quotient(a, b)
+        return _keep_constant(_quotient(a, b), a, b)
 
     def pow(self, base: Jet3, expo: Jet3) -> Jet3:
         if not (_is_array(base) or _is_array(expo)):
@@ -364,7 +411,7 @@ class ArrayRules:
             # jet_pow's division raises where the power is zero: at a zero
             # base, or where the power underflows.
             self.bad |= j.v0 == 0.0
-            j = _quotient(Jet3(1.0), j)
+            j = _keep_constant(_quotient(Jet3(1.0), j), Jet3(1.0), j)
         if not _is_array(j):  # base^0 is the scalar jet 1
             return j
         return Jet3(j.v0, *(np.where(_constant(base), 0.0, v) for v in (j.v1, j.v2, j.v3)))

@@ -6,14 +6,18 @@ the marching scale in one ``marching_grid`` call; only the nudged frames
 of inflection columns are taken per column (``verify_dtype`` still takes
 its frames per sample).
 
-Output formatting is bit-exact: identical inputs produce identical bytes.
-Vertex data uses 9 significant digits, report rows 12, and each block of
-lines is formatted in one call.
+Defects are ``MeshDefect`` named tuples, built in one pass over the
+defective vertices.  Output formatting is bit-exact: identical inputs
+produce identical bytes.  Vertex data uses 9 significant digits, report
+rows 12, and each block of lines is formatted in one call; face lines
+take their ``i//i`` corners from a per-vertex string table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +28,7 @@ from .jets import Jet3
 from .pencil import SurfacePencil, marching_grid, pencil_point, surface_normals
 
 
-@dataclass(frozen=True)
-class MeshDefect:
+class MeshDefect(NamedTuple):
     index: int
     s: float
     t: float
@@ -113,10 +116,9 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int) -> SurfaceMesh:
     positions = np.where(overflow, fallback, positions).reshape(-1, 3)
     normals = np.where(overflow, 0.0, normals).reshape(-1, 3)
     reason[overflow[..., 0]] = "non_finite"
-    defects = [
-        MeshDefect(idx, float(ss[idx // nt]), float(ts[idx % nt]), str(reason.flat[idx]))
-        for idx in np.flatnonzero(reason != "").tolist()
-    ]
+    idx = np.flatnonzero(reason != "")
+    defects = list(map(MeshDefect, idx.tolist(), ss[idx // nt].tolist(), ts[idx % nt].tolist(),
+                       reason.flat[idx].tolist()))
 
     corner = (np.arange(ns - 1, dtype=np.int64)[:, None] * nt
               + np.arange(nt - 1, dtype=np.int64)).ravel()
@@ -126,7 +128,7 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int) -> SurfaceMesh:
 
 _VERTEX = "v %#.9g %#.9g %#.9g\n"
 _NORMAL = "vn %#.9g %#.9g %#.9g\n"
-_FACE = "f %d//%d %d//%d %d//%d %d//%d\n"
+_FACE = "f %s %s %s %s\n"
 _REPORT_ROW = ",".join(["%#.12g"] * 5) + "\n"
 
 
@@ -142,16 +144,18 @@ def write_obj(mesh: SurfaceMesh, sink) -> None:
     One ``v`` line per position, one ``vn`` per normal, quads as
     ``f i//i j//j k//k l//l`` with 1-based indices.
     """
-    faces = np.repeat(mesh.faces + 1, 2, axis=1)
+    corners = np.array([f"{i}//{i}" for i in range(1, len(mesh.positions) + 1)],
+                       dtype=object)[mesh.faces]
     text = (_block(_VERTEX, mesh.positions) + _block(_NORMAL, mesh.normals)
-            + (_FACE * len(faces)) % tuple(faces.ravel().tolist()))
+            + (_FACE * len(corners)) % tuple(corners.ravel().tolist()))
     sink.write(text.encode("ascii"))
 
 
 def write_report_csv(report: DTypeReport, sink) -> None:
     """CSV verification report: per-sample rows plus summary rows."""
-    rows = [(smp.s, smp.inner, smp.phi2, smp.phi3, smp.theta) for smp in report.samples]
-    text = ("s,inner,phi2,phi3,theta\n" + _block(_REPORT_ROW, rows)
+    # fromiter over the flattened samples: np.asarray walks named tuples slowly.
+    rows = np.fromiter(chain.from_iterable(report.samples), float, 5 * len(report.samples))
+    text = ("s,inner,phi2,phi3,theta\n" + _block(_REPORT_ROW, rows.reshape(-1, 5))
             + "c_estimate,%#.12g\nmax_deviation,%#.12g\n"
             % (report.c_estimate + 0.0, report.max_deviation + 0.0))
     sink.write(text.encode("ascii"))

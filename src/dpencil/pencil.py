@@ -366,7 +366,7 @@ class SurfacePencil:
 # Stacked in place of a missing frame: every quantity built on it is zero
 # or degenerate, and callers mask those entries out.
 _NO_FRAME = FrenetApparatus(T=np.zeros(3), N=np.zeros(3), B=np.zeros(3),
-                            kappa=0.0, tau=0.0, rho=0.0, W0=np.zeros(3))
+                            kappa=0.0, tau=0.0, rho=0.0, W0=np.zeros(3), omega=0.0)
 
 
 def stack_frames(frames: Sequence[FrenetApparatus | None]) -> FrenetApparatus:

@@ -128,6 +128,7 @@ def with_curve(x: str, y: str = "sin(q)", z: str = "0", lo=0.5, hi=1.5) -> dict:
 @example("build", with_curve("exp(q)*cos(q)", "exp(q)*sin(q)", "q", 0.0, 800.0), [])
 @example("build", with_curve("q", "exp(q/2)*exp(q/2)", "0", 0.0, 1000.0), [])
 @example("classify", with_curve("q", "1e308*q*q", lo=1.0, hi=2.0), [])
+@example("build", with_curve("q", "sin(q)", "sqrt(1/(q*1e308*10))"), [])
 @example("build", with_curve("q", "exp(q)^2", lo=350.0, hi=370.0), ["--samples=64"])
 @example("build", preset("example1", **{"marching.explicit": {
     "l": "1", "m": "1", "n": "1", "U": "exp(t)-1", "V": "t", "W": "t"},

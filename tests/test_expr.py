@@ -426,9 +426,20 @@ class TestOneRule:
         ("(q+0.1)^q", 4.0),  # a varying exponent at an integer multiplies
         ("q^((-q)^q)", -256.0),  # 256^-256 underflows to a constant 0
         ("sin(q^0)", 2.0),  # the array base^0 is the scalar jet 1
+        ("tan(q)", math.pi / 2),  # tan maps math.tan over the points
+        ("tan(q*q)", 1e200),
+        ("tan(q)", -math.inf),  # math.tan raises: a bad point
+        ("tan(q)", math.nan),
     ])
     def test_named_cases(self, source, q):
         assert_one_rule(source, [q])
+
+    @pytest.mark.parametrize("source", ["sqrt(1/(q*1e308*10))", "sqrt(1/(q*1e308/0.1))"])
+    def test_overflowed_constants_stay_constant(self, source):
+        # A product or quotient of constant jets stays constant: inf * 0
+        # would give its derivatives NaN and the sqrt rule would raise.
+        assert evaluate(parse_expression(source, ["q"]), {"q": 2.0}) == 0.0
+        assert_one_rule(source, [2.0, -2.0, 1e-300])
 
     def test_integer_power_overflows_like_a_product(self):
         assert_one_rule("exp(q)^2", [360.0])

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import io
 import json
 import math
@@ -24,8 +25,8 @@ from dpencil.errors import (
     IrregularCurveError,
     NonFiniteNormalError,
 )
-from dpencil.frenet import frenet_at
-from dpencil.mesh import SurfaceMesh, sample_grid, write_obj, write_report_csv
+from dpencil.frenet import FrenetApparatus, frenet_at
+from dpencil.mesh import MeshDefect, SurfaceMesh, sample_grid, write_obj, write_report_csv
 from dpencil.pencil import SurfacePencil, TabulatedProductForm
 from dpencil.presets import load_preset
 from dpencil.scene import SceneConfig
@@ -365,6 +366,60 @@ class TestWritersMatchLineAtATime:
                  + line_at_a_time("c_estimate,%#.12g", [[summary[0]]])
                  + line_at_a_time("max_deviation,%#.12g", [[summary[1]]]))
         assert csv_bytes(report) == ("\n".join(lines) + "\n").encode("ascii")
+
+
+class TestRecords:
+    def test_field_names_and_order(self):
+        assert DTypeSample._fields == ("s", "inner", "phi2", "phi3", "theta")
+        assert MeshDefect._fields == ("index", "s", "t", "reason")
+        assert [f.name for f in dataclasses.fields(FrenetApparatus)] == [
+            "T", "N", "B", "kappa", "tau", "rho", "W0", "omega"]
+
+    @pytest.mark.parametrize("record", [DTypeSample(0.5, 0.25, -0.5, 0.75, 2.0),
+                                        MeshDefect(7, 0.5, -1.0, "inflection")])
+    def test_immutable_and_hashable(self, record):
+        with pytest.raises(AttributeError):
+            record.s = 1.0
+        assert hash(record) == hash(type(record)(*record))
+        assert {record: 1}[type(record)(*record)] == 1
+
+    def test_darboux_norm(self, ex4):
+        app = frenet_at(ex4.curve, 0.3)
+        assert app.omega == math.hypot(app.kappa, app.tau)
+        apps, _ = frenet_at(ex4.curve, np.array([0.3, 0.7]))
+        assert apps.omega.tolist() == [math.hypot(k, t)
+                                       for k, t in zip(apps.kappa.tolist(), apps.tau.tolist())]
+
+    def test_grid_defects(self, ex4):
+        mesh = sample_grid(ex4, 20, 9)
+        ss, ts = np.linspace(*ex4.curve.domain, 20), np.linspace(*ex4.t_range, 9)
+        assert mesh.defects
+        for d in mesh.defects:
+            assert type(d.index) is int and type(d.s) is float and type(d.reason) is str
+            assert (d.s, d.t) == (float(ss[d.index // 9]), float(ts[d.index % 9]))
+
+
+class TestWritersMatchFormerFormulas:
+    """The writers give the bytes of the formulas they replaced."""
+
+    @pytest.mark.parametrize("ns, nt", [(2, 2), (3, 7), (50, 50), (200, 50)])
+    def test_obj_faces(self, ex1, ns, nt):
+        mesh = sample_grid(ex1, ns, nt)
+        faces = np.repeat(mesh.faces + 1, 2, axis=1)
+        text = ("f %d//%d %d//%d %d//%d %d//%d\n" * len(faces)) % tuple(faces.ravel().tolist())
+        data = obj_bytes(mesh)
+        assert data.endswith(text.encode("ascii"))
+        assert data.count(b"\nf ") == (ns - 1) * (nt - 1)
+
+    @pytest.mark.parametrize("name", ["example1", "example4"])
+    def test_csv_rows(self, name):
+        report = verify_dtype(preset_pencil(name), 250)
+        rows = np.array([(x.s, x.inner, x.phi2, x.phi3, x.theta) for x in report.samples]) + 0.0
+        text = (("%#.12g," * 4 + "%#.12g\n") * len(rows)) % tuple(rows.ravel().tolist())
+        assert csv_bytes(report) == ("s,inner,phi2,phi3,theta\n" + text
+                                     + "c_estimate,%#.12g\nmax_deviation,%#.12g\n"
+                                     % (report.c_estimate + 0.0, report.max_deviation + 0.0)
+                                     ).encode("ascii")
 
 
 class TestWriteObj:
