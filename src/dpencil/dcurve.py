@@ -445,6 +445,11 @@ def feasible_domain(curve: CurveSpec, c: float,
     midpoint of the next ``_SPECULATE`` steps of each live bracket, so a
     search takes one call per ``_SPECULATE`` steps; the midpoints off the
     path are never read.
+
+    Boundaries are sought only between the ``sample_count`` uniform samples:
+    an infeasible window narrower than one sample step, lying between two
+    feasible samples, is not found, and its interval is kept.  Synthesis on
+    such an interval later raises :class:`InfeasibleConstantError` (exit 3).
     """
     if sample_count < 64:
         raise ValueError("sample_count must be at least 64")
@@ -509,7 +514,9 @@ def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256
     Returns ``(curve, intervals)``.  When the whole domain is feasible the
     curve comes back unchanged with ``intervals`` None; otherwise
     ``intervals`` lists every feasible subinterval.  Raises
-    :class:`InfeasibleConstantError` when no parameter is feasible.
+    :class:`InfeasibleConstantError` when no parameter is feasible.  An
+    infeasible window narrower than one sample step can remain inside the
+    returned curve (see ``feasible_domain``); synthesis then raises there.
     """
     intervals = feasible_domain(curve, c, sample_count)
     if not intervals:

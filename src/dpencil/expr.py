@@ -22,9 +22,10 @@ Every largest variable-free subtree of two or more nodes is evaluated once,
 when the :class:`Expression` is built, and the walk evaluates that folded
 tree (constant folding, as in Aho, Lam, Sethi & Ullman, *Compilers*).  A
 subtree whose evaluation raises is kept as it is, so it raises with the same
-message at every evaluation.  Parsed and folded trees are immutable, each
-evaluation copies the folded jets it reads, and evaluation is pure, so
-expressions can be shared freely between threads.
+message at every evaluation.  Parsed and folded trees are immutable,
+evaluation reads the folded jets without copying them (jets are never
+mutated in place) and is pure, so expressions can be shared freely between
+threads.
 """
 
 from __future__ import annotations
@@ -376,9 +377,7 @@ def _eval(node: Node, active: str | None, point, fixed, rules) -> Jet3:
     elif kind is Neg:
         return -_eval(node.operand, active, point, fixed, rules)
     elif kind is Folded:
-        # A fresh jet per call, with every field (derivatives may be -0.0).
-        j = node.jet
-        return Jet3(j.v0, j.v1, j.v2, j.v3)
+        return node.jet  # shared: jets are never mutated in place
     else:
         return Jet3(CONSTANTS[node.name])
     try:
@@ -419,7 +418,10 @@ def evaluate_jet3(expr: Expression, active_var: str, point, fixed=None):
     other entry equals the scalar call at that point bit for bit.
     """
     if type(point) is float or not isinstance(point, np.ndarray):
-        return _eval(expr.folded, active_var, point, fixed, ScalarRules)
+        jet = _eval(expr.folded, active_var, point, fixed, ScalarRules)
+        if type(expr.folded) is Folded:  # a fresh jet, not the stored one
+            return Jet3(jet.v0, jet.v1, jet.v2, jet.v3)
+        return jet
     points = point.astype(float)
     rules = ArrayRules(points.size)
     with np.errstate(all="ignore"):

@@ -32,6 +32,14 @@ _FAILURES = (DomainError,) + MATH_ERRORS
 
 @dataclass(slots=True)
 class Jet3:
+    """A value and its first three derivatives.
+
+    Jets are values: the rules and the evaluator never assign to a field,
+    or write into an array field, of a jet, because the folded leaves of an
+    expression share their stored jet with every evaluation.  A jet that
+    ``evaluate_jet3`` returns is the caller's own.
+    """
+
     v0: float
     v1: float = 0.0
     v2: float = 0.0
@@ -426,9 +434,12 @@ class ArrayRules:
         x = u.v0
         fx = value(x)
         f1, f2, f3, no_derivative = derivatives(x, fx)
+        j = _compose(fx, f1, f2, f3, u)
+        if _varies(u):
+            self.bad |= undefined(x) | no_derivative
+            return j
         constant = _constant(u)
         self.bad |= undefined(x) | (no_derivative & ~constant)
-        j = _compose(fx, f1, f2, f3, u)
         return Jet3(fx, *(np.where(constant, 0.0, v) for v in (j.v1, j.v2, j.v3)))
 
     def _scalar(self, rule, *args) -> Jet3:

@@ -29,7 +29,7 @@ from dpencil.errors import (
     IrregularCurveError,
     NonFiniteCurveError,
 )
-from dpencil.expr import evaluate_jet3, parse_expression
+from dpencil.expr import Folded, evaluate_jet3, parse_expression
 from dpencil.frenet import (
     NO_FRAME,
     CurveSpec,
@@ -129,6 +129,18 @@ def test_scalar_frenet_does_not_warn(source, q, reason):
         assert scalar_reason(curve, q)[1] == reason
 
 
+def test_frenet_array_matches_scalar_where_the_cube_overflows():
+    # rho ~ exp(q) past q = 3: its cube overflows at the last three points,
+    # so one call takes the math.pow map, which raises, and redoes the
+    # cubes per point; the frames on [-3, 3] must keep their bits.
+    curve = make_curve("cos(q)", "sin(q)", "exp(q)", (-3.0, 350.0))
+    qs = np.concatenate([np.linspace(-3.0, 3.0, 250), [240.0, 300.0, 350.0]])
+    app, reasons = frenet_at(curve, qs)
+    assert (app.rho[-3:] > 5.7e102).all() and np.isfinite(app.rho).all()  # 5.7e102^3 > 1.8e308
+    assert reasons[:-3].tolist() == [""] * 250
+    assert_frenet_matches(curve, qs)
+
+
 @settings(max_examples=20, deadline=None)
 @given(name=st.sampled_from(sorted(CURVES)),
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
@@ -171,6 +183,49 @@ def test_jets_array_matches_scalar(source, points):
 ])
 def test_negative_integer_powers_match_scalar(source):
     assert_jets_match(source, np.array([-3.0, -1.0, -0.5, 0.0, 1e-3, 0.5, 1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("func", ["sin", "cos", "tan", "sqrt"])
+@pytest.mark.parametrize("argument", [
+    "q^4+1",  # constant at q = 0 (every derivative zero), varying elsewhere
+    "q+2",  # varying everywhere; sqrt's derivative is undefined at q = -2
+])
+def test_function_kernels_match_scalar(func, argument):
+    qs = np.array([-3.0, -2.0, -1.0, -1e-3, 0.0, 1e-3, 0.5, 1.0, 2.0])
+    assert_jets_match(f"{func}({argument})", qs)
+    assert_jets_match(f"-{func}(-({argument}))", qs)
+
+
+def folded_jets(node):
+    """The stored jets of the folded leaves below ``node``."""
+    if isinstance(node, Folded):
+        return [node.jet]
+    children = [getattr(node, name) for name in ("left", "right", "arg", "operand")
+                if hasattr(node, name)]
+    return [j for child in children for j in folded_jets(child)]
+
+
+@pytest.mark.parametrize("source", [
+    "-(2*3)",  # folded as a whole, with -0.0 derivatives
+    "sin(q)*(2/3) - (pi*pi)^(-1)*q^2 + sqrt(2)",
+    "(1+1)^q + ln(2)/q",
+])
+def test_folded_jets_are_shared_and_never_written(source):
+    expr = parse_expression(source, ["q"])
+    stored = folded_jets(expr.folded)
+    assert stored
+    before = [bits([j.v0, j.v1, j.v2, j.v3]) for j in stored]
+    qs = np.array([-1.0, 0.0, 0.5, 2.0])
+    for q in qs.tolist():
+        try:
+            jet = evaluate_jet3(expr, "q", q)
+        except DomainError:
+            continue
+        jet.v0 = jet.v1 = jet.v2 = jet.v3 = 7.0  # the caller's own jet
+    jet, _ = evaluate_jet3(expr, "q", qs)
+    for v in (jet.v0, jet.v1, jet.v2, jet.v3):
+        v[:] = 7.0
+    assert [bits([j.v0, j.v1, j.v2, j.v3]) for j in folded_jets(expr.folded)] == before
 
 
 def assert_jets_match(source, qs):
