@@ -48,6 +48,7 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
 MAX_SAMPLES = 1_000_000  # bounds --samples
+_RESTRICT_RETRIES = 4  # synthesis failures that redo the feasibility restriction
 
 _VALIDATION_ERRORS = (
     SceneValidationError,
@@ -115,17 +116,31 @@ def _assemble(cfg: SceneConfig):
 
 def _synthesize(cfg: SceneConfig, samples: int):
     """(curve, marching, feasibility note): the scale synthesized for
-    ``cfg.c`` on the curve restricted to where that constant is feasible."""
-    curve, intervals = feasible_curve(cfg.curve(), cfg.c, samples)
+    ``cfg.c`` on the curve restricted to where that constant is feasible.
+
+    The feasibility scan can miss an infeasible window narrower than its
+    sample step; synthesis then raises at a parameter inside it.  The
+    restriction is redone with that parameter known to be infeasible, at
+    most ``_RESTRICT_RETRIES`` times."""
+    full = cfg.curve()
+    infeasible = []
+    while True:
+        curve, intervals = feasible_curve(full, cfg.c, samples, infeasible)
+        try:
+            marching = synthesize_marching_scale(
+                SynthesisRequest(curve=curve, c=cfg.c, sign=cfg.sign, t0=cfg.t0)
+            )
+            break
+        except InfeasibleConstantError as e:
+            if e.param is None or len(infeasible) == _RESTRICT_RETRIES:
+                raise
+            infeasible.append(e.param)
     note = None
     if intervals:
         note = {
             "feasible_domain": [[a, b] for a, b in intervals],
             "restricted_to": list(curve.domain),
         }
-    marching = synthesize_marching_scale(
-        SynthesisRequest(curve=curve, c=cfg.c, sign=cfg.sign, t0=cfg.t0)
-    )
     return curve, marching, note
 
 

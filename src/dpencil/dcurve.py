@@ -62,27 +62,37 @@ _SPECULATE = 5
 def _t0_normals(p: SurfacePencil, sample_count: int):
     """Unit normals along the t = t0 line at ``sample_count`` parameters.
 
-    Frames are taken per sample, the marching scale and the normals in one
-    array pass.  Returns ``(ss, frame, mv, normals, reasons)``, each with
-    one leading axis over the samples; ``reasons`` is "" where the normal
-    is usable and the skip reason elsewhere.
+    The marching scale comes first, in one array pass.  Frames are taken
+    per sample only where the scale is defined; the other samples get no
+    frame, only the reason the frame is missing (which wins over "domain",
+    as in ``surface_normals``), from one array ``frenet_at`` over just
+    those parameters.  A curve falsely declared unit-speed raises at its
+    first offending sample either way.  Returns ``(ss, frame, mv, normals,
+    reasons)``, each with one leading axis over the samples; ``reasons`` is
+    "" where the normal is usable and the skip reason elsewhere.
     """
     lo, hi = p.curve.domain
     ss = np.linspace(lo, hi, sample_count)
+    mv, ok = marching_grid(p.marching, ss, [p.t0])
+    mv, ok = MarchingValues(*(f[:, 0] for f in mv)), ok[:, 0]
+    unscaled = iter(frenet_at(p.curve, ss[~ok])[1].tolist() if not ok.all() else ())
     frames, frame_reasons = [], []
-    for s in ss.tolist():
+    for s, scaled in zip(ss.tolist(), ok.tolist()):
         frame, reason = None, ""
-        try:
-            frame = p.frame(s)
-        except NO_FRAME as e:
-            reason = e.reason
+        if scaled:
+            try:
+                frame = p.frame(s)
+            except NO_FRAME as e:
+                reason = e.reason
+        else:
+            reason = next(unscaled)
+            if reason == "unit_speed":
+                p.frame(s)  # raises the scalar InvalidCurveError
         frames.append(frame)
         frame_reasons.append(reason)
     frame = stack_frames(frames)
     frame_reason = np.array(frame_reasons)
-    mv, ok = marching_grid(p.marching, ss, [p.t0])
-    mv = MarchingValues(*(f[:, 0] for f in mv))
-    normals, reasons = surface_normals(frame, frame_reason == "", frame_reason, mv, ok[:, 0])
+    normals, reasons = surface_normals(frame, frame_reason == "", frame_reason, mv, ok)
     return ss, frame, mv, normals, reasons
 
 
@@ -436,8 +446,8 @@ def _speculate(q_true: np.ndarray, q_false: np.ndarray) -> np.ndarray:
     return np.concatenate(levels)
 
 
-def feasible_domain(curve: CurveSpec, c: float,
-                    sample_count: int = 256) -> list[tuple[float, float]]:
+def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
+                    infeasible=()) -> list[tuple[float, float]]:
     """Subintervals where the phi2 radicand is nonnegative and the frame exists.
 
     Boundaries are located by bisection to 1e-9 parameter resolution; all
@@ -446,10 +456,12 @@ def feasible_domain(curve: CurveSpec, c: float,
     search takes one call per ``_SPECULATE`` steps; the midpoints off the
     path are never read.
 
-    Boundaries are sought only between the ``sample_count`` uniform samples:
-    an infeasible window narrower than one sample step, lying between two
-    feasible samples, is not found, and its interval is kept.  Synthesis on
-    such an interval later raises :class:`InfeasibleConstantError` (exit 3).
+    Boundaries are sought only between the ``sample_count`` uniform samples
+    and the parameters ``infeasible``, known to be infeasible (where
+    synthesis raised :class:`InfeasibleConstantError`): each of these counts
+    as an infeasible sample, so it splits the bracket it falls in.  An
+    infeasible window narrower than one sample step, lying between two
+    feasible samples, is otherwise not found, and its interval is kept.
     """
     if sample_count < 64:
         raise ValueError("sample_count must be at least 64")
@@ -473,6 +485,11 @@ def feasible_domain(curve: CurveSpec, c: float,
     qs = np.linspace(lo, hi, sample_count)
     flags, failed = feasible(qs)
     raise_first(curve, qs, failed)
+    if len(infeasible):
+        qs = np.concatenate([qs, infeasible])
+        flags = np.concatenate([flags, np.zeros(len(infeasible), dtype=bool)])
+        order = np.lexsort((flags, qs))  # by parameter, a known one first
+        qs, flags = qs[order], flags[order]
     edges = np.flatnonzero(flags[1:] != flags[:-1])
     falling = flags[edges]
     q_true = np.where(falling, qs[edges], qs[edges + 1])
@@ -507,7 +524,7 @@ def feasible_domain(curve: CurveSpec, c: float,
     return intervals
 
 
-def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256
+def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256, infeasible=()
                    ) -> tuple[CurveSpec, list[tuple[float, float]] | None]:
     """``curve`` restricted to its largest feasible interval for ``c``.
 
@@ -516,9 +533,10 @@ def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256
     ``intervals`` lists every feasible subinterval.  Raises
     :class:`InfeasibleConstantError` when no parameter is feasible.  An
     infeasible window narrower than one sample step can remain inside the
-    returned curve (see ``feasible_domain``); synthesis then raises there.
+    returned curve (see ``feasible_domain``); synthesis then raises there,
+    and the parameter it names can be passed back in ``infeasible``.
     """
-    intervals = feasible_domain(curve, c, sample_count)
+    intervals = feasible_domain(curve, c, sample_count, infeasible)
     if not intervals:
         raise InfeasibleConstantError(c)
     lo, hi = curve.domain

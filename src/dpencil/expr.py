@@ -415,7 +415,9 @@ def evaluate_jet3(expr: Expression, active_var: str, point, fixed=None):
     With a 1-D array of points the result is ``(jet, ok)``: the jet fields
     are arrays over the points, and ``ok`` is False where the scalar call
     would raise a :class:`DomainError` (its fields are NaN there).  Every
-    other entry equals the scalar call at that point bit for bit.
+    other entry equals the scalar call at that point bit for bit.  Each
+    field is an array of shape ``(n,)`` that the caller owns: never
+    ``point`` or a field of a jet in ``fixed``.
     """
     if type(point) is float or not isinstance(point, np.ndarray):
         jet = _eval(expr.folded, active_var, point, fixed, ScalarRules)
@@ -427,7 +429,19 @@ def evaluate_jet3(expr: Expression, active_var: str, point, fixed=None):
     with np.errstate(all="ignore"):
         jet = _eval(expr.folded, active_var, points, fixed, rules)
     bad = rules.bad
-    return Jet3(*(np.where(bad, math.nan, v) for v in (jet.v0, jet.v1, jet.v2, jet.v3))), ~bad
+    fields = (jet.v0, jet.v1, jet.v2, jet.v3)
+    if bad.any():
+        return Jet3(*(np.where(bad, math.nan, v) for v in fields)), ~bad
+    # Nothing to mask: keep the walk's own arrays; copy scalar fields, and
+    # the fields of a ``fixed`` jet that the walk handed through.
+    n = points.size
+    if fixed:
+        theirs = [v for j in fixed.values() if isinstance(j, Jet3)
+                  for v in (j.v0, j.v1, j.v2, j.v3) if isinstance(v, np.ndarray)]
+        fields = [np.full(n, v, dtype=float)
+                  if any(np.may_share_memory(v, a) for a in theirs) else v for v in fields]
+    return Jet3(*(v if type(v) is np.ndarray else np.full(n, v, dtype=float)
+                  for v in fields)), ~bad
 
 
 # -- constant folding ----------------------------------------------------------

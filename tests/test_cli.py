@@ -461,12 +461,13 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("command", ["build", "verify", "synthesize"])
     def test_failure_after_a_restriction_prints_one_line(self, tmp_path, capsys, command):
-        # The 256-sample feasibility scan misses an infeasible window inside
-        # the interval it keeps, so synthesis fails after restricting.  The
+        # On this range the 256-sample feasibility scan misses more
+        # infeasible windows inside the interval it keeps than the retries
+        # split off, so synthesis still fails after restricting.  The
         # restriction line once came before the error line.
         cfg = load_preset("example1")
         cfg["curve"].update(x="cos(s/sqrt(2))", y="-(s*s)", z="s", unit_speed=False,
-                            range=[-778.1577501817875, 26.48608246329104])
+                            range=[-2000.0, -5.0])
         cfg["marching"]["mode"] = "synthesized"
         cfg["marching"]["c"] = 0.5
         path = write_config(tmp_path, cfg)
@@ -474,14 +475,36 @@ class TestSynthesize:
         assert code == 3
         assert out == ""
         assert err.splitlines() == [
-            "error: target constant 0.5 infeasible at parameter 1.3770088375306158 "
-            "(radicand -5.037e-02)"]
+            "error: target constant 0.5 infeasible at parameter -337.2526885884333 "
+            "(radicand -7.006e-02)"]
 
     def test_restriction_line_on_success(self, capsys):
         code, cfg, err = run_json(capsys, "synthesize", "--preset", "example4")
         assert code == 0
         assert err == (f"target constant feasible only on {cfg['feasible_domain']}; "
                        f"restricting to {cfg['curve']['range']}\n")
+
+    # Every preset at its own constant, and the curves and constants of the
+    # benchmark's synthesis catalogue (the helix at 3/4 and 9/10 is infeasible).
+    NO_RETRY = [(name, None) for name in preset_names()] + [
+        ("example1", 0.5), ("example2", 0.25), ("example2", 0.75), ("example2", 0.9)]
+
+    @pytest.mark.parametrize("name, c", NO_RETRY)
+    def test_presets_take_no_restriction_retry(self, monkeypatch, name, c):
+        calls = []
+        restrict = cli.feasible_curve
+        monkeypatch.setattr(cli, "feasible_curve",
+                            lambda *args: calls.append(args[3]) or restrict(*args))
+        for sign in (1, -1):
+            raw = load_preset(name)
+            raw["marching"].update(mode="synthesized", sign=sign)
+            if c is not None:
+                raw["marching"]["c"] = c
+            try:
+                cli._synthesize(SceneConfig.from_dict(raw), 256)
+            except cli.InfeasibleConstantError as e:
+                assert e.param is None  # nowhere feasible: no parameter to retry at
+        assert calls == [[], []]
 
     def test_requires_target(self, tmp_path, capsys):
         cfg = load_preset("example1")

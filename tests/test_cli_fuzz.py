@@ -14,6 +14,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +117,14 @@ def with_curve(x: str, y: str = "sin(q)", z: str = "0", lo=0.5, hi=1.5) -> dict:
     return cfg
 
 
+# The 256-sample feasibility scan misses an infeasible window inside the
+# interval it keeps, and synthesis once exited 3 there; --samples 1024 finds it.
+MISSED_WINDOW = preset("example1", **{
+    "curve.x": "cos(s/sqrt(2))", "curve.y": "-(s*s)", "curve.z": "s", "curve.unit_speed": False,
+    "curve.range": [-778.1577501817875, 26.48608246329104], "marching.mode": "synthesized",
+    "marching.c": 0.5})
+
+
 # Each of these once escaped as a traceback, printed invalid JSON or gave the
 # wrong exit code; see CHANGES.md.
 @example("classify", with_curve("^".join(["q"] * 3000) + "^1"), [])
@@ -148,13 +157,29 @@ def with_curve(x: str, y: str = "sin(q)", z: str = "0", lo=0.5, hi=1.5) -> dict:
 @example("build", preset("example3", **{"grid.t_range": [0.0, 10 ** 400]}), [])
 @example("build", preset("example3", **{"curve.range": [0.0, float("inf")]}), [])
 @example("synthesize", "[" * 1000, [])
-@example("verify", preset("example1", **{
-    "curve.x": "cos(s/sqrt(2))", "curve.y": "-(s*s)", "curve.z": "s", "curve.unit_speed": False,
-    "curve.range": [-778.1577501817875, 26.48608246329104], "marching.mode": "synthesized",
-    "marching.c": 0.5}), [])
+@example("verify", MISSED_WINDOW, [])
+@example("synthesize", MISSED_WINDOW, [])
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(COMMANDS), configs(), options)
 def test_exit_code_contract(command, config, opts):
     code, err = run_cli(command, config, opts)
     assert code in range(5)
     assert len(err.splitlines()) <= 1, err
+
+
+def test_missed_window_is_split_off():
+    # Synthesis fails inside the missed window once; the restriction redone
+    # with that parameter known infeasible is the one --samples 1024 finds,
+    # to the 1e-9 resolution of the boundary search.
+    emitted = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.json"
+        path.write_text(json.dumps(MISSED_WINDOW), encoding="utf-8")
+        for samples in ("256", "1024"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["synthesize", "--config", str(path), "--samples", samples]) == 0
+            emitted[samples] = json.loads(out.getvalue())
+    restricted = emitted["256"]["curve"]["range"]
+    assert restricted == pytest.approx(emitted["1024"]["curve"]["range"], abs=1e-8)
+    assert run_cli("verify", emitted["256"]) == (0, "")

@@ -13,17 +13,22 @@ from dpencil.dcurve import (
     verify_dtype,
 )
 from dpencil.errors import (
+    DegenerateNormalError,
     InfeasibleConstantError,
+    InvalidCurveError,
+    NonFiniteNormalError,
     NotEnoughSamplesError,
 )
 from dpencil.expr import evaluate, parse_expression
-from dpencil.frenet import CurveSpec, frenet_at
+from dpencil.frenet import NO_FRAME, CurveSpec, frenet_at
 from dpencil.pencil import (
     ProductForm,
     SurfacePencil,
     TabulatedProductForm,
+    marching_grid,
     marching_values,
 )
+from dpencil.presets import load_preset, preset_names
 
 from dpencil.scene import SceneConfig
 
@@ -144,6 +149,72 @@ class TestVerifyDtype:
         assert report.asymptotic_planar
         for smp in report.samples:
             assert abs(smp.phi2) <= 1e-9  # <n, N> = 0: asymptotic direction
+
+
+def scalar_skips(p, sample_count):
+    """The skipped ``(s, reason)`` of ``verify_dtype``, one scalar frame and
+    normal per sample, in the precedence of ``surface_normals``: no frame,
+    then an undefined marching scale ("domain"), then the normal's defects."""
+    skipped = []
+    for s in np.linspace(*p.curve.domain, sample_count).tolist():
+        try:
+            frame = frenet_at(p.curve, s)
+            p.normal(s, p.t0, frame=frame)
+        except NO_FRAME as e:
+            skipped.append((s, e.reason))
+        except NonFiniteNormalError:
+            skipped.append((s, "non_finite"))
+        except DegenerateNormalError:
+            skipped.append((s, "degenerate_normal"))
+    return skipped
+
+
+def eight_pencil_undefined_on_upper_half():
+    """The eight curve, whose marching scale (v and w times sqrt(sin q)) is
+    undefined on (pi, 2 pi) and at 2 pi, an inflection."""
+    cfg = load_preset("example3")
+    parts = cfg["marching"]["explicit"]
+    parts.update(m=f"sqrt(sin(q))*{parts['m']}", n=f"sqrt(sin(q))*{parts['n']}")
+    return SceneConfig.from_dict(cfg).pencil()
+
+
+class TestVerifyFrames:
+    """Frames are taken per sample only where the marching scale is defined."""
+
+    def test_no_frame_where_the_scale_is_undefined(self, ex4, monkeypatch):
+        frames = []
+        frame = SurfacePencil.frame
+        monkeypatch.setattr(SurfacePencil, "frame", lambda p, s: frames.append(s) or frame(p, s))
+        report = verify_dtype(ex4, 250)
+        assert len(report.skipped) == 144
+        assert len(frames) == 106
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_skips_match_scalar_reference(self, name):
+        p = preset_pencil(name)
+        assert list(verify_dtype(p, 250).skipped) == scalar_skips(p, 250)
+
+    def test_frame_reason_wins_where_the_scale_is_undefined(self):
+        p = eight_pencil_undefined_on_upper_half()
+        skipped = list(verify_dtype(p, 250).skipped)
+        assert skipped == scalar_skips(p, 250)
+        assert skipped[-1] == (2.0 * math.pi, "inflection")
+        assert {why for s, why in skipped if math.pi < s < 2.0 * math.pi} == {"domain"}
+
+    def test_false_unit_speed_raises_where_the_scale_is_undefined(self):
+        # |r'(-1)| = sqrt(10), and sqrt(q) leaves the scale undefined at the
+        # first sample, q = -1: it raises as the scalar frame there does.
+        cfg = load_preset("example1")
+        cfg["curve"] = {"x": "q+q^2", "y": "q^3", "z": "0", "param": "q",
+                        "range": [-1.0, 1.0], "unit_speed": True}
+        cfg["marching"]["explicit"].update(m="sqrt(q)", n="sqrt(q)")
+        p = SceneConfig.from_dict(cfg).pencil()
+        assert not marching_grid(p.marching, [-1.0], [p.t0])[1].any()
+        with pytest.raises(InvalidCurveError) as expected:
+            frenet_at(p.curve, -1.0)
+        with pytest.raises(InvalidCurveError) as got:
+            verify_dtype(p, 64)
+        assert str(got.value) == str(expected.value)
 
 
 class TestTheoremConditions:
@@ -317,6 +388,19 @@ class TestFeasibleDomain:
     def test_sample_count_floor(self, ex1):
         with pytest.raises(ValueError):
             feasible_domain(ex1.curve, 0.5, 32)
+
+    def test_known_infeasible_parameter_splits_its_bracket(self):
+        # The infeasible window (1.3625, 3.6959) lies between two of the 256
+        # samples, both feasible; synthesis raised at q inside it.
+        curve = CurveSpec(*(parse_expression(e, ["s"]) for e in ("cos(s/sqrt(2))", "-(s*s)", "s")),
+                          param="s", domain=(-778.1577501817875, 26.48608246329104))
+        q = 1.3770088375306158
+        plain = feasible_domain(curve, 0.5)
+        assert [iv for iv in plain if iv[0] < q < iv[1]] == [pytest.approx((-1.36249, 4.84381))]
+        split = feasible_domain(curve, 0.5, infeasible=[q])
+        assert len(split) == len(plain) + 1
+        assert [iv for iv in split if -2.0 < iv[0] < 4.0] == [
+            pytest.approx((-1.36249, 1.36249)), pytest.approx((3.69591, 4.84381))]
 
     def test_restrict_curve_margin(self, ex4):
         interval = (0.0, 2.0)

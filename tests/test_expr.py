@@ -376,6 +376,24 @@ class TestFolding:
         first.v0 = 0.0
         assert evaluate_jet3(expr, "q", 1.0).v0 == 6.0
 
+    @pytest.mark.parametrize("source", ["t", "t^1", "2*3", "q"])
+    def test_array_fields_are_the_callers_own(self, source):
+        # No point is bad, so no field is masked; still, no field is the
+        # caller's array (or a shared folded jet), and each has shape (n,).
+        expr = parse_expression(source, ["q", "t"])
+        points, zero = np.array([0.5, 1.0, 2.0]), np.zeros(3)
+        t_fixed = Jet3(np.array([3.0, 4.0, 5.0]), zero, zero, zero)
+        jet, ok = evaluate_jet3(expr, "q", points, fixed={"t": t_fixed})
+        assert ok.all()
+        fields = (jet.v0, jet.v1, jet.v2, jet.v3)
+        assert all(isinstance(v, np.ndarray) and v.shape == (3,) for v in fields)
+        for v in fields:
+            v[:] = -7.0
+        assert t_fixed.v0.tolist() == [3.0, 4.0, 5.0]
+        assert zero.tolist() == [0.0] * 3 and points.tolist() == [0.5, 1.0, 2.0]
+        again, _ = evaluate_jet3(expr, "q", points, fixed={"t": t_fixed})
+        assert -7.0 not in again.v0
+
     def test_printing_and_equality_ignore_folding(self):
         source = "5/sqrt(26)*sin((1 + sqrt(26)/13)*q)"
         expr = parse_expression(source, ["q"])
