@@ -382,7 +382,10 @@ def _build_table(req: SynthesisRequest, u_profile: Expression, qs: np.ndarray,
     are this round's, bit for bit).  When the check fails, the coefficients
     evaluated there become the next round's new nodes, so every table
     point gets exactly one ``frenet_at`` evaluation.  The check raises
-    what the next round would: this round's nodes raised nothing.
+    what the next round would: this round's nodes raised nothing.  A table
+    that still misses the target at ``_MAX_TABLE_NODES`` raises
+    :class:`NotEnoughSamplesError` rather than stand for a scale it does
+    not realize.
     """
     curve = req.curve
     lo, hi = curve.domain
@@ -397,9 +400,13 @@ def _build_table(req: SynthesisRequest, u_profile: Expression, qs: np.ndarray,
         odd = finer[1::2]
         odd_av, odd_aw, odd_g, odd_usable = _coefficients_at(curve, req.c, req.sign, odd)
         err = _interp_error(form, odd[odd_usable], odd_av[odd_usable], odd_aw[odd_usable])
-        if err <= _INTERP_TARGET or qs.size >= _MAX_TABLE_NODES:
+        if err <= _INTERP_TARGET:
             form.max_interp_error = err
             return form
+        if qs.size >= _MAX_TABLE_NODES:
+            raise NotEnoughSamplesError(
+                f"cubic interpolation error {err:.3e} above {_INTERP_TARGET:g} "
+                f"with {qs.size} table nodes")
         qs = finer
         av, g, usable = (_interleave(*pair) for pair in
                          ((av, odd_av), (g, odd_g), (usable, odd_usable)))

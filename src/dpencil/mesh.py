@@ -4,7 +4,8 @@
 ``frenet_at`` call, the curve points in one array call per coordinate and
 the marching scale in one ``marching_grid`` call; only the nudged frames
 of inflection columns are taken per column (``verify_dtype`` still takes
-its frames per sample).
+its frames per sample, but only where the marching scale is defined along
+t0).
 
 Defects are ``MeshDefect`` named tuples, built in one pass over the
 defective vertices.  Output formatting is bit-exact: identical inputs

@@ -10,10 +10,12 @@ t = t0 parameter line of every member.
 
 ``marching_values`` evaluates the scale at one (s, t); ``marching_grid``
 evaluates it on a whole (s, t) grid with an ``ok`` mask instead of a
-``DomainError`` per vertex.  Each expression takes one array
-``evaluate_jet3`` call: product forms separate, so their s-parts run over
-the grid columns and their t-parts over the rows; a general form runs over
-the flattened grid.  ``pencil_point``, ``pencil_partials`` and
+``DomainError`` per vertex.  Both run one per-form kernel, ``_scale``, and
+differ only in the jet walk they hand it: the scalar ``evaluate_jet3``,
+which raises, or one array call per expression that folds its ``ok`` into
+the grid mask.  Product forms separate, so their s-parts run over the grid
+column and their t-parts over the row; a general form runs over the whole
+grid.  ``pencil_point``, ``pencil_partials`` and
 ``pencil_normal`` broadcast: the frame fields (scalars of shape F, vectors
 of shape F + (3,), as ``frenet_at`` over an array or ``stack_frames``
 gives them) broadcast against the marching fields, and a single frame with
@@ -194,34 +196,12 @@ class MarchingScale:
 
 def marching_values(ms: MarchingScale, s: float, t: float) -> MarchingValues:
     """Values and first partials of (u, v, w) at (s, t) via jet evaluation."""
-    form = ms.form
-    if isinstance(form, ProductForm):
-        cx, cy, cz = form.controls
-        out = []
-        for ctrl, fs, ft in ((cx, form.l, form.U), (cy, form.m, form.V), (cz, form.n, form.W)):
-            js = evaluate_jet3(fs, ms.param, s)
-            jt = evaluate_jet3(ft, T_VAR, t)
-            out.append((ctrl * js.v0 * jt.v0, ctrl * js.v1 * jt.v0, ctrl * js.v0 * jt.v1))
-        (u, u_s, u_t), (v, v_s, v_t), (w, w_s, w_t) = out
-        return MarchingValues(u, v, w, u_s, v_s, w_s, u_t, v_t, w_t)
-    if isinstance(form, GeneralForm):
-        out = []
-        for ctrl, e in zip(form.controls, (form.u, form.v, form.w)):
-            js = evaluate_jet3(e, ms.param, s, fixed={T_VAR: t})
-            jt = evaluate_jet3(e, T_VAR, t, fixed={ms.param: s})
-            out.append((ctrl * js.v0, ctrl * js.v1, ctrl * jt.v1))
-        (u, u_s, u_t), (v, v_s, v_t), (w, w_s, w_t) = out
-        return MarchingValues(u, v, w, u_s, v_s, w_s, u_t, v_t, w_t)
-    assert isinstance(form, TabulatedProductForm)
-    jt = evaluate_jet3(form.u_profile, T_VAR, t)
-    dt = t - ms.t0
-    av, av1 = form.v_coefficient(s), form.v_coefficient(s, 1)
-    aw, aw1 = form.w_coefficient(s), form.w_coefficient(s, 1)
-    return MarchingValues(
-        u=jt.v0, v=av * dt, w=aw * dt,
-        u_s=0.0, v_s=av1 * dt, w_s=aw1 * dt,
-        u_t=jt.v1, v_t=av, w_t=aw,
-    )
+    return _scale(ms, s, t, _point_walk)
+
+
+def _point_walk(expr: Expression, var: str, point: float, fixed=None):
+    jet = evaluate_jet3(expr, var, point, fixed)
+    return jet.v0, jet.v1
 
 
 def marching_grid(ms: MarchingScale, ss: Sequence[float],
@@ -231,53 +211,59 @@ def marching_grid(ms: MarchingScale, ss: Sequence[float],
     Returns ``(values, ok)``: each field of ``values`` and the mask ``ok``
     have shape ``(len(ss), len(ts))``.  Where the scale is undefined ``ok``
     is False and the fields are zero.  Entries equal ``marching_values``
-    at the same (s, t) bit for bit.
+    at the same (s, t) bit for bit: both run ``_scale``, here with s as a
+    column and t as a row.
     """
-    ss = np.asarray(ss, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    shape = (ss.size, ts.size)
-    form = ms.form
-    if isinstance(form, ProductForm):
-        ok = np.ones(shape, dtype=bool)
-        parts = []
-        for ctrl, fs, ft in zip(form.controls, (form.l, form.m, form.n),
-                                (form.U, form.V, form.W)):
-            c0, c1, c_ok = _jets(fs, ms.param, ss)
-            r0, r1, r_ok = _jets(ft, T_VAR, ts)
-            a0, a1 = (ctrl * c0)[:, None], (ctrl * c1)[:, None]
-            parts.append((a0 * r0, a1 * r0, a0 * r1))
-            ok &= c_ok[:, None] & r_ok
-        values = [f for group in zip(*parts) for f in group]  # u, v, w, u_s, ...
-    elif isinstance(form, GeneralForm):
-        # Bivariate: nothing separates, so evaluate on the flattened grid,
-        # the other variable fixed as a constant jet with array fields.
-        s_flat, t_flat = np.repeat(ss, ts.size), np.tile(ts, ss.size)
-        zero = np.zeros(s_flat.size)
-        s_fixed = {ms.param: Jet3(s_flat, zero, zero, zero)}
-        t_fixed = {T_VAR: Jet3(t_flat, zero, zero, zero)}
-        ok = np.ones(shape, dtype=bool)
-        parts = []
-        for ctrl, e in zip(form.controls, (form.u, form.v, form.w)):
-            js, s_ok = evaluate_jet3(e, ms.param, s_flat, fixed=t_fixed)
-            jt, t_ok = evaluate_jet3(e, T_VAR, t_flat, fixed=s_fixed)
-            parts.append([(ctrl * f).reshape(shape) for f in (js.v0, js.v1, jt.v1)])
-            ok &= (s_ok & t_ok).reshape(shape)
-        values = [f for group in zip(*parts) for f in group]
-    else:
-        assert isinstance(form, TabulatedProductForm)
-        r0, r1, r_ok = _jets(form.u_profile, T_VAR, ts)
-        ok = np.broadcast_to(r_ok, shape)
-        dt = ts - ms.t0
-        av, av1 = form.v_coefficient(ss)[:, None], form.v_coefficient(ss, 1)[:, None]
-        aw, aw1 = form.w_coefficient(ss)[:, None], form.w_coefficient(ss, 1)[:, None]
-        values = (r0, av * dt, aw * dt, 0.0, av1 * dt, aw1 * dt, r1, av, aw)
+    ss = np.asarray(ss, dtype=float).reshape(-1, 1)
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    ok = np.ones((ss.size, ts.size), dtype=bool)
+
+    def walk(expr, var, point, fixed=None):
+        # One array call over the points; a bivariate walk runs over the
+        # whole grid, the other variable fixed as a constant jet.
+        nonlocal ok
+        if fixed is not None:
+            (name, value), = fixed.items()
+            point, value = np.broadcast_arrays(point, value)
+            zero = np.zeros(point.size)
+            fixed = {name: Jet3(value.ravel(), zero, zero, zero)}
+        jet, part_ok = evaluate_jet3(expr, var, point.ravel(), fixed)
+        ok &= part_ok.reshape(point.shape)
+        return jet.v0.reshape(point.shape), jet.v1.reshape(point.shape)
+
+    values = _scale(ms, ss, ts, walk)
     return MarchingValues(*(np.where(ok, f, 0.0) for f in values)), ok
 
 
-def _jets(expr: Expression, var: str, points: np.ndarray):
-    """(value, first derivative, defined) of ``expr`` over ``points``; zero where undefined."""
-    jet, ok = evaluate_jet3(expr, var, points)
-    return np.where(ok, jet.v0, 0.0), np.where(ok, jet.v1, 0.0), ok
+def _scale(ms: MarchingScale, s, t, walk) -> MarchingValues:
+    """The marching values of ``ms`` at s and t, floats or arrays that
+    broadcast.  ``walk(expr, var, point, fixed=None)`` gives the value and
+    first derivative of ``expr`` in ``var`` at ``point``, the other
+    variable fixed at its value in ``fixed``."""
+    form = ms.form
+    if isinstance(form, ProductForm):
+        parts = []
+        for ctrl, fs, ft in zip(form.controls, (form.l, form.m, form.n),
+                                (form.U, form.V, form.W)):
+            c0, c1 = walk(fs, ms.param, s)
+            r0, r1 = walk(ft, T_VAR, t)
+            a0 = ctrl * c0
+            parts.append((a0 * r0, (ctrl * c1) * r0, a0 * r1))
+    elif isinstance(form, GeneralForm):
+        parts = []
+        for ctrl, e in zip(form.controls, (form.u, form.v, form.w)):
+            f0, f_s = walk(e, ms.param, s, {T_VAR: t})
+            f_t = walk(e, T_VAR, t, {ms.param: s})[1]
+            parts.append((ctrl * f0, ctrl * f_s, ctrl * f_t))
+    else:
+        assert isinstance(form, TabulatedProductForm)
+        r0, r1 = walk(form.u_profile, T_VAR, t)
+        dt = t - ms.t0
+        av, av1 = form.v_coefficient(s), form.v_coefficient(s, 1)
+        aw, aw1 = form.w_coefficient(s), form.w_coefficient(s, 1)
+        return MarchingValues(r0, av * dt, aw * dt, 0.0, av1 * dt, aw1 * dt, r1, av, aw)
+    (u, u_s, u_t), (v, v_s, v_t), (w, w_s, w_t) = parts
+    return MarchingValues(u, v, w, u_s, v_s, w_s, u_t, v_t, w_t)
 
 
 class SurfacePencil:

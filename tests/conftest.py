@@ -1,8 +1,10 @@
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
@@ -10,6 +12,12 @@ if str(SRC) not in sys.path:
 
 from dpencil.presets import load_preset  # noqa: E402
 from dpencil.scene import SceneConfig  # noqa: E402
+
+# HYPOTHESIS_PROFILE=ci runs every property on fixed examples, so that a
+# failing CI run fails again locally under the same profile; without it
+# the properties draw fresh examples on every run.
+settings.register_profile("ci", derandomize=True, print_blob=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def preset_config(name: str) -> SceneConfig:

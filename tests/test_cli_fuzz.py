@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from dpencil.cli import MAX_SAMPLES, main
@@ -32,16 +32,22 @@ CONFIG = "{config}"
 def run_cli(command: str, config, options=()):
     """``pencil command --config FILE -o DIR *options``, where FILE holds
     ``config`` (a dict, or the raw text of the file): (exit code, stderr)."""
+    code, _, err = run_cli_output(command, config, options)
+    return code, err
+
+
+def run_cli_output(command: str, config, options=()):
+    """``run_cli`` that also returns stdout: (exit code, stdout, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scene.json"
         path.write_text(config if isinstance(config, str) else json.dumps(config),
                         encoding="utf-8")
         argv = [command, "--config", str(path), "-o", str(Path(tmp) / "out"),
                 *(str(path) if o == CONFIG else o for o in options)]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def expressions(var: str):
@@ -61,18 +67,26 @@ odd_values = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
                        st.lists(st.integers(0, 3), max_size=3), st.just({}))
 
 
-@st.composite
-def configs(draw):
+def preset_with_curve(draw) -> dict:
+    """A preset whose curve coordinates and range are each, by a coin
+    flip, replaced with generated ones."""
     cfg = load_preset(draw(st.sampled_from(preset_names())))
-    curve, marching, grid = cfg["curve"], cfg["marching"], cfg["grid"]
-    param = curve["param"]
+    curve = cfg["curve"]
     for key in ("x", "y", "z"):
         if draw(st.booleans()):
-            curve[key] = draw(expressions(param))
+            curve[key] = draw(expressions(curve["param"]))
             curve["unit_speed"] = False
     if draw(st.booleans()):
         lo = draw(finite)
         curve["range"] = [lo, lo + draw(st.floats(1e-3, 1e3))]
+    return cfg
+
+
+@st.composite
+def configs(draw):
+    cfg = preset_with_curve(draw)
+    curve, marching, grid = cfg["curve"], cfg["marching"], cfg["grid"]
+    param = curve["param"]
     if draw(rarely):
         curve["unit_speed"] = not curve["unit_speed"]
     marching["mode"] = draw(st.sampled_from(("explicit", "synthesized")))
@@ -165,6 +179,39 @@ def test_exit_code_contract(command, config, opts):
     code, err = run_cli(command, config, opts)
     assert code in range(5)
     assert len(err.splitlines()) <= 1, err
+
+
+@st.composite
+def synthesis_configs(draw):
+    """The fuzz's curves at a target constant of its list that lies
+    strictly between 0 and 1, of either sign."""
+    cfg = preset_with_curve(draw)
+    cfg["marching"]["c"] = draw(st.sampled_from((0.25, 0.5, 3 ** 0.5 / 2)))
+    cfg["marching"]["sign"] = draw(st.sampled_from((1, -1)))
+    return cfg
+
+
+# About one generated config in ten synthesizes after a restriction.
+@settings(max_examples=6, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(synthesis_configs())
+def test_restricted_synthesis_verifies(config):
+    code, out, err = run_cli_output("synthesize", config)
+    assume(code == 0 and "restricting to" in err)
+    assert run_cli("verify", json.loads(out))[0] == 0
+
+
+def test_unconverged_table_fails_synthesis():
+    # Synthesis on this restriction once printed a table whose interpolation
+    # error at 8,193 nodes was ~1e3, and verify of that config exited 1.
+    cfg = preset("example4b_alt", **{"curve.x": "cosh((q)-(1e-300))",
+                                     "curve.unit_speed": False, "marching.mode": "synthesized",
+                                     "marching.c": 0.25})
+    for command in ("synthesize", "verify"):
+        code, err = run_cli(command, cfg)
+        assert code == 4
+        assert err.startswith("error: cubic interpolation error ")
+        assert err.endswith(" above 1e-09 with 8193 table nodes\n")
 
 
 def test_missed_window_is_split_off():

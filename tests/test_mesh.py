@@ -27,7 +27,13 @@ from dpencil.errors import (
 )
 from dpencil.frenet import FrenetApparatus, frenet_at
 from dpencil.mesh import MeshDefect, SurfaceMesh, sample_grid, write_obj, write_report_csv
-from dpencil.pencil import SurfacePencil, TabulatedProductForm
+from dpencil.pencil import (
+    MarchingValues,
+    SurfacePencil,
+    TabulatedProductForm,
+    marching_grid,
+    marching_values,
+)
 from dpencil.presets import load_preset
 from dpencil.scene import SceneConfig
 
@@ -264,6 +270,45 @@ class TestGridMatchesPerVertex:
                     for i in range(3) for j in range(2)]
         assert mesh.faces.dtype == np.int64
         assert mesh.faces.tolist() == [list(q) for q in expected]
+
+
+class TestMarchingGridMatchesPoint:
+    """``marching_grid`` against ``marching_values`` field by field, on the
+    grid ``sample_grid`` takes: every field compares as bytes, so a signed
+    zero counts, and undefined entries are +0.0 where the point call raises."""
+
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_every_field_bit_for_bit(self, case):
+        make, ns, nt = GRID_CASES[case]
+        p = make()
+        ss = np.linspace(*p.curve.domain, ns)
+        ts = np.linspace(*p.t_range, nt)
+        grid, ok = marching_grid(p.marching, ss, ts)
+        expected = np.zeros((len(MarchingValues._fields), ns, nt))
+        defined = np.zeros((ns, nt), dtype=bool)
+        for i, s in enumerate(ss.tolist()):
+            for j, t in enumerate(ts.tolist()):
+                try:
+                    expected[:, i, j] = marching_values(p.marching, s, t)
+                except DomainError:
+                    continue
+                defined[i, j] = True
+        assert ok.tolist() == defined.tolist()
+        for name, field, want in zip(MarchingValues._fields, grid, expected):
+            assert field.shape == (ns, nt), name
+            assert field.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("case, s, t, where, message", [
+        ("product_row_domain", 0.5, 1.5, "sqrt(1-t)", "sqrt of negative value -0.5"),
+        ("general_form", 2.0, 1.0, "sqrt(1-s*t)", "sqrt of negative value -1.0"),
+    ])
+    def test_point_raises_the_expression_error(self, case, s, t, where, message):
+        p = GRID_CASES[case][0]()
+        with pytest.raises(DomainError) as got:
+            marching_values(p.marching, s, t)
+        assert (got.value.message, got.value.where) == (message, where)
+        assert str(got.value) == f"{message} in {where!r}"
+        assert not marching_grid(p.marching, [s], [t])[1].any()
 
 
 class TestFalseUnitSpeed:
