@@ -36,6 +36,7 @@ from .frenet import (
     classify_curve,
     frenet_at,
     raise_first,
+    reasons_outside,
 )
 from .pencil import (
     MarchingScale,
@@ -297,7 +298,7 @@ def _radicands(curve: CurveSpec, c: float, qs: np.ndarray):
 def _failed(reasons: np.ndarray) -> np.ndarray:
     """Parameters where the scalar ``frenet_at`` raises an error other than
     an undefined frame."""
-    return ~np.isin(reasons, ("",) + SKIPPED)
+    return reasons_outside(reasons, ("",) + SKIPPED)
 
 
 def _coefficients_at(curve: CurveSpec, c: float, sign: int, qs: np.ndarray):
@@ -457,25 +458,38 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
                     infeasible=()) -> list[tuple[float, float]]:
     """Subintervals where the phi2 radicand is nonnegative and the frame exists.
 
-    Boundaries are located by bisection to 1e-9 parameter resolution; all
-    of them are bisected together.  One ``frenet_at`` call evaluates every
-    midpoint of the next ``_SPECULATE`` steps of each live bracket, so a
-    search takes one call per ``_SPECULATE`` steps; the midpoints off the
-    path are never read.
+    Boundaries are located by bisection to 1e-9 parameter resolution, or
+    until a bracket's midpoint rounds to one of its ends (past |q| = 2^23,
+    where neighbouring doubles are more than 1e-9 apart); all of them are
+    bisected together.  One ``frenet_at`` call evaluates every midpoint of
+    the next ``_SPECULATE`` steps of each live bracket, so a search takes
+    one call per ``_SPECULATE`` steps; the midpoints off the path are never
+    read.
+
+    A sample whose frame is undefined (inflection or irregular point)
+    between feasible samples is a hole in the frame rather than a boundary
+    when the parameters ``h = min(1e-7, step / 4)`` to either side of it
+    inside the domain are feasible: it counts as feasible, and synthesis
+    leaves it out of its table as any node without a frame.  On a planar
+    curve the radicand is 1 - c^2 wherever the frame exists, so every
+    inflection is such a hole.  All such samples are probed in one
+    ``frenet_at`` call, whose errors count as infeasible; any other
+    undefined sample is bisected toward as a boundary.
 
     Boundaries are sought only between the ``sample_count`` uniform samples
     and the parameters ``infeasible``, known to be infeasible (where
     synthesis raised :class:`InfeasibleConstantError`): each of these counts
-    as an infeasible sample, so it splits the bracket it falls in.  An
-    infeasible window narrower than one sample step, lying between two
-    feasible samples, is otherwise not found, and its interval is kept.
+    as an infeasible sample, so it splits the bracket it falls in, and is
+    never a hole.  An infeasible window narrower than one sample step,
+    lying between two feasible samples, is otherwise not found, and its
+    interval is kept.
     """
     if sample_count < 64:
         raise ValueError("sample_count must be at least 64")
 
     def feasible(qs: np.ndarray):
         _, _, radicand, reasons = _radicands(curve, c, qs)
-        return (reasons == "") & (radicand >= 0.0), _failed(reasons)
+        return (reasons == "") & (radicand >= 0.0), reasons
 
     # (ok, failed) by midpoint, filled ahead of the bisection.
     known: dict[float, tuple[bool, bool]] = {}
@@ -484,14 +498,24 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
         points = mid.tolist()
         if not all(map(known.__contains__, points)):
             ahead = _speculate(q_true, q_false)
-            ok, failed = feasible(ahead)
-            known.update(zip(ahead.tolist(), zip(ok.tolist(), failed.tolist())))
+            ok, reasons = feasible(ahead)
+            known.update(zip(ahead.tolist(), zip(ok.tolist(), _failed(reasons).tolist())))
         return np.array([known[q] for q in points], dtype=bool).T
 
     lo, hi = curve.domain
     qs = np.linspace(lo, hi, sample_count)
-    flags, failed = feasible(qs)
-    raise_first(curve, qs, failed)
+    flags, reasons = feasible(qs)
+    raise_first(curve, qs, _failed(reasons))
+    # Undefined frames between feasible samples, probed for holes.
+    h = min(1e-7, (hi - lo) / (sample_count - 1) / 4)
+    beside = np.concatenate([[True], flags[:-1]]) & np.concatenate([flags[1:], [True]])
+    gaps = np.flatnonzero((reasons != "") & beside)
+    if gaps.size:
+        probes = np.concatenate([qs[gaps] - h, qs[gaps] + h])
+        inside = (probes >= lo) & (probes <= hi)
+        ok = np.ones(probes.size, dtype=bool)
+        ok[inside] = feasible(probes[inside])[0]
+        flags[gaps[ok[:gaps.size] & ok[gaps.size:]]] = True
     if len(infeasible):
         qs = np.concatenate([qs, infeasible])
         flags = np.concatenate([flags, np.zeros(len(infeasible), dtype=bool)])
@@ -506,10 +530,14 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
     # error of the first such bracket is raised once the earlier ones are done.
     stop, error = edges.size, None
     while True:
-        live = np.flatnonzero(np.abs(q_false[:stop] - q_true[:stop]) > 1e-9)
+        # Past |q| = 2^23 neighbouring doubles are more than 1e-9 apart: a
+        # bracket whose midpoint rounds to one of its ends is done too.
+        a, b = q_true[:stop], q_false[:stop]
+        mid = 0.5 * (a + b)
+        live = np.flatnonzero((np.abs(b - a) > 1e-9) & (mid != a) & (mid != b))
         if live.size == 0:
             break
-        mid = 0.5 * (q_true[live] + q_false[live])
+        mid = mid[live]
         ok, failed = step(mid, q_true[live], q_false[live])
         if failed.any():
             stop, error = live[np.argmax(failed)], (mid, failed)
@@ -538,17 +566,20 @@ def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256, infeasib
     Returns ``(curve, intervals)``.  When the whole domain is feasible the
     curve comes back unchanged with ``intervals`` None; otherwise
     ``intervals`` lists every feasible subinterval.  Raises
-    :class:`InfeasibleConstantError` when no parameter is feasible.  An
-    infeasible window narrower than one sample step can remain inside the
-    returned curve (see ``feasible_domain``); synthesis then raises there,
+    :class:`InfeasibleConstantError` when no parameter is feasible.  The
+    whole domain counts as feasible when one interval reaches both ends to
+    within 1e-7, an absolute tolerance at any |q|.  An interval may hold
+    holes, undefined frames with feasible parameters beside them (see
+    ``feasible_domain``).  An infeasible window narrower than one sample
+    step can remain inside the returned curve; synthesis then raises there,
     and the parameter it names can be passed back in ``infeasible``.
     """
     intervals = feasible_domain(curve, c, sample_count, infeasible)
     if not intervals:
         raise InfeasibleConstantError(c)
     lo, hi = curve.domain
-    if len(intervals) == 1 and math.isclose(intervals[0][0], lo, abs_tol=1e-7) \
-            and math.isclose(intervals[0][1], hi, abs_tol=1e-7):
+    if len(intervals) == 1 and math.isclose(intervals[0][0], lo, rel_tol=0.0, abs_tol=1e-7) \
+            and math.isclose(intervals[0][1], hi, rel_tol=0.0, abs_tol=1e-7):
         return curve, None
     largest = max(intervals, key=lambda iv: iv[1] - iv[0])
     return restrict_curve(curve, largest), intervals

@@ -230,6 +230,15 @@ SKIPPED = ("irregular", "inflection")
 NO_FRAME = (InflectionPointError, IrregularCurveError, DomainError)
 
 
+def reasons_outside(reasons: np.ndarray, allowed: tuple[str, ...]) -> np.ndarray:
+    """Where ``reasons`` is none of ``allowed``: ``~np.isin(reasons, allowed)``
+    by one comparison per allowed reason, a few times cheaper at these sizes."""
+    outside = reasons != allowed[0]
+    for reason in allowed[1:]:
+        outside &= reasons != reason
+    return outside
+
+
 def raise_first(curve: CurveSpec, qs: np.ndarray, failed: np.ndarray) -> None:
     """Raise what the scalar ``frenet_at`` raises at the first parameter of
     ``qs`` marked in ``failed``; do nothing when none is marked."""
@@ -299,7 +308,7 @@ def classify_curve(curve: CurveSpec, sample_count: int = 256, tol: float = 1e-6)
         raise ValueError("sample_count must be at least 8")
     qs = np.linspace(curve.domain[0], curve.domain[1], sample_count)
     app, reasons = frenet_at(curve, qs)
-    raise_first(curve, qs, ~np.isin(reasons, ("", "non_finite") + SKIPPED))
+    raise_first(curve, qs, reasons_outside(reasons, ("", "non_finite") + SKIPPED))
     good = reasons == ""
     usable = int(np.count_nonzero(good))
     if usable < 2:

@@ -376,7 +376,10 @@ def _norm(x: np.ndarray) -> np.ndarray:
     each one.  Where the squares overflow but the norm does not (components
     past ~1e154), ``hypot`` gives the finite norm."""
     n = np.sqrt(np.vecdot(x, x))
-    return np.where(np.isinf(n), np.hypot(np.hypot(x[..., 0], x[..., 1]), x[..., 2]), n)
+    overflowed = np.isinf(n)
+    if not overflowed.any():
+        return n
+    return np.where(overflowed, np.hypot(np.hypot(x[..., 0], x[..., 1]), x[..., 2]), n)
 
 
 def pencil_point(r: np.ndarray, frame: FrenetApparatus, mv: MarchingValues) -> np.ndarray:

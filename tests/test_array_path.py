@@ -296,7 +296,9 @@ def test_grid_and_verify_name_overflow_alike():
 
 def bisected_domain(curve, c, sample_count=256):
     """Feasible intervals with one scalar ``frenet_at`` per parameter and
-    one bisection per boundary, in order."""
+    one bisection per boundary, in order.  A sample without a frame between
+    feasible samples counts as feasible when the parameters 1e-7 (at most a
+    quarter step) to either side inside the domain are."""
     def feasible(q):
         try:
             app = frenet_at(curve, q)
@@ -304,6 +306,19 @@ def bisected_domain(curve, c, sample_count=256):
             return False
         ratio = math.hypot(app.kappa, app.tau) / app.kappa
         return 1.0 - c * c * ratio * ratio >= 0.0
+
+    def no_frame(q):
+        try:
+            frenet_at(curve, q)
+        except (InflectionPointError, IrregularCurveError):
+            return True
+        return False
+
+    def probe(q):
+        try:
+            return feasible(q)
+        except NO_FRAME:
+            return False
 
     def refine(q_true, q_false):
         while abs(q_false - q_true) > 1e-9:
@@ -314,8 +329,16 @@ def bisected_domain(curve, c, sample_count=256):
                 q_false = mid
         return 0.5 * (q_true + q_false)
 
-    qs = np.linspace(*curve.domain, sample_count).tolist()
+    lo, hi = curve.domain
+    qs = np.linspace(lo, hi, sample_count).tolist()
     flags = [feasible(q) for q in qs]
+    h = min(1e-7, (hi - lo) / (sample_count - 1) / 4)
+    holes = [i for i, q in enumerate(qs)
+             if no_frame(q)
+             and all(flags[j] for j in (i - 1, i + 1) if 0 <= j < len(qs))
+             and all(probe(p) for p in (q - h, q + h) if lo <= p <= hi)]
+    for i in holes:
+        flags[i] = True
     intervals, start = [], qs[0] if flags[0] else None
     for a, b, fa, fb in zip(qs, qs[1:], flags, flags[1:]):
         if fa and not fb:
@@ -336,6 +359,17 @@ WAVY = make_curve("cos(q)", "sin(q)", "sin(3*q)/3", (0.0, 2.0 * math.pi))
 def test_batched_bisection_matches_per_boundary(name, c):
     curve = WAVY if name == "wavy" else CURVES[name]
     assert feasible_domain(curve, c) == bisected_domain(curve, c)
+
+
+def test_eight_feasibility_takes_two_calls(monkeypatch):
+    # One call scans the samples and one probes beside the two inflection
+    # samples, 0 and 2 pi; no boundary is bisected.
+    calls = []
+    radicands = dcurve._radicands
+    monkeypatch.setattr(dcurve, "_radicands", lambda *a: calls.append(a) or radicands(*a))
+    curve = CURVES["example3"]
+    assert feasible_domain(curve, math.sqrt(3.0) / 2.0) == [curve.domain]
+    assert len(calls) <= 2
 
 
 def test_batched_bisection_with_several_boundaries():

@@ -11,6 +11,7 @@ The examples replay every input that once broke the contract.
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -138,6 +139,14 @@ MISSED_WINDOW = preset("example1", **{
     "curve.range": [-778.1577501817875, 26.48608246329104], "marching.mode": "synthesized",
     "marching.c": 0.5})
 
+# The Salkowski preset moved to q = 1e8, where neighbouring doubles are 1.5e-8
+# apart: the boundary search once never ended there, as the midpoint of a
+# bracket wider than 1e-9 rounded to one of its ends.
+FAR_SALKOWSKI = preset("example4", **{
+    **{f"curve.{k}": re.sub(r"\bq\b", "(q-1e8)", load_preset("example4")["curve"][k])
+       for k in "xyz"},
+    "curve.range": [1e8, 1e8 + 6.283185307179586], "marching.mode": "synthesized"})
+
 
 # Each of these once escaped as a traceback, printed invalid JSON or gave the
 # wrong exit code; see CHANGES.md.
@@ -173,6 +182,9 @@ MISSED_WINDOW = preset("example1", **{
 @example("synthesize", "[" * 1000, [])
 @example("verify", MISSED_WINDOW, [])
 @example("synthesize", MISSED_WINDOW, [])
+@example("synthesize", FAR_SALKOWSKI, [])
+@example("verify", FAR_SALKOWSKI, [])
+@example("build", FAR_SALKOWSKI, [])
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(COMMANDS), configs(), options)
 def test_exit_code_contract(command, config, opts):
@@ -230,3 +242,12 @@ def test_missed_window_is_split_off():
     restricted = emitted["256"]["curve"]["range"]
     assert restricted == pytest.approx(emitted["1024"]["curve"]["range"], abs=1e-8)
     assert run_cli("verify", emitted["256"]) == (0, "")
+
+
+def test_far_boundary_search_ends():
+    code, out, err = run_cli_output("synthesize", FAR_SALKOWSKI)
+    assert code == 0
+    lo, hi = json.loads(out)["curve"]["range"]
+    assert lo == pytest.approx(1e8 + 2.67e-6, abs=1e-7)
+    assert hi == pytest.approx(1e8 + 2.6698377, abs=1e-7)
+    assert "restricting to" in err

@@ -1,11 +1,15 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from dpencil.cli import main
 from dpencil.dcurve import (
     SynthesisRequest,
     check_theorem_conditions,
+    feasible_curve,
     feasible_domain,
     phi_components,
     restrict_curve,
@@ -36,6 +40,12 @@ from conftest import preset_config, preset_pencil
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 SQRT2_2 = math.sqrt(2.0) / 2.0
+
+
+def q_curve(x, y, z):
+    """The curve (x, y, z) in q on [-1, 1]."""
+    return CurveSpec(*(parse_expression(e, ["q"]) for e in (x, y, z)),
+                     param="q", domain=(-1.0, 1.0))
 
 
 def synth_pencil(curve, c, sign=1, t_range=(0.0, 1.0)):
@@ -401,6 +411,51 @@ class TestFeasibleDomain:
         assert len(split) == len(plain) + 1
         assert [iv for iv in split if -2.0 < iv[0] < 4.0] == [
             pytest.approx((-1.36249, 1.36249)), pytest.approx((3.69591, 4.84381))]
+
+    @pytest.mark.parametrize("samples", [257, 513])
+    def test_eight_inflection_is_a_hole(self, ex3, samples):
+        # The eight is planar: its radicand is 1 - c^2 wherever the frame
+        # exists, and the inflection sample at pi is no boundary.
+        assert feasible_domain(ex3.curve, SQRT3_2, samples) == [ex3.curve.domain]
+
+    def test_eight_synthesizes_unrestricted_at_odd_samples(self, capsys):
+        assert main(["synthesize", "--preset", "example3", "--samples", "257"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["curve"]["range"] == [0.0, 2.0 * math.pi]
+
+    def test_hole_on_a_twisted_curve(self):
+        curve = q_curve("q", "q^3", "q^5")
+        assert feasible_domain(curve, 0.5, 257) == [(-1.0, 1.0)]
+
+    def test_no_hole_between_infeasible_samples(self):
+        # tau/kappa ~ 2.5 q vanishes at the inflection q = 0.  At c = 0.99 the
+        # samples beside it are feasible and it is a hole; at c = 0.99999 the
+        # feasible window around it, (-0.0018, 0.0018), lies inside one sample
+        # step, so the inflection sample is no hole and the window is not found.
+        curve = q_curve("q", "q^3", "q^6")
+        assert feasible_domain(curve, 0.99, 257) == [
+            (-0.056988871190696955, 0.056988871190696955)]
+        assert feasible_domain(curve, 0.99999, 257) == []
+
+    def test_window_around_an_inflection_is_kept(self):
+        # tau/kappa grows without bound at the inflection q = 0: the
+        # infeasible window around it is no hole, and both its boundaries
+        # are found as before.
+        curve = q_curve("q", "q^3", "0.01*q^4")
+        assert feasible_domain(curve, 0.5, 257) == [
+            (-1.0, -0.0019245012663304806), (0.0019245012663304806, 1.0)]
+
+    def test_whole_domain_tolerance_is_absolute(self):
+        # The Salkowski curve moved to q = 1e8, where a relative tolerance of
+        # 1e-9 would be 0.1 wide: its infeasible last 0.05 must still restrict it.
+        cfg = load_preset("example4")
+        for k in "xyz":
+            cfg["curve"][k] = re.sub(r"\bq\b", "(q-1e8)", cfg["curve"][k])
+        cfg["curve"]["range"] = [1e8, 1e8 + 2.7198]
+        curve, intervals = feasible_curve(SceneConfig.from_dict(cfg).curve(), SQRT3_2)
+        assert intervals is not None
+        assert curve.domain[1] == pytest.approx(1e8 + 2.6698377, abs=1e-6)
 
     def test_restrict_curve_margin(self, ex4):
         interval = (0.0, 2.0)

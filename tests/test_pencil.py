@@ -11,6 +11,7 @@ from dpencil.pencil import (
     MarchingScale,
     MarchingValues,
     SurfacePencil,
+    _norm,
     marching_values,
     stack_frames,
     surface_normals,
@@ -172,6 +173,16 @@ class TestSurfaceNormal:
                                    "non_finite", "degenerate_normal", ""]
         assert not normals[:6].any()
         assert np.array_equal(normals[6], ex1.normal(0.5, 1.0, app))
+
+    def test_norm_past_overflowing_squares(self):
+        # The squares of the first row overflow while its norm does not: it
+        # takes the hypot norm.  The other rows keep sqrt(vecdot), bit for bit.
+        x = np.array([[3e200, 4e200, 0.0], [1.0, 2.0, 2.0], [0.1, 0.2, 0.3]])
+        with np.errstate(over="ignore"):
+            n = _norm(x)
+        assert n[0] == pytest.approx(5e200, rel=1e-15)
+        assert n[1:].tobytes() == np.sqrt(np.vecdot(x[1:], x[1:])).tobytes()
+        assert _norm(x[1:]).tobytes() == n[1:].tobytes()
 
 
 class TestConstruction:
