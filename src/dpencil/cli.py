@@ -39,7 +39,7 @@ from .frenet import classify_curve
 from .mesh import sample_grid, write_obj, write_report_csv
 from .pencil import ProductForm, SurfacePencil, TabulatedProductForm
 from .presets import load_preset, preset_names
-from .scene import SceneConfig
+from .scene import PRODUCT_KEYS, SceneConfig
 
 EXIT_OK = 0
 EXIT_NOT_DTYPE = 1
@@ -132,7 +132,7 @@ def _synthesize(cfg: SceneConfig, samples: int):
             )
             break
         except InfeasibleConstantError as e:
-            if e.param is None or len(infeasible) == _RESTRICT_RETRIES:
+            if len(infeasible) == _RESTRICT_RETRIES:
                 raise
             infeasible.append(e.param)
     note = None
@@ -269,14 +269,7 @@ def cmd_synthesize(cfg: SceneConfig, args) -> int:
     if isinstance(marching.form, ProductForm):
         form = marching.form
         block["mode"] = "explicit"
-        block["explicit"] = {
-            "l": format_expression(form.l),
-            "m": format_expression(form.m),
-            "n": format_expression(form.n),
-            "U": format_expression(form.U),
-            "V": format_expression(form.V),
-            "W": format_expression(form.W),
-        }
+        block["explicit"] = {k: format_expression(getattr(form, k)) for k in PRODUCT_KEYS}
     else:
         assert isinstance(marching.form, TabulatedProductForm)
         form = marching.form

@@ -11,7 +11,11 @@ with constant c pins the components to
     phi3 = c sqrt(kappa^2 + tau^2) / kappa,
     phi2 = +/- sqrt(1 - c^2 (kappa^2 + tau^2) / kappa^2),
 
-which is feasible exactly where the phi2 radicand is nonnegative.
+which is feasible where the frame is defined and the phi2 radicand is at
+least ``BOUNDARY_TOL``: one rule (``_radicands``) for the feasibility scan,
+its bisection and the synthesis table.  A constant whose radicand vanishes
+identically, as at the asymptotic limits (the circle at c = 1, a helix at
+its bound), is therefore infeasible everywhere.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .pencil import (
 )
 
 # Radicand values inside this band count as boundary-touching: phi2 would be
-# non-smooth there, so synthesis treats them as infeasible.
+# non-smooth there, so feasibility and synthesis treat them as infeasible.
 BOUNDARY_TOL = 1e-12
 _CONST_COEFF_TOL = 1e-10
 _INTERP_TARGET = 1e-9
@@ -290,9 +294,12 @@ def _phi2_radicand(kappa: np.ndarray, omega: np.ndarray, c: float):
 
 def _radicands(curve: CurveSpec, c: float, qs: np.ndarray):
     """``frenet_at`` over ``qs`` with ``_phi2_radicand``: ``(app, ratio,
-    radicand, reasons)``, where ``reasons`` come from ``frenet_at``."""
+    radicand, feasible, reasons)``, where ``reasons`` come from
+    ``frenet_at``.  ``feasible`` is the feasibility rule: the frame is
+    defined and the radicand is at least ``BOUNDARY_TOL``."""
     app, reasons = frenet_at(curve, qs)
-    return (app, *_phi2_radicand(app.kappa, app.omega, c), reasons)
+    ratio, radicand = _phi2_radicand(app.kappa, app.omega, c)
+    return app, ratio, radicand, (reasons == "") & (radicand >= BOUNDARY_TOL), reasons
 
 
 def _failed(reasons: np.ndarray) -> np.ndarray:
@@ -311,12 +318,13 @@ def _coefficients_at(curve: CurveSpec, c: float, sign: int, qs: np.ndarray):
     direction (and the verified constant) is unaffected by it.  The square
     of a_w is returned as well because it stays smooth where the radicand
     vanishes, which is what the tabulated form interpolates.  At the first
-    parameter with a radicand below ``BOUNDARY_TOL`` or a ``frenet_at``
-    error other than an undefined frame, that error is raised.
+    parameter with a frame where ``_radicands`` finds ``c`` infeasible, or
+    with a ``frenet_at`` error other than an undefined frame, that error is
+    raised.
     """
-    app, ratio, radicand, reasons = _radicands(curve, c, qs)
+    app, ratio, radicand, feasible, reasons = _radicands(curve, c, qs)
     usable = reasons == ""
-    failed = _failed(reasons) | (usable & (radicand < BOUNDARY_TOL))
+    failed = _failed(reasons) | (usable & ~feasible)
     if failed.any():
         i = int(np.argmax(failed))
         if usable[i]:
@@ -343,9 +351,6 @@ def synthesize_marching_scale(req: SynthesisRequest) -> MarchingScale:
     curve = req.curve
     qs = np.linspace(*curve.domain, _FIRST_TABLE_NODES)
     av, aw, g, usable = _coefficients_at(curve, req.c, req.sign, qs)
-    if np.count_nonzero(usable) < 2:
-        raise NotEnoughSamplesError("frame undefined at nearly all presample points")
-
     u_profile = req.u_profile or _default_u_profile(req.t0)
 
     def _spread_small(vals):
@@ -395,7 +400,7 @@ def _build_table(req: SynthesisRequest, u_profile: Expression, qs: np.ndarray,
             raise NotEnoughSamplesError("frame undefined at nearly all table nodes")
         step = (hi - lo) / (qs.size - 1)
         excluded = _merge_holes(qs[~usable].tolist(), step)
-        form = TabulatedProductForm(u_profile, req.t0, qs[usable], av[usable], g[usable],
+        form = TabulatedProductForm(u_profile, qs[usable], av[usable], g[usable],
                                     req.sign, excluded)
         finer = np.linspace(lo, hi, 2 * qs.size - 1)
         odd = finer[1::2]
@@ -456,7 +461,7 @@ def _speculate(q_true: np.ndarray, q_false: np.ndarray) -> np.ndarray:
 
 def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
                     infeasible=()) -> list[tuple[float, float]]:
-    """Subintervals where the phi2 radicand is nonnegative and the frame exists.
+    """Subintervals where ``c`` is feasible by the rule of ``_radicands``.
 
     Boundaries are located by bisection to 1e-9 parameter resolution, or
     until a bracket's midpoint rounds to one of its ends (past |q| = 2^23,
@@ -488,8 +493,8 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
         raise ValueError("sample_count must be at least 64")
 
     def feasible(qs: np.ndarray):
-        _, _, radicand, reasons = _radicands(curve, c, qs)
-        return (reasons == "") & (radicand >= 0.0), reasons
+        _, _, _, ok, reasons = _radicands(curve, c, qs)
+        return ok, reasons
 
     # (ok, failed) by midpoint, filled ahead of the bisection.
     known: dict[float, tuple[bool, bool]] = {}

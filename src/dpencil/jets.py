@@ -412,7 +412,7 @@ class ArrayRules:
         p = expo.v0
         if _is_array(expo) or not expo.is_constant() or not (
                 float(p).is_integer() and abs(p) <= 512):
-            return self._each(Jet3(0.0), np.ones_like(self.bad), jet_pow, base, expo)
+            return self._each(jet_pow, base, expo)
         n = int(p)
         j = _powi(base, abs(n))
         if n < 0:
@@ -429,7 +429,7 @@ class ArrayRules:
             return self._scalar(apply_function, name, u)
         kernel = _ARRAY_FUNCTIONS.get(name)
         if kernel is None:
-            return self._each(Jet3(0.0), np.ones_like(self.bad), apply_function, name, u)
+            return self._each(apply_function, name, u)
         value, undefined, derivatives = kernel
         x = u.v0
         fx = value(x)
@@ -449,17 +449,10 @@ class ArrayRules:
             self.bad[:] = True
             return Jet3(math.nan)
 
-    def _fields(self, j: Jet3) -> list[np.ndarray]:
-        """Writable copies of the fields of ``j``, each of shape ``(n,)``."""
-        return [np.array(np.broadcast_to(v, self.bad.size)) for v in (j.v0, j.v1, j.v2, j.v3)]
-
-    def _each(self, result: Jet3, points: np.ndarray, rule, *args) -> Jet3:
-        """``result`` with the entries at ``points`` from the scalar ``rule``."""
-        index = np.flatnonzero(points)
-        if index.size == 0:
-            return result
-        out = self._fields(result)
-        for i in index.tolist():
+    def _each(self, rule, *args) -> Jet3:
+        """The scalar ``rule`` at each point, zero where it fails."""
+        out = np.zeros((4, self.bad.size))
+        for i in range(self.bad.size):
             at = [Jet3(*(float(v[i]) for v in (a.v0, a.v1, a.v2, a.v3)))
                   if isinstance(a, Jet3) and _is_array(a) else a for a in args]
             try:
@@ -467,6 +460,5 @@ class ArrayRules:
             except _FAILURES:
                 self.bad[i] = True
                 continue
-            for field, v in zip(out, (j.v0, j.v1, j.v2, j.v3)):
-                field[i] = v
+            out[:, i] = j.v0, j.v1, j.v2, j.v3
         return Jet3(*out)

@@ -92,22 +92,22 @@ class TabulatedProductForm:
     """Synthesized marching scale with sampled coefficient functions.
 
     u = U(t); v = a_v(s) (t - t0); w = a_w(s) (t - t0), where a_v is a cubic
-    interpolant over a dense node table.  The w coefficient is stored
+    interpolant over a dense node table and t0 is that of the
+    ``MarchingScale`` holding the form.  The w coefficient is stored
     through its square (which stays smooth where the feasibility radicand
     vanishes): a_w = sign * sqrt(g(s)) with g interpolated.  Used when the
     coefficients have no closed form (non-constant curvature/torsion).
+    ``max_interp_error`` is set by the synthesis that checks the table.
     """
 
-    def __init__(self, u_profile, t0, nodes, v_values, g_values, sign=1,
-                 excluded=(), max_interp_error=0.0):
+    def __init__(self, u_profile, nodes, v_values, g_values, sign=1, excluded=()):
         self.u_profile = u_profile
-        self.t0 = float(t0)
         self.sign = int(sign)
         self.nodes = np.asarray(nodes, dtype=float)
         self.v_values = np.asarray(v_values, dtype=float)
         self.g_values = np.asarray(g_values, dtype=float)
         self.excluded = tuple(excluded)
-        self.max_interp_error = float(max_interp_error)
+        self.max_interp_error = 0.0
         self._v = _NotAKnotSpline(self.nodes, self.v_values)
         self._g = _NotAKnotSpline(self.nodes, self.g_values)
 
@@ -124,7 +124,7 @@ class TabulatedProductForm:
         if derivative == 0:
             value = self.sign * root
         else:
-            value = self.sign * self._g(s, 1) / (2.0 * root)
+            value = self.sign * self._g(s, derivative) / (2.0 * root)
         return _like(s, np.where(vanishing, 0.0, value))
 
 

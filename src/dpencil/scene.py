@@ -40,7 +40,7 @@ DEFAULT_NS = 200
 DEFAULT_NT = 50
 MAX_GRID_VERTICES = 1_000_000  # bounds grid.ns * grid.nt
 
-_PRODUCT_KEYS = ("l", "m", "n", "U", "V", "W")
+PRODUCT_KEYS = ("l", "m", "n", "U", "V", "W")
 _GENERAL_KEYS = ("u", "v", "w")
 
 
@@ -142,8 +142,8 @@ class SceneConfig:
             block = _require(marching, "explicit", "marching")
             if not isinstance(block, dict):
                 raise SceneValidationError("marching.explicit must be an object")
-            if all(k in block for k in _PRODUCT_KEYS):
-                product = {k: _text(block[k], f"marching.explicit.{k}") for k in _PRODUCT_KEYS}
+            if all(k in block for k in PRODUCT_KEYS):
+                product = {k: _text(block[k], f"marching.explicit.{k}") for k in PRODUCT_KEYS}
             elif all(k in block for k in _GENERAL_KEYS):
                 general = {k: _text(block[k], f"marching.explicit.{k}") for k in _GENERAL_KEYS}
             else:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dpencil import dcurve
 from dpencil.dcurve import (
+    BOUNDARY_TOL,
     SynthesisRequest,
     feasible_curve,
     feasible_domain,
@@ -296,16 +297,18 @@ def test_grid_and_verify_name_overflow_alike():
 
 def bisected_domain(curve, c, sample_count=256):
     """Feasible intervals with one scalar ``frenet_at`` per parameter and
-    one bisection per boundary, in order.  A sample without a frame between
-    feasible samples counts as feasible when the parameters 1e-7 (at most a
-    quarter step) to either side inside the domain are."""
+    one bisection per boundary, in order.  A parameter is feasible when its
+    frame exists and its radicand is at least ``BOUNDARY_TOL``.  A sample
+    without a frame between feasible samples counts as feasible when the
+    parameters 1e-7 (at most a quarter step) to either side inside the
+    domain are."""
     def feasible(q):
         try:
             app = frenet_at(curve, q)
         except (InflectionPointError, IrregularCurveError):
             return False
         ratio = math.hypot(app.kappa, app.tau) / app.kappa
-        return 1.0 - c * c * ratio * ratio >= 0.0
+        return 1.0 - c * c * ratio * ratio >= BOUNDARY_TOL
 
     def no_frame(q):
         try:
@@ -385,8 +388,8 @@ def stepwise_domain(curve, c, sample_count=256, visits=None):
     step, as it was before the speculative search.  ``visits`` collects
     ``(live, mid)`` of every step."""
     def feasible(qs):
-        _, _, radicand, reasons = dcurve._radicands(curve, c, qs)
-        return (reasons == "") & (radicand >= 0.0), dcurve._failed(reasons)
+        _, _, radicand, _, reasons = dcurve._radicands(curve, c, qs)
+        return (reasons == "") & (radicand >= BOUNDARY_TOL), dcurve._failed(reasons)
 
     lo, hi = curve.domain
     qs = np.linspace(lo, hi, sample_count)
@@ -494,7 +497,7 @@ def table_by_rounds(req):
     while True:
         av, _, g, usable = dcurve._coefficients_at(curve, req.c, req.sign, qs)
         step = (hi - lo) / (qs.size - 1)
-        form = TabulatedProductForm(u_profile, req.t0, qs[usable], av[usable], g[usable],
+        form = TabulatedProductForm(u_profile, qs[usable], av[usable], g[usable],
                                     req.sign, dcurve._merge_holes(qs[~usable].tolist(), step))
         finer = np.linspace(lo, hi, 2 * qs.size - 1)
         check = finer[1::2]

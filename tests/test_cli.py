@@ -9,6 +9,7 @@ import pytest
 
 from dpencil import cli
 from dpencil.cli import MAX_SAMPLES, main
+from dpencil.dcurve import feasible_domain
 from dpencil.expr import MAX_DEPTH, evaluate, format_expression, parse_expression
 from dpencil.presets import load_preset, preset_names
 from dpencil.scene import MAX_GRID_VERTICES, SceneConfig
@@ -505,6 +506,30 @@ class TestSynthesize:
             except cli.InfeasibleConstantError as e:
                 assert e.param is None  # nowhere feasible: no parameter to retry at
         assert calls == [[], []]
+
+    # The asymptotic limits: the circle and the eight at c = 1 and the helix
+    # at 1/sqrt(2), where the radicand vanishes identically.  Feasibility once
+    # kept the whole curve, and synthesis failed at its first node after
+    # every restriction retry.
+    BOUNDARY = [("example1", 1.0), ("example3", 1.0),
+                ("example2", 1.0 / math.sqrt(2.0)), ("example2", math.sqrt(0.5))]
+
+    @pytest.mark.parametrize("name, c", BOUNDARY)
+    def test_boundary_constant_is_infeasible_without_retry(self, monkeypatch, tmp_path,
+                                                           capsys, name, c):
+        cfg = load_preset(name)
+        cfg["marching"].update(mode="synthesized", c=c)
+        assert feasible_domain(SceneConfig.from_dict(cfg).curve(), c) == []
+        calls = []
+        restrict = cli.feasible_curve
+        monkeypatch.setattr(cli, "feasible_curve",
+                            lambda *args: calls.append(args) or restrict(*args))
+        path = write_config(tmp_path, cfg)
+        for command in ("synthesize", "verify", "build"):
+            calls.clear()
+            code, out, err = run(capsys, command, "--config", path, "-o", str(tmp_path))
+            assert (code, out, err) == (3, "", f"error: target constant {c!r} infeasible\n")
+            assert len(calls) == 1
 
     def test_requires_target(self, tmp_path, capsys):
         cfg = load_preset("example1")

@@ -111,6 +111,17 @@ def test_synthesized_tables(request, rng, table):
         g = float(ref_g(q))
         want = 0.0 if g <= 0.0 else form.sign * math.sqrt(g)
         assert same_bytes(form.w_coefficient(q), want)
+        want = 0.0 if g <= 0.0 else form.sign * float(ref_g(q, 1)) / (2.0 * math.sqrt(g))
+        assert same_bytes(form.w_coefficient(q, 1), want)
+
+
+@pytest.mark.parametrize("derivative", [2, -3])
+def test_coefficients_reject_other_derivatives(derivative):
+    x = np.linspace(0.0, 1.0, 9)
+    form = TabulatedProductForm(None, x, x, 1.0 + x * x)
+    for coefficient in (form.v_coefficient, form.w_coefficient):
+        with pytest.raises(ValueError, match=f"derivative must be 0 or 1, got {derivative}"):
+            coefficient(0.5, derivative)
 
 
 @pytest.mark.parametrize("x", [
