@@ -225,7 +225,7 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
         ConditionCheck("phi2_branch", phi2_err <= tol, phi2_err),
         ConditionCheck("phi3_target", phi3_err <= tol, phi3_err),
     )
-    cls = classify_curve(p.curve, max(sample_count, 8), tol=1e-6)
+    cls = classify_curve(p.curve, sample_count, tol=1e-6)
     branch, constants = _specialize(cls, c, tol)
     return TheoremReport(
         passed=all(cond.passed for cond in conditions),
@@ -471,15 +471,17 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
     one call per ``_SPECULATE`` steps; the midpoints off the path are never
     read.
 
-    A sample whose frame is undefined (inflection or irregular point)
-    between feasible samples is a hole in the frame rather than a boundary
-    when the parameters ``h = min(1e-7, step / 4)`` to either side of it
-    inside the domain are feasible: it counts as feasible, and synthesis
-    leaves it out of its table as any node without a frame.  On a planar
-    curve the radicand is 1 - c^2 wherever the frame exists, so every
-    inflection is such a hole.  All such samples are probed in one
-    ``frenet_at`` call, whose errors count as infeasible; any other
-    undefined sample is bisected toward as a boundary.
+    A sample whose frame is undefined (inflection or irregular point) is a
+    hole in the frame rather than a boundary when the parameters
+    ``h = min(1e-7, step / 4)`` to either side of it inside the domain are
+    feasible: it counts as feasible, and synthesis leaves it out of its
+    table as any node without a frame.  On a planar curve the radicand is
+    1 - c^2 wherever the frame exists, so every inflection is such a hole.
+    A hole between infeasible samples is a feasible window narrower than
+    one sample step, and both its boundaries are bisected toward; such a
+    window with no sample inside it is not found.  All undefined samples
+    are probed in one ``frenet_at`` call, whose errors count as
+    infeasible; the others are bisected toward as boundaries.
 
     Boundaries are sought only between the ``sample_count`` uniform samples
     and the parameters ``infeasible``, known to be infeasible (where
@@ -511,10 +513,9 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
     qs = np.linspace(lo, hi, sample_count)
     flags, reasons = feasible(qs)
     raise_first(curve, qs, _failed(reasons))
-    # Undefined frames between feasible samples, probed for holes.
+    # Undefined frames, probed for holes.
     h = min(1e-7, (hi - lo) / (sample_count - 1) / 4)
-    beside = np.concatenate([[True], flags[:-1]]) & np.concatenate([flags[1:], [True]])
-    gaps = np.flatnonzero((reasons != "") & beside)
+    gaps = np.flatnonzero(reasons != "")
     if gaps.size:
         probes = np.concatenate([qs[gaps] - h, qs[gaps] + h])
         inside = (probes >= lo) & (probes <= hi)
@@ -551,17 +552,11 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
     if error is not None:
         raise_first(curve, *error)
 
-    intervals: list[tuple[float, float]] = []
-    start: float | None = float(qs[0]) if flags[0] else None
-    for end, fall in zip((0.5 * (q_true + q_false)).tolist(), falling.tolist()):
-        if fall:
-            intervals.append((start, end))
-            start = None
-        else:
-            start = end
-    if start is not None:
-        intervals.append((start, float(qs[-1])))
-    return intervals
+    # Boundaries alternate between rising and falling: with the domain ends
+    # that are feasible, they pair up into the intervals.
+    ends = (0.5 * (q_true + q_false)).tolist()
+    ends = [float(qs[0])] * bool(flags[0]) + ends + [float(qs[-1])] * bool(flags[-1])
+    return list(zip(ends[::2], ends[1::2]))
 
 
 def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256, infeasible=()
@@ -574,10 +569,11 @@ def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256, infeasib
     :class:`InfeasibleConstantError` when no parameter is feasible.  The
     whole domain counts as feasible when one interval reaches both ends to
     within 1e-7, an absolute tolerance at any |q|.  An interval may hold
-    holes, undefined frames with feasible parameters beside them (see
-    ``feasible_domain``).  An infeasible window narrower than one sample
-    step can remain inside the returned curve; synthesis then raises there,
-    and the parameter it names can be passed back in ``infeasible``.
+    holes, undefined frames with feasible parameters beside them, or be
+    only a narrow window around one (see ``feasible_domain``).  An
+    infeasible window narrower than one sample step can remain inside the
+    returned curve; synthesis then raises there, and the parameter it
+    names can be passed back in ``infeasible``.
     """
     intervals = feasible_domain(curve, c, sample_count, infeasible)
     if not intervals:

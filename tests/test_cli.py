@@ -531,6 +531,47 @@ class TestSynthesize:
             assert (code, out, err) == (3, "", f"error: target constant {c!r} infeasible\n")
             assert len(calls) == 1
 
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+    @pytest.mark.parametrize("t0", [0.25, -0.25])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_shifted_t0(self, tmp_path, capsys, name, t0, sign):
+        # The scale vanishes at t = t0 rather than t = 0: closed forms for the
+        # circle and the helix, a table for the eight.
+        cfg = load_preset(name)
+        cfg["t0"] = t0
+        cfg["marching"]["sign"] = sign
+        cfg["grid"].update(t_range=[-1.0, 1.0], ns=20, nt=5)
+        code, out, _ = run_json(capsys, "synthesize", "--config", write_config(tmp_path, cfg))
+        assert code == 0
+        _, marching, _ = cli._synthesize(SceneConfig.from_dict(cfg), 256)
+        block = out["marching"]
+        printed = block.get("explicit") or {"u_profile": block["table"]["u_profile"]}
+        for key, text in printed.items():
+            assert parse_expression(text, ["t"]).root == getattr(marching.form, key).root
+        path = write_config(tmp_path, out, "synthesized.json")
+        for command in ("verify", "build"):
+            code, report, _ = run_json(capsys, command, "--config", path, "-o", str(tmp_path))
+            assert code == 0
+            assert report["c_estimate"] == pytest.approx(cfg["marching"]["c"], abs=1e-6)
+
+    def test_narrow_window_around_an_inflection(self, tmp_path, capsys):
+        # (q, q^3, q^6) at c = 0.99999 is feasible only on (-0.0018, 0.0018),
+        # around its inflection at 0.  At 257 samples one sample lands on the
+        # inflection and is a hole, so the window is found.  At 256 none does,
+        # both samples beside 0 are infeasible, and the window is missed.
+        cfg = load_preset("example3")
+        cfg["curve"].update(x="q", y="q^3", z="q^6", range=[-1.0, 1.0])
+        cfg["marching"].update(mode="synthesized", c=0.99999)
+        path = write_config(tmp_path, cfg)
+        code, out, _ = run_json(capsys, "synthesize", "--config", path, "--samples", "257")
+        assert code == 0
+        assert out["curve"]["range"] == [-0.0017888645254401491, 0.0017888645254401491]
+        code, _, _ = run(capsys, "verify", "--config", write_config(tmp_path, out, "narrow.json"),
+                         "-o", str(tmp_path))
+        assert code == 0
+        code, out, err = run(capsys, "synthesize", "--config", path, "--samples", "256")
+        assert (code, out, err) == (3, "", "error: target constant 0.99999 infeasible\n")
+
     def test_requires_target(self, tmp_path, capsys):
         cfg = load_preset("example1")
         del cfg["marching"]["c"]

@@ -13,6 +13,7 @@ from dpencil.dcurve import (
     feasible_domain,
     phi_components,
     restrict_curve,
+    _specialize,
     synthesize_marching_scale,
     verify_dtype,
 )
@@ -24,7 +25,7 @@ from dpencil.errors import (
     NotEnoughSamplesError,
 )
 from dpencil.expr import evaluate, parse_expression
-from dpencil.frenet import NO_FRAME, CurveSpec, frenet_at
+from dpencil.frenet import ANTI_SALKOWSKI, NO_FRAME, CurveClass, CurveSpec, frenet_at
 from dpencil.pencil import (
     ProductForm,
     SurfacePencil,
@@ -272,6 +273,39 @@ class TestTheoremConditions:
         assert report.branch == "geodesic"
         assert report.passed
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_asymptotic_planar_branch(self, sign):
+        # n = B along the circle: phi2 = 0 on either branch, phi3 = 1.
+        cfg = load_preset("example1")
+        cfg["marching"]["explicit"].update(V="t", W="0")
+        pencil = SceneConfig.from_dict(cfg).pencil()
+        report = check_theorem_conditions(pencil, 1.0, sign=sign, sample_count=64)
+        assert report.passed
+        assert report.branch == "asymptotic_planar"
+        assert report.branch_constants == {"phi3": 1.0}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_salkowski_branch_of_a_synthesized_pencil(self, ex4, sign):
+        curve, intervals = feasible_curve(ex4.curve, SQRT3_2)
+        assert intervals is not None
+        pencil = synth_pencil(curve, SQRT3_2, sign=sign)
+        report = check_theorem_conditions(pencil, SQRT3_2, sign=-sign, sample_count=128)
+        assert report.passed
+        assert report.branch == "salkowski"
+        assert report.branch_constants["a"] == pytest.approx(1.0, rel=1e-9)
+
+    def test_generic_curve_has_no_branch(self):
+        pencil = synth_pencil(q_curve("q", "q^2", "q^3"), 0.5)
+        report = check_theorem_conditions(pencil, 0.5, sign=-1, sample_count=64)
+        assert report.passed
+        assert report.curve_class.kind == "Generic"
+        assert (report.branch, report.branch_constants) == (None, {})
+
+    def test_anti_salkowski_constants(self):
+        # No preset curve has constant torsion and varying curvature.
+        cls = CurveClass(ANTI_SALKOWSKI, 2.0, 0.0)
+        assert _specialize(cls, 0.5, 1e-8) == ("anti_salkowski", {"b": 2.0})
+
 
 class TestSynthesize:
     def test_circle_closed_form(self, ex1):
@@ -432,11 +466,13 @@ class TestFeasibleDomain:
         # tau/kappa ~ 2.5 q vanishes at the inflection q = 0.  At c = 0.99 the
         # samples beside it are feasible and it is a hole; at c = 0.99999 the
         # feasible window around it, (-0.0018, 0.0018), lies inside one sample
-        # step, so the inflection sample is no hole and the window is not found.
+        # step.  The inflection sample is still a hole, as its probes are
+        # feasible, so both boundaries of the window are bisected toward.
         curve = q_curve("q", "q^3", "q^6")
         assert feasible_domain(curve, 0.99, 257) == [
             (-0.056988871190696955, 0.056988871190696955)]
-        assert feasible_domain(curve, 0.99999, 257) == []
+        assert feasible_domain(curve, 0.99999, 257) == [
+            (-0.0017888681031763554, 0.0017888681031763554)]
 
     def test_window_around_an_inflection_is_kept(self):
         # tau/kappa grows without bound at the inflection q = 0: the
