@@ -6,7 +6,6 @@ from . import errors
 from .dcurve import (
     DTypeReport,
     DTypeSample,
-    SynthesisRequest,
     TheoremReport,
     check_theorem_conditions,
     feasible_curve,
@@ -62,7 +61,6 @@ __all__ = [
     "SceneConfig",
     "SurfaceMesh",
     "SurfacePencil",
-    "SynthesisRequest",
     "TabulatedProductForm",
     "TheoremReport",
     "check_theorem_conditions",

@@ -19,12 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dcurve import (
-    SynthesisRequest,
-    feasible_curve,
-    synthesize_marching_scale,
-    verify_dtype,
-)
+from .dcurve import verify_dtype
 from .errors import (
     DomainError,
     ExpressionError,
@@ -48,7 +43,6 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
 MAX_SAMPLES = 1_000_000  # bounds --samples
-_RESTRICT_RETRIES = 4  # synthesis failures that redo the feasibility restriction
 
 _VALIDATION_ERRORS = (
     SceneValidationError,
@@ -107,41 +101,12 @@ def _default_tol(cfg: SceneConfig, args) -> float:
     return 1e-8 if cfg.unit_speed else 1e-6
 
 
-def _assemble(cfg: SceneConfig):
-    """(curve, marching, feasibility note) for either marching mode."""
-    if cfg.mode == "explicit":
-        return cfg.curve(), cfg.explicit_marching(), None
-    return _synthesize(cfg, 256)
-
-
-def _synthesize(cfg: SceneConfig, samples: int):
-    """(curve, marching, feasibility note): the scale synthesized for
-    ``cfg.c`` on the curve restricted to where that constant is feasible.
-
-    The feasibility scan can miss an infeasible window narrower than its
-    sample step; synthesis then raises at a parameter inside it.  The
-    restriction is redone with that parameter known to be infeasible, at
-    most ``_RESTRICT_RETRIES`` times."""
-    full = cfg.curve()
-    infeasible = []
-    while True:
-        curve, intervals = feasible_curve(full, cfg.c, samples, infeasible)
-        try:
-            marching = synthesize_marching_scale(
-                SynthesisRequest(curve=curve, c=cfg.c, sign=cfg.sign, t0=cfg.t0)
-            )
-            break
-        except InfeasibleConstantError as e:
-            if len(infeasible) == _RESTRICT_RETRIES:
-                raise
-            infeasible.append(e.param)
-    note = None
-    if intervals:
-        note = {
-            "feasible_domain": [[a, b] for a, b in intervals],
-            "restricted_to": list(curve.domain),
-        }
-    return curve, marching, note
+def _note(curve, intervals) -> dict | None:
+    """The feasibility note of a curve that synthesis restricted, else None."""
+    if not intervals:
+        return None
+    return {"feasible_domain": [[a, b] for a, b in intervals],
+            "restricted_to": list(curve.domain)}
 
 
 def _print_restriction(note: dict) -> None:
@@ -184,12 +149,15 @@ def _write(args, name: str, write, data) -> Path:
     return path
 
 
-def _emit(summary: dict) -> None:
+def _emit(summary: dict, note: dict | None = None) -> None:
+    if note:
+        summary["feasibility"] = note
+        _print_restriction(note)
     print(json.dumps(summary, sort_keys=True))
 
 
 def cmd_build(cfg: SceneConfig, args) -> int:
-    curve, marching, note = _assemble(cfg)
+    curve, marching, intervals = cfg.assemble()
     pencil = SurfacePencil(curve, marching, cfg.t_range)
     mesh = sample_grid(pencil, cfg.ns, cfg.nt)
     tol = _default_tol(cfg, args)
@@ -212,15 +180,12 @@ def cmd_build(cfg: SceneConfig, args) -> int:
         "obj_path": str(obj_path),
         "csv_path": str(csv_path),
     }
-    if note:
-        summary["feasibility"] = note
-        _print_restriction(note)
-    _emit(summary)
+    _emit(summary, _note(curve, intervals))
     return EXIT_OK
 
 
 def cmd_verify(cfg: SceneConfig, args) -> int:
-    curve, marching, note = _assemble(cfg)
+    curve, marching, intervals = cfg.assemble()
     pencil = SurfacePencil(curve, marching, cfg.t_range)
     tol = _default_tol(cfg, args)
     report = verify_dtype(pencil, _samples(args, 1000), tol)
@@ -236,10 +201,7 @@ def cmd_verify(cfg: SceneConfig, args) -> int:
         "skipped_samples": len(report.skipped),
         "csv_path": str(csv_path),
     }
-    if note:
-        summary["feasibility"] = note
-        _print_restriction(note)
-    _emit(summary)
+    _emit(summary, _note(curve, intervals))
     return EXIT_OK if report.verdict else EXIT_NOT_DTYPE
 
 
@@ -257,9 +219,8 @@ def cmd_classify(cfg: SceneConfig, args) -> int:
 
 
 def cmd_synthesize(cfg: SceneConfig, args) -> int:
-    if cfg.c is None:
-        raise SceneValidationError("synthesize requires marching.c in the config")
-    _, marching, note = _synthesize(cfg, max(_samples(args, 256), 64))
+    curve, marching, intervals = cfg.synthesized(max(_samples(args, 256), 64))
+    note = _note(curve, intervals)
     out = cfg.to_dict()
     if note:
         out["curve"]["range"] = note["restricted_to"]

@@ -255,22 +255,6 @@ def _specialize(cls: CurveClass, c: float, tol: float):
     return None, {}
 
 
-@dataclass(frozen=True)
-class SynthesisRequest:
-    """Request to build marching-scale functions realizing <n, W0> = c.
-
-    ``sign`` orients the w component; the resulting phi2 branch is -sign
-    (the worked examples use sign = +1, which gives the negative branch).
-    ``u_profile`` is the tangential profile U(t), vanishing at t0.
-    """
-
-    curve: CurveSpec
-    c: float
-    sign: int = 1
-    u_profile: Expression | None = None
-    t0: float = 0.0
-
-
 def _t_shift_node(t0: float):
     if t0 == 0.0:
         return Var("t")
@@ -337,8 +321,14 @@ def _coefficients_at(curve: CurveSpec, c: float, sign: int, qs: np.ndarray):
     return av, aw, g, usable
 
 
-def synthesize_marching_scale(req: SynthesisRequest) -> MarchingScale:
+def synthesize_marching_scale(curve: CurveSpec, c: float, sign: int = 1,
+                              u_profile: Expression | None = None,
+                              t0: float = 0.0) -> MarchingScale:
     """Build marching-scale functions whose pencil realizes <n, W0> = c.
+
+    ``sign`` orients the w component; the resulting phi2 branch is -sign
+    (the worked examples use sign = +1, which gives the negative branch).
+    ``u_profile`` is the tangential profile U(t), vanishing at t0.
 
     With constant coefficients (e.g. unit-speed curves with constant
     curvature and torsion) the result is a closed-form product; otherwise
@@ -346,12 +336,11 @@ def synthesize_marching_scale(req: SynthesisRequest) -> MarchingScale:
     stays below the round-trip tolerance, with undefined-frame windows
     reported as excluded subdomains.  The first table round decides which.
     """
-    if req.sign not in (1, -1):
+    if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    curve = req.curve
     qs = np.linspace(*curve.domain, _FIRST_TABLE_NODES)
-    av, aw, g, usable = _coefficients_at(curve, req.c, req.sign, qs)
-    u_profile = req.u_profile or _default_u_profile(req.t0)
+    av, aw, g, usable = _coefficients_at(curve, c, sign, qs)
+    u_profile = u_profile or _default_u_profile(t0)
 
     def _spread_small(vals):
         return float(np.max(vals) - np.min(vals)) <= _CONST_COEFF_TOL * (
@@ -360,7 +349,7 @@ def synthesize_marching_scale(req: SynthesisRequest) -> MarchingScale:
 
     if usable.all() and _spread_small(av) and _spread_small(aw):
         one = parse_expression("1")
-        t_shift = _t_shift_node(req.t0)
+        t_shift = _t_shift_node(t0)
         names = frozenset(["t"])
         form = ProductForm(
             l=one, m=one, n=one,
@@ -368,17 +357,18 @@ def synthesize_marching_scale(req: SynthesisRequest) -> MarchingScale:
             V=Expression(BinOp("*", number_node(float(np.mean(av))), t_shift), names),
             W=Expression(BinOp("*", number_node(float(np.mean(aw))), t_shift), names),
         )
-        return MarchingScale(form=form, param=curve.param, t0=req.t0)
+        return MarchingScale(form=form, param=curve.param, t0=t0)
 
     return MarchingScale(
-        form=_build_table(req, u_profile, qs, av, g, usable),
+        form=_build_table(curve, c, sign, u_profile, qs, av, g, usable),
         param=curve.param,
-        t0=req.t0,
+        t0=t0,
     )
 
 
-def _build_table(req: SynthesisRequest, u_profile: Expression, qs: np.ndarray,
-                 av: np.ndarray, g: np.ndarray, usable: np.ndarray) -> TabulatedProductForm:
+def _build_table(curve: CurveSpec, c: float, sign: int, u_profile: Expression,
+                 qs: np.ndarray, av: np.ndarray, g: np.ndarray,
+                 usable: np.ndarray) -> TabulatedProductForm:
     """Refine the coefficient table until cubic interpolation error is tiny.
 
     ``qs``, ``av``, ``g`` and ``usable`` are the first round, as returned
@@ -393,7 +383,6 @@ def _build_table(req: SynthesisRequest, u_profile: Expression, qs: np.ndarray,
     :class:`NotEnoughSamplesError` rather than stand for a scale it does
     not realize.
     """
-    curve = req.curve
     lo, hi = curve.domain
     while True:
         if np.count_nonzero(usable) < 8:
@@ -401,10 +390,10 @@ def _build_table(req: SynthesisRequest, u_profile: Expression, qs: np.ndarray,
         step = (hi - lo) / (qs.size - 1)
         excluded = _merge_holes(qs[~usable].tolist(), step)
         form = TabulatedProductForm(u_profile, qs[usable], av[usable], g[usable],
-                                    req.sign, excluded)
+                                    sign, excluded)
         finer = np.linspace(lo, hi, 2 * qs.size - 1)
         odd = finer[1::2]
-        odd_av, odd_aw, odd_g, odd_usable = _coefficients_at(curve, req.c, req.sign, odd)
+        odd_av, odd_aw, odd_g, odd_usable = _coefficients_at(curve, c, sign, odd)
         err = _interp_error(form, odd[odd_usable], odd_av[odd_usable], odd_aw[odd_usable])
         if err <= _INTERP_TARGET:
             form.max_interp_error = err

@@ -22,7 +22,8 @@ synthesized), grid sizes, and output paths::
 In explicit mode the "explicit" block holds either the six product parts
 l, m, n (in the curve parameter) and U, V, W (in t), or the three bivariate
 functions u, v, w.  In synthesized mode "c" is required and the marching
-scale is generated to meet it.
+scale is generated to meet it, on the part of the curve where that constant
+is feasible.  ``SceneConfig.pencil()`` assembles the pencil in either mode.
 """
 
 from __future__ import annotations
@@ -31,14 +32,16 @@ import math
 from dataclasses import dataclass
 from pathlib import PurePath
 
-from .errors import SceneValidationError
-from .expr import parse_expression
+from .dcurve import feasible_curve, synthesize_marching_scale
+from .errors import InfeasibleConstantError, SceneValidationError
+from .expr import CONSTANTS, parse_expression
 from .frenet import CurveSpec
 from .pencil import GeneralForm, MarchingScale, ProductForm, SurfacePencil
 
 DEFAULT_NS = 200
 DEFAULT_NT = 50
 MAX_GRID_VERTICES = 1_000_000  # bounds grid.ns * grid.nt
+_RESTRICT_RETRIES = 4  # synthesis failures that redo the feasibility restriction
 
 PRODUCT_KEYS = ("l", "m", "n", "U", "V", "W")
 _GENERAL_KEYS = ("u", "v", "w")
@@ -69,6 +72,8 @@ def _pair(value, context: str) -> tuple[float, float]:
     hi = _number(value[1], f"{context}[1]")
     if not lo < hi:
         raise SceneValidationError(f"{context} must satisfy min < max, got {value!r}")
+    if not math.isfinite(hi - lo):  # linspace over it yields inf and NaN
+        raise SceneValidationError(f"{context} width max - min overflows, got {value!r}")
     return lo, hi
 
 
@@ -120,6 +125,8 @@ class SceneConfig:
         y = _text(_require(curve, "y", "curve"), "curve.y")
         z = _text(_require(curve, "z", "curve"), "curve.z")
         param = _text(_require(curve, "param", "curve"), "curve.param")
+        if param in CONSTANTS:
+            raise SceneValidationError(f"curve.param {param!r} clashes with the constant {param}")
         crange = _pair(_require(curve, "range", "curve"), "curve.range")
         unit_speed = curve.get("unit_speed", False)
         if not isinstance(unit_speed, bool):
@@ -146,6 +153,9 @@ class SceneConfig:
                 product = {k: _text(block[k], f"marching.explicit.{k}") for k in PRODUCT_KEYS}
             elif all(k in block for k in _GENERAL_KEYS):
                 general = {k: _text(block[k], f"marching.explicit.{k}") for k in _GENERAL_KEYS}
+                if param == "t":
+                    raise SceneValidationError("curve.param 't' clashes with the marching "
+                                               "parameter t of marching.explicit u,v,w")
             else:
                 raise SceneValidationError(
                     "marching.explicit needs either product parts l,m,n,U,V,W "
@@ -235,10 +245,6 @@ class SceneConfig:
         )
 
     def explicit_marching(self) -> MarchingScale:
-        if self.mode != "explicit":
-            raise SceneValidationError(
-                "explicit_marching() requires marching.mode == 'explicit'"
-            )
         if self.product is not None:
             svars, tvars = [self.param], ["t"]
             form = ProductForm(
@@ -260,6 +266,36 @@ class SceneConfig:
             )
         return MarchingScale(form=form, param=self.param, t0=self.t0)
 
+    def synthesized(self, samples: int):
+        """``(curve, marching, intervals)``: the scale synthesized for ``c`` on
+        ``dcurve.feasible_curve`` of the curve at ``samples`` samples.
+
+        The feasibility scan can miss an infeasible window narrower than its
+        sample step; synthesis then raises at a parameter inside it.  The
+        restriction is redone with that parameter known to be infeasible, at
+        most ``_RESTRICT_RETRIES`` times."""
+        if self.c is None:
+            raise SceneValidationError("synthesize requires marching.c in the config")
+        full = self.curve()
+        infeasible = []
+        while True:
+            curve, intervals = feasible_curve(full, self.c, samples, infeasible)
+            try:
+                marching = synthesize_marching_scale(curve, self.c, self.sign, t0=self.t0)
+                return curve, marching, intervals
+            except InfeasibleConstantError as e:
+                if len(infeasible) == _RESTRICT_RETRIES:
+                    raise
+                infeasible.append(e.param)
+
+    def assemble(self, samples: int = 256):
+        """``(curve, marching, intervals)`` in either marching mode;
+        ``intervals`` is None unless synthesis restricted the curve."""
+        if self.mode == "explicit":
+            return self.curve(), self.explicit_marching(), None
+        return self.synthesized(samples)
+
     def pencil(self) -> SurfacePencil:
-        """Assemble the explicit-mode pencil (synthesized mode is built by the CLI)."""
-        return SurfacePencil(self.curve(), self.explicit_marching(), self.t_range)
+        """The scene's pencil, in either mode (see ``assemble``)."""
+        curve, marching, _ = self.assemble()
+        return SurfacePencil(curve, marching, self.t_range)

@@ -13,7 +13,6 @@ import pytest
 
 from dpencil.cli import main
 from dpencil.dcurve import (
-    SynthesisRequest,
     synthesize_marching_scale,
     verify_dtype,
 )
@@ -135,24 +134,22 @@ def test_criterion_5_round_trip():
             for c in (0.0, 0.1, 0.25, -0.25, bound / 2.0):
                 if abs(c) >= bound:
                     with pytest.raises(InfeasibleConstantError):
-                        synthesize_marching_scale(SynthesisRequest(curve=curve, c=c))
+                        synthesize_marching_scale(curve, c)
                     continue
-                ms = synthesize_marching_scale(SynthesisRequest(curve=curve, c=c))
+                ms = synthesize_marching_scale(curve, c)
                 pencil = SurfacePencil(curve, ms, (0.0, 1.0))
                 report = verify_dtype(pencil, 256, tol)
                 assert abs(report.c_estimate - c) <= tol, (name, c)
                 assert report.max_deviation <= tol, (name, c)
             with pytest.raises(InfeasibleConstantError):
-                synthesize_marching_scale(
-                    SynthesisRequest(curve=curve, c=bound * 1.5)
-                )
+                synthesize_marching_scale(curve, bound * 1.5)
 
 
 def test_criterion_6_geodesic_degeneration():
     with criterion(6, "c=0 synthesis gives |<n,N>| = 1"):
         for name in ("example1", "example2"):
             curve = preset_config(name).curve()
-            ms = synthesize_marching_scale(SynthesisRequest(curve=curve, c=0.0))
+            ms = synthesize_marching_scale(curve, 0.0)
             pencil = SurfacePencil(curve, ms, (0.0, 1.0))
             report = verify_dtype(pencil, 300, 1e-9)
             for smp in report.samples:

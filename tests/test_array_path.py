@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from dpencil import dcurve
 from dpencil.dcurve import (
     BOUNDARY_TOL,
-    SynthesisRequest,
     feasible_curve,
     feasible_domain,
     synthesize_marching_scale,
@@ -262,7 +261,7 @@ def test_callers_raise_the_scalar_error(name):
     expected = first_scalar_error(curve, np.linspace(*curve.domain, 257))
     assert expected is not None
     with pytest.raises(type(expected)) as got:
-        synthesize_marching_scale(SynthesisRequest(curve=curve, c=0.0))
+        synthesize_marching_scale(curve, 0.0)
     assert str(got.value) == str(expected)
     if name != "overflow_part":  # classify skips non-finite samples
         expected = first_scalar_error(curve, np.linspace(*curve.domain, 256))
@@ -486,22 +485,21 @@ def test_speculative_hole_on_the_path_raises_as_stepwise():
     assert at_early.value.where != at_late.value.where
 
 
-def table_by_rounds(req):
+def table_by_rounds(curve, c, sign=1, t0=0.0):
     """The table of ``synthesize_marching_scale`` with every node of every
     round evaluated afresh, each round checked at the next round's odd
     nodes."""
-    curve = req.curve
     lo, hi = curve.domain
-    u_profile = dcurve._default_u_profile(req.t0)
+    u_profile = dcurve._default_u_profile(t0)
     qs = np.linspace(lo, hi, dcurve._FIRST_TABLE_NODES)
     while True:
-        av, _, g, usable = dcurve._coefficients_at(curve, req.c, req.sign, qs)
+        av, _, g, usable = dcurve._coefficients_at(curve, c, sign, qs)
         step = (hi - lo) / (qs.size - 1)
         form = TabulatedProductForm(u_profile, qs[usable], av[usable], g[usable],
-                                    req.sign, dcurve._merge_holes(qs[~usable].tolist(), step))
+                                    sign, dcurve._merge_holes(qs[~usable].tolist(), step))
         finer = np.linspace(lo, hi, 2 * qs.size - 1)
         check = finer[1::2]
-        check_av, check_aw, _, check_ok = dcurve._coefficients_at(curve, req.c, req.sign, check)
+        check_av, check_aw, _, check_ok = dcurve._coefficients_at(curve, c, sign, check)
         err = dcurve._interp_error(form, check[check_ok], check_av[check_ok], check_aw[check_ok])
         if err <= dcurve._INTERP_TARGET or qs.size >= dcurve._MAX_TABLE_NODES:
             form.max_interp_error = err
@@ -512,9 +510,8 @@ def table_by_rounds(req):
 @pytest.mark.parametrize("name, c", [("example3", 0.3), ("example4", math.sqrt(3.0) / 2.0)])
 def test_table_rounds_match_recomputed_nodes(name, c):
     curve, _ = feasible_curve(CURVES[name], c)
-    req = SynthesisRequest(curve=curve, c=c)
-    got = synthesize_marching_scale(req).form
-    expected = table_by_rounds(req)
+    got = synthesize_marching_scale(curve, c).form
+    expected = table_by_rounds(curve, c)
     assert got.nodes.size > dcurve._FIRST_TABLE_NODES
     for field in ("nodes", "v_values", "g_values"):
         assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
@@ -534,7 +531,7 @@ def test_each_table_point_is_evaluated_once(monkeypatch):
         return array_frenet(curve, q)
 
     monkeypatch.setattr(dcurve, "frenet_at", spy)
-    form = synthesize_marching_scale(SynthesisRequest(curve=curve, c=c)).form
+    form = synthesize_marching_scale(curve, c).form
     # The final round has N = 2049 nodes; its check is the odd nodes of the
     # round it did not need, so 2N - 1 points are evaluated, each once.
     final = np.linspace(*curve.domain, 2049)

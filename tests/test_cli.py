@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dpencil import cli
+from dpencil import cli, scene
 from dpencil.cli import MAX_SAMPLES, main
 from dpencil.dcurve import feasible_domain
 from dpencil.expr import MAX_DEPTH, evaluate, format_expression, parse_expression
@@ -320,6 +320,59 @@ class TestBuild:
         assert not list(tmp_path.iterdir())
 
 
+class TestLoad:
+    @pytest.mark.parametrize("command", ["build", "verify", "classify", "synthesize"])
+    def test_param_pi_exit_2(self, tmp_path, capsys, command):
+        # The parser reads pi as the constant, so the curve was constant and
+        # verify found no usable sample (exit 4).
+        cfg = load_preset("example1")
+        cfg["curve"].update(x="cos(pi)", y="sin(pi)", param="pi")
+        code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg),
+                             "-o", str(tmp_path / "out"))
+        assert (code, out, err) == (
+            2, "", "error: curve.param 'pi' clashes with the constant pi\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_param_t_with_the_bivariate_form_exit_2(self, tmp_path, capsys):
+        # The t of u, v, w read as the curve parameter as well: the scale did
+        # not vanish at t0, and the load failed with that misleading message.
+        cfg = load_preset("example1")
+        cfg["marching"]["explicit"] = {"u": "t*t", "v": "0", "w": "t"}
+        code, _, _ = run(capsys, "verify", "--config", write_config(tmp_path, cfg),
+                         "-o", str(tmp_path))
+        assert code == 0
+        cfg["curve"].update(x="cos(t)", y="sin(t)", param="t")
+        code, out, err = run(capsys, "verify", "--config", write_config(tmp_path, cfg),
+                             "-o", str(tmp_path))
+        assert (code, out, err) == (2, "", "error: curve.param 't' clashes with the marching "
+                                           "parameter t of marching.explicit u,v,w\n")
+
+    @pytest.mark.parametrize("mode", ["explicit", "synthesized"])
+    def test_param_t_with_separate_parts_verifies(self, tmp_path, capsys, mode):
+        # The product form's s- and t-parts are separate expressions, and
+        # synthesis writes its t-parts itself.
+        cfg = load_preset("example1")
+        cfg["curve"].update(x="cos(t)", y="sin(t)", param="t")
+        cfg["marching"]["mode"] = mode
+        code, summary, _ = run_json(capsys, "verify", "--config", write_config(tmp_path, cfg),
+                                    "-o", str(tmp_path))
+        assert code == 0
+        assert summary["c_estimate"] == pytest.approx(SQRT3_2, abs=1e-9)
+
+    @pytest.mark.parametrize("command", ["build", "verify", "classify", "synthesize"])
+    @pytest.mark.parametrize("block, key", [("curve", "range"), ("grid", "t_range")])
+    def test_overflowing_range_width_exit_2(self, tmp_path, capsys, command, block, key):
+        # linspace over the range yielded inf and NaN parameters: no usable
+        # sample (exit 4), or synthesis failing at parameter nan.
+        cfg = load_preset("example1")
+        cfg[block][key] = [-1e308, 1e308]
+        code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg),
+                             "-o", str(tmp_path / "out"))
+        assert (code, out, err) == (
+            2, "", f"error: {block}.{key} width max - min overflows, got [-1e+308, 1e+308]\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestVerify:
     def test_example2(self, tmp_path, capsys):
         code, summary, _ = run_json(
@@ -493,8 +546,8 @@ class TestSynthesize:
     @pytest.mark.parametrize("name, c", NO_RETRY)
     def test_presets_take_no_restriction_retry(self, monkeypatch, name, c):
         calls = []
-        restrict = cli.feasible_curve
-        monkeypatch.setattr(cli, "feasible_curve",
+        restrict = scene.feasible_curve
+        monkeypatch.setattr(scene, "feasible_curve",
                             lambda *args: calls.append(args[3]) or restrict(*args))
         for sign in (1, -1):
             raw = load_preset(name)
@@ -502,7 +555,7 @@ class TestSynthesize:
             if c is not None:
                 raw["marching"]["c"] = c
             try:
-                cli._synthesize(SceneConfig.from_dict(raw), 256)
+                SceneConfig.from_dict(raw).synthesized(256)
             except cli.InfeasibleConstantError as e:
                 assert e.param is None  # nowhere feasible: no parameter to retry at
         assert calls == [[], []]
@@ -521,8 +574,8 @@ class TestSynthesize:
         cfg["marching"].update(mode="synthesized", c=c)
         assert feasible_domain(SceneConfig.from_dict(cfg).curve(), c) == []
         calls = []
-        restrict = cli.feasible_curve
-        monkeypatch.setattr(cli, "feasible_curve",
+        restrict = scene.feasible_curve
+        monkeypatch.setattr(scene, "feasible_curve",
                             lambda *args: calls.append(args) or restrict(*args))
         path = write_config(tmp_path, cfg)
         for command in ("synthesize", "verify", "build"):
@@ -543,7 +596,7 @@ class TestSynthesize:
         cfg["grid"].update(t_range=[-1.0, 1.0], ns=20, nt=5)
         code, out, _ = run_json(capsys, "synthesize", "--config", write_config(tmp_path, cfg))
         assert code == 0
-        _, marching, _ = cli._synthesize(SceneConfig.from_dict(cfg), 256)
+        _, marching, _ = SceneConfig.from_dict(cfg).synthesized(256)
         block = out["marching"]
         printed = block.get("explicit") or {"u_profile": block["table"]["u_profile"]}
         for key, text in printed.items():
@@ -599,19 +652,14 @@ class TestPresetFidelity:
     def test_numeric_agreement_examples_3_4(self, ex3, ex4):
         # The stored coefficient functions of the non-unit-speed scenes agree
         # with freshly synthesized ones at 100 parameters.
-        from dpencil.dcurve import (
-            SynthesisRequest, feasible_domain, restrict_curve,
-            synthesize_marching_scale,
-        )
+        from dpencil.dcurve import feasible_domain, restrict_curve, synthesize_marching_scale
         from dpencil.pencil import marching_values
 
         for pencil in (ex3, ex4):
             curve = pencil.curve
             intervals = feasible_domain(curve, SQRT3_2)
             curve_r = restrict_curve(curve, max(intervals, key=lambda iv: iv[1] - iv[0]))
-            ms = synthesize_marching_scale(
-                SynthesisRequest(curve=curve_r, c=SQRT3_2)
-            )
+            ms = synthesize_marching_scale(curve_r, SQRT3_2)
             lo, hi = curve_r.domain
             worst = 0.0
             checked = 0

@@ -7,7 +7,6 @@ import pytest
 
 from dpencil.cli import main
 from dpencil.dcurve import (
-    SynthesisRequest,
     check_theorem_conditions,
     feasible_curve,
     feasible_domain,
@@ -50,7 +49,7 @@ def q_curve(x, y, z):
 
 
 def synth_pencil(curve, c, sign=1, t_range=(0.0, 1.0)):
-    ms = synthesize_marching_scale(SynthesisRequest(curve=curve, c=c, sign=sign))
+    ms = synthesize_marching_scale(curve, c, sign)
     return SurfacePencil(curve, ms, t_range)
 
 
@@ -309,7 +308,7 @@ class TestTheoremConditions:
 
 class TestSynthesize:
     def test_circle_closed_form(self, ex1):
-        ms = synthesize_marching_scale(SynthesisRequest(curve=ex1.curve, c=SQRT3_2))
+        ms = synthesize_marching_scale(ex1.curve, SQRT3_2)
         assert isinstance(ms.form, ProductForm)
         v_at_1 = evaluate(ms.form.V, {"t": 1.0})
         w_at_1 = evaluate(ms.form.W, {"t": 1.0})
@@ -321,13 +320,13 @@ class TestSynthesize:
         assert phi2 == pytest.approx(-0.5, abs=1e-12)
 
     def test_helix_closed_form(self, ex2):
-        ms = synthesize_marching_scale(SynthesisRequest(curve=ex2.curve, c=0.5))
+        ms = synthesize_marching_scale(ex2.curve, 0.5)
         assert isinstance(ms.form, ProductForm)
         assert evaluate(ms.form.V, {"t": 1.0}) == pytest.approx(SQRT2_2, abs=1e-12)
         assert evaluate(ms.form.W, {"t": 1.0}) == pytest.approx(SQRT2_2, abs=1e-12)
 
     def test_eight_curve_table_matches_closed_form(self, ex3):
-        ms = synthesize_marching_scale(SynthesisRequest(curve=ex3.curve, c=SQRT3_2))
+        ms = synthesize_marching_scale(ex3.curve, SQRT3_2)
         assert isinstance(ms.form, TabulatedProductForm)
         denom = parse_expression("sqrt(4*cos(q)^4 - 3*cos(q)^2 + 1)", ["q"])
         for q in np.linspace(0.1, 2 * math.pi - 0.1, 100):
@@ -387,18 +386,16 @@ class TestSynthesize:
 
     def test_infeasible_rejected(self, ex1, ex2):
         with pytest.raises(InfeasibleConstantError):
-            synthesize_marching_scale(SynthesisRequest(curve=ex1.curve, c=1.5))
+            synthesize_marching_scale(ex1.curve, 1.5)
         with pytest.raises(InfeasibleConstantError):
-            synthesize_marching_scale(SynthesisRequest(curve=ex2.curve, c=1.0))
+            synthesize_marching_scale(ex2.curve, 1.0)
         # Boundary-touching (radicand exactly 0) counts as infeasible too.
         with pytest.raises(InfeasibleConstantError):
-            synthesize_marching_scale(SynthesisRequest(curve=ex1.curve, c=1.0))
+            synthesize_marching_scale(ex1.curve, 1.0)
 
     def test_u_profile_override(self, ex1):
         profile = parse_expression("t^2", ["t"])
-        ms = synthesize_marching_scale(
-            SynthesisRequest(curve=ex1.curve, c=0.25, u_profile=profile)
-        )
+        ms = synthesize_marching_scale(ex1.curve, 0.25, u_profile=profile)
         mv = marching_values(ms, 0.3, 2.0)
         assert mv.u == pytest.approx(4.0, abs=1e-15)
         pencil = SurfacePencil(ex1.curve, ms, (0.0, 1.0))

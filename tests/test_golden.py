@@ -27,7 +27,9 @@ from pathlib import Path
 import pytest
 
 from dpencil.cli import main
+from dpencil.dcurve import verify_dtype
 from dpencil.presets import load_preset, preset_names
+from dpencil.scene import SceneConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = GOLDEN_DIR / "presets.json"
@@ -135,6 +137,17 @@ def test_synthesize_matches_golden(name, sign, golden_synthesized, tmp_path):
 def test_synthesized_build_matches_golden(name, golden_synthesized, tmp_path):
     expected = golden_synthesized["build"][name]
     assert build(name, tmp_path, mode="synthesized") == expected
+
+
+@pytest.mark.parametrize("name", SYNTHESIZED_BUILDS)
+def test_library_pencil_matches_synthesized_build(name, golden_synthesized):
+    # SceneConfig.pencil() assembles the pencil that `pencil build` verifies.
+    cfg = load_preset(name)
+    pencil = SceneConfig.from_dict(synthesized(cfg, cfg["marching"]["sign"])).pencil()
+    report = verify_dtype(pencil, SAMPLES, 1e-6)
+    expected = golden_synthesized["build"][name]
+    assert report.c_estimate == expected["c_estimate"]
+    assert report.max_deviation == expected["max_deviation"]
 
 
 def _dump(path: Path, record: dict) -> None:

@@ -13,7 +13,6 @@ import pytest
 from dpencil.dcurve import (
     DTypeReport,
     DTypeSample,
-    SynthesisRequest,
     synthesize_marching_scale,
     verify_dtype,
 )
@@ -141,7 +140,7 @@ STRAIGHT_LINE = {"x": "s", "y": "0", "z": "0", "param": "s", "range": [0.0, 1.0]
 
 def synthesized_pencil():
     curve = preset_config("example3").curve()
-    ms = synthesize_marching_scale(SynthesisRequest(curve=curve, c=0.3))
+    ms = synthesize_marching_scale(curve, 0.3)
     assert isinstance(ms.form, TabulatedProductForm)
     return SurfacePencil(curve, ms, (0.0, 1.0))
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from dpencil.dcurve import SynthesisRequest, feasible_curve, synthesize_marching_scale
+from dpencil.dcurve import feasible_curve, synthesize_marching_scale
 from dpencil.pencil import TabulatedProductForm, _NotAKnotSpline
 
 from conftest import SRC
@@ -81,7 +81,7 @@ def test_four_nodes_and_linear_data(rng):
 
 @pytest.fixture(scope="module")
 def eight_table(ex3):
-    form = synthesize_marching_scale(SynthesisRequest(curve=ex3.curve, c=SQRT3_2)).form
+    form = synthesize_marching_scale(ex3.curve, SQRT3_2).form
     assert isinstance(form, TabulatedProductForm)
     assert form.excluded  # the inflection windows leave holes in the table
     return form
@@ -91,7 +91,7 @@ def eight_table(ex3):
 def salkowski_table(ex4):
     curve, intervals = feasible_curve(ex4.curve, SQRT3_2)
     assert intervals  # restricted to the feasible subdomain
-    form = synthesize_marching_scale(SynthesisRequest(curve=curve, c=SQRT3_2)).form
+    form = synthesize_marching_scale(curve, SQRT3_2).form
     assert isinstance(form, TabulatedProductForm)
     return form
 
