@@ -244,7 +244,7 @@ class SceneConfig:
             unit_speed=self.unit_speed,
         )
 
-    def explicit_marching(self) -> MarchingScale:
+    def _explicit_marching(self) -> MarchingScale:
         if self.product is not None:
             svars, tvars = [self.param], ["t"]
             form = ProductForm(
@@ -288,12 +288,12 @@ class SceneConfig:
                     raise
                 infeasible.append(e.param)
 
-    def assemble(self, samples: int = 256):
-        """``(curve, marching, intervals)`` in either marching mode;
-        ``intervals`` is None unless synthesis restricted the curve."""
+    def assemble(self):
+        """``(curve, marching, intervals)`` in either marching mode, synthesized
+        at 256 samples; ``intervals`` is None unless synthesis restricted the curve."""
         if self.mode == "explicit":
-            return self.curve(), self.explicit_marching(), None
-        return self.synthesized(samples)
+            return self.curve(), self._explicit_marching(), None
+        return self.synthesized(256)
 
     def pencil(self) -> SurfacePencil:
         """The scene's pencil, in either mode (see ``assemble``)."""

@@ -104,7 +104,7 @@ def test_criterion_4_salkowski():
         # (1 - 3 tan^2)/4 = 1e-6.
         q1 = math.sqrt(26.0) * math.atan(math.sqrt((1.0 - 4e-6) / 3.0))
         pencil = SurfacePencil(
-            restricted(curve, 0.0, q1), cfg.explicit_marching(), cfg.t_range
+            restricted(curve, 0.0, q1), cfg.assemble()[1], cfg.t_range
         )
         report = verify_dtype(pencil, 500, 1e-6)
         assert not report.skipped

@@ -123,8 +123,15 @@ class TestBuild:
         ("curve", "range", [-math.inf, 1.0], "curve.range[0] must be a finite number, got -inf"),
         (None, "t0", math.nan, "t0 must be a finite number, got nan"),
         ("marching", "c", 10**400, f"marching.c must be a finite number, got {10**400!r}"),
+        # The parser read pi as the constant: a constant curve, no usable sample.
+        ("curve", "param", "pi", "curve.param 'pi' clashes with the constant pi"),
+        # linspace over these ranges yielded inf and NaN parameters.
+        ("curve", "range", [-1e308, 1e308],
+         "curve.range width max - min overflows, got [-1e+308, 1e+308]"),
+        ("grid", "t_range", [-1e308, 1e308],
+         "grid.t_range width max - min overflows, got [-1e+308, 1e+308]"),
     ], ids=["grid.t_range", "marching.c", "marching.controls", "curve.range", "t0",
-            "integer_past_float"])
+            "integer_past_float", "param_pi", "curve.range_width", "grid.t_range_width"])
     def test_non_finite_number_exit_2(self, tmp_path, capsys, block, key, value, error):
         # json reads NaN and Infinity as numbers.
         cfg = load_preset("example1")
@@ -321,18 +328,6 @@ class TestBuild:
 
 
 class TestLoad:
-    @pytest.mark.parametrize("command", ["build", "verify", "classify", "synthesize"])
-    def test_param_pi_exit_2(self, tmp_path, capsys, command):
-        # The parser reads pi as the constant, so the curve was constant and
-        # verify found no usable sample (exit 4).
-        cfg = load_preset("example1")
-        cfg["curve"].update(x="cos(pi)", y="sin(pi)", param="pi")
-        code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg),
-                             "-o", str(tmp_path / "out"))
-        assert (code, out, err) == (
-            2, "", "error: curve.param 'pi' clashes with the constant pi\n")
-        assert not (tmp_path / "out").exists()
-
     def test_param_t_with_the_bivariate_form_exit_2(self, tmp_path, capsys):
         # The t of u, v, w read as the curve parameter as well: the scale did
         # not vanish at t0, and the load failed with that misleading message.
@@ -358,19 +353,6 @@ class TestLoad:
                                     "-o", str(tmp_path))
         assert code == 0
         assert summary["c_estimate"] == pytest.approx(SQRT3_2, abs=1e-9)
-
-    @pytest.mark.parametrize("command", ["build", "verify", "classify", "synthesize"])
-    @pytest.mark.parametrize("block, key", [("curve", "range"), ("grid", "t_range")])
-    def test_overflowing_range_width_exit_2(self, tmp_path, capsys, command, block, key):
-        # linspace over the range yielded inf and NaN parameters: no usable
-        # sample (exit 4), or synthesis failing at parameter nan.
-        cfg = load_preset("example1")
-        cfg[block][key] = [-1e308, 1e308]
-        code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg),
-                             "-o", str(tmp_path / "out"))
-        assert (code, out, err) == (
-            2, "", f"error: {block}.{key} width max - min overflows, got [-1e+308, 1e+308]\n")
-        assert not (tmp_path / "out").exists()
 
 
 class TestVerify:
