@@ -27,6 +27,7 @@ from .errors import (
     InfeasibleConstantError,
     InvalidCurveError,
     InvalidMarchingScaleError,
+    NotEnoughSamplesError,
     SceneValidationError,
 )
 from .expr import format_expression
@@ -60,23 +61,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Construct, verify, classify, and synthesize surface "
         "pencils sharing a prescribed D-type curve.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "build": "build the surface mesh (OBJ) and verification report (CSV)",
-        "verify": "verify the constant normal/Darboux inner product (CSV report)",
-        "classify": "classify the scene's curve",
-        "synthesize": "emit a completed scene config realizing the target constant",
-    }
-    for name, help_text in specs.items():
-        sp = sub.add_parser(name, help=help_text)
-        src = sp.add_mutually_exclusive_group(required=True)
-        src.add_argument("--preset", choices=preset_names(), help="built-in scene")
-        src.add_argument("--config", metavar="PATH", help="JSON scene config file")
-        sp.add_argument("--tol", type=float, default=None,
+    parser.add_argument("command", choices=_COMMANDS, help=(
+        "build: the surface mesh (OBJ) and verification report (CSV); "
+        "verify: the constant normal/Darboux inner product (CSV report); "
+        "classify: the scene's curve; "
+        "synthesize: a completed scene config realizing the target constant"))
+    src = parser.add_mutually_exclusive_group(required=True)
+    src.add_argument("--preset", choices=preset_names(), help="built-in scene")
+    src.add_argument("--config", metavar="PATH", help="JSON scene config file")
+    parser.add_argument("--tol", type=float, default=None,
                         help="verdict tolerance (default 1e-8 unit-speed, 1e-6 otherwise)")
-        sp.add_argument("--samples", type=int, default=None,
+    parser.add_argument("--samples", type=int, default=None,
                         help="sample count (default 1000; classify 256)")
-        sp.add_argument("-o", "--out-dir", default=".", metavar="DIR",
+    parser.add_argument("-o", "--out-dir", default=".", metavar="DIR",
                         help="directory for OBJ/CSV outputs")
     return parser
 
@@ -160,6 +157,9 @@ def cmd_build(cfg: SceneConfig, args) -> int:
     curve, marching, intervals = cfg.assemble()
     pencil = SurfacePencil(curve, marching, cfg.t_range)
     mesh = sample_grid(pencil, cfg.ns, cfg.nt)
+    vertices = mesh.ns * mesh.nt
+    if len(mesh.defects) == vertices:
+        raise NotEnoughSamplesError(f"no usable grid vertex: all {vertices} vertices are defects")
     tol = _default_tol(cfg, args)
     report = verify_dtype(pencil, _samples(args, 1000), tol)
     obj_path = _write(args, cfg.obj_path, write_obj, mesh)
@@ -174,7 +174,7 @@ def cmd_build(cfg: SceneConfig, args) -> int:
         "max_deviation": report.max_deviation,
         "verdict": report.verdict,
         "defect_count": len(mesh.defects),
-        "vertices": mesh.ns * mesh.nt,
+        "vertices": vertices,
         "faces": int(mesh.faces.shape[0]),
         "skipped_samples": len(report.skipped),
         "obj_path": str(obj_path),
@@ -206,8 +206,7 @@ def cmd_verify(cfg: SceneConfig, args) -> int:
 
 
 def cmd_classify(cfg: SceneConfig, args) -> int:
-    curve = cfg.curve()
-    cls = classify_curve(curve, _samples(args, 256), 1e-6 if args.tol is None else args.tol)
+    cls = classify_curve(cfg.curve(), _samples(args, 256), 1e-6 if args.tol is None else args.tol)
     _emit({
         "command": "classify",
         "kind": cls.kind,

@@ -300,15 +300,15 @@ def classify_from_samples(kappas, taus, tol: float, skipped: int = 0) -> CurveCl
 def classify_curve(curve: CurveSpec, sample_count: int = 256, tol: float = 1e-6) -> CurveClass:
     """Classify by sampling kappa and tau uniformly over the curve domain.
 
-    Parameters where the frame is undefined or the curve derivatives are
-    not finite are skipped (isolated inflections do not change a curve's
-    global character) and counted in ``CurveClass.skipped``.
+    Parameters without a frame or with an undefined or non-finite curve are
+    skipped (isolated inflections do not change a curve's global character)
+    and counted in ``CurveClass.skipped``; a false unit-speed claim raises.
     """
     if sample_count < 8:
         raise ValueError("sample_count must be at least 8")
     qs = np.linspace(curve.domain[0], curve.domain[1], sample_count)
     app, reasons = frenet_at(curve, qs)
-    raise_first(curve, qs, reasons_outside(reasons, ("", "non_finite") + SKIPPED))
+    raise_first(curve, qs, reasons == "unit_speed")
     good = reasons == ""
     usable = int(np.count_nonzero(good))
     if usable < 2:

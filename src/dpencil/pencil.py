@@ -25,11 +25,12 @@ why a normal is missing, in one order of precedence for every caller.
 A synthesized scale (``TabulatedProductForm``) interpolates its node table
 with ``_NotAKnotSpline``, a not-a-knot cubic (de Boor, *A Practical Guide
 to Splines*, ch. 4).  It is ``scipy.interpolate.CubicSpline`` rebuilt on
-``scipy.linalg.solve_banded`` alone: the same banded system for the slopes,
-the same Hermite coefficients, and evaluation in the rounding order of
-``PPoly``.  So every value and derivative, and every output built on them,
-is bit-identical to the ``CubicSpline`` it replaces, while importing the
-package no longer imports ``scipy.interpolate``.
+LAPACK's ``dgtsv`` alone, the tridiagonal solver that ``solve_banded``
+calls: the same system for the slopes, the same Hermite coefficients, and
+evaluation in the rounding order of ``PPoly``.  So every value and
+derivative, and every output built on them, is bit-identical to the
+``CubicSpline`` it replaces, while importing the package no longer imports
+``scipy.interpolate``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     DegenerateNormalError,
@@ -130,7 +131,7 @@ class TabulatedProductForm:
 
 class _NotAKnotSpline:
     """Not-a-knot cubic interpolant through the values ``y`` at the nodes
-    ``x``: the slopes and coefficients of ``scipy.interpolate.CubicSpline``,
+    ``x``: the slopes (by ``dgtsv``) and coefficients of ``CubicSpline``,
     evaluated in the rounding order of its ``PPoly`` and extrapolated by
     the end pieces."""
 
@@ -142,21 +143,21 @@ class _NotAKnotSpline:
             raise ValueError("a spline needs at least 4 finite, strictly increasing "
                              "nodes and one value per node")
         slope = np.diff(y) / dx
-        # Slopes m: tridiagonal system in banded (3, n) storage.
-        A = np.zeros((3, n))
-        b = np.empty(n)
-        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        A[0, 2:] = dx[:-1]
-        A[-1, :-2] = dx[1:]
+        # Slopes m: a tridiagonal system, solved as solve_banded solves it.
+        lower, diag, upper, b = np.empty(n - 1), np.empty(n), np.empty(n - 1), np.empty(n)
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        upper[1:] = dx[:-1]
+        lower[:-1] = dx[1:]
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        A[1, 0] = dx[1]
-        A[0, 1] = d = x[2] - x[0]
+        diag[0] = dx[1]
+        upper[0] = d = x[2] - x[0]
         b[0] = ((dx[0] + 2*d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
-        A[1, -1] = dx[-2]
-        A[-1, -2] = d = x[-1] - x[-3]
+        diag[-1] = dx[-2]
+        lower[-1] = d = x[-1] - x[-3]
         b[-1] = (dx[-1]**2*slope[-2] + (2*d + dx[-1])*dx[-2]*slope[-1]) / d
-        m = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
-                         overwrite_b=True, check_finite=False).reshape(n)
+        *_, m, info = dgtsv(lower, diag, upper, b, 1, 1, 1, 1)  # overwrites all four
+        if info:  # > 0: a zero pivot, as solve_banded reports it
+            raise np.linalg.LinAlgError(f"singular spline slope system (dgtsv info {info})")
         # Cubic Hermite coefficients, highest power first, one column per piece.
         t = (m[:-1] + m[1:] - 2 * slope) / dx
         self.c = np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]))

@@ -17,6 +17,8 @@ from dpencil.scene import MAX_GRID_VERTICES, SceneConfig
 from conftest import SRC, preset_config
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
+# exp(s) overflows past s ~ 709.8, and the scalar evaluator raises there.
+EXP_CURVE = {"x": "exp(s)*cos(s)", "y": "sin(s)", "z": "0", "param": "s", "range": [0.0, 800.0]}
 
 
 def run(capsys, *argv):
@@ -114,6 +116,21 @@ class TestBuild:
         assert summary["defect_count"] == 30
         obj = (tmp_path / "example1.obj").read_text(encoding="ascii")
         assert "inf" not in obj and "nan" not in obj
+
+    def test_no_usable_vertex_exit_4(self, tmp_path, capsys):
+        # Every vertex is a defect (non_finite, inflection or domain).  The
+        # build once exited 0 with a true verdict from 13 of 1,000 samples
+        # and wrote an OBJ that held no surface.
+        cfg = load_preset("example3")
+        cfg["curve"] = EXP_CURVE
+        cfg["marching"]["explicit"].update(l="1", m="1", n="1", U="t", V="t", W="t")
+        cfg["grid"].update(ns=20, nt=5)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
+                             "-o", str(out_dir))
+        assert (code, out) == (4, "")
+        assert err == "error: no usable grid vertex: all 100 vertices are defects\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("block, key, value, error", [
         ("grid", "t_range", [0.0, math.inf], "grid.t_range[1] must be a finite number, got inf"),
@@ -355,6 +372,29 @@ class TestLoad:
         assert summary["c_estimate"] == pytest.approx(SQRT3_2, abs=1e-9)
 
 
+class TestParser:
+    @pytest.mark.parametrize("argv, code, start", [
+        # Options may come before the command.
+        (["--preset", "example2", "--samples", "64", "classify"], 0, '{"command": "classify"'),
+        ([], 2, None),
+        (["--preset", "example1"], 2, None),
+        (["frob", "--preset", "example1"], 2, None),
+        (["classify", "--preset", "example1", "--config", "scene.json"], 2, None),
+        (["classify"], 2, None),
+        *[([command, "-h"], 0, "usage: pencil") for command in cli._COMMANDS],
+    ], ids=["options_first", "empty", "no_command", "unknown_command",
+            "preset_and_config", "no_scene", "build_help", "verify_help", "classify_help",
+            "synthesize_help"])
+    def test_command_line(self, capsys, argv, code, start):
+        try:
+            got = main(argv)
+        except SystemExit as e:  # argparse exits on -h and on a usage error
+            got = e.code
+        out = capsys.readouterr().out
+        assert got == code
+        assert out == "" if start is None else out.startswith(start)
+
+
 class TestVerify:
     def test_example2(self, tmp_path, capsys):
         code, summary, _ = run_json(
@@ -444,6 +484,16 @@ class TestClassify:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["skipped_samples"] >= 1
+
+    def test_undefined_samples_are_skipped(self, tmp_path, capsys):
+        # The samples past s ~ 709.8 are skipped, as build and verify skip
+        # them.  classify once exited 4 with "math range error in 'exp(s)'".
+        cfg = load_preset("example3")
+        cfg["curve"] = EXP_CURVE
+        code, got, err = run_json(capsys, "classify", "--config", write_config(tmp_path, cfg))
+        assert (code, err) == (0, "")
+        assert got["kind"] == "Planar"
+        assert got["skipped_samples"] > 0
 
     def test_overflowing_curve_exit_4(self, tmp_path, capsys):
         # y' = 2e308 q overflows at every sample: no frame is defined, so
