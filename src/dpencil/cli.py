@@ -1,5 +1,9 @@
 """Command-line front end: build, verify, classify, synthesize.
 
+The CLI parses arguments, dispatches to a command, writes the OBJ and CSV
+outputs and maps errors to exit codes; ``scene.SceneConfig`` reads the
+scene file and writes the completed config that ``synthesize`` prints.
+
 Exit codes: 0 success (verify: the curve is D-type), 1 verify found a
 non-constant inner product, 2 invalid config or expression, 3 infeasible
 target constant, 4 numerical failure (no usable samples, degenerate
@@ -30,12 +34,11 @@ from .errors import (
     NotEnoughSamplesError,
     SceneValidationError,
 )
-from .expr import format_expression
 from .frenet import classify_curve
 from .mesh import sample_grid, write_obj, write_report_csv
-from .pencil import ProductForm, SurfacePencil, TabulatedProductForm
+from .pencil import SurfacePencil
 from .presets import load_preset, preset_names
-from .scene import PRODUCT_KEYS, SceneConfig
+from .scene import SceneConfig
 
 EXIT_OK = 0
 EXIT_NOT_DTYPE = 1
@@ -45,12 +48,14 @@ EXIT_NUMERICAL = 4
 
 MAX_SAMPLES = 1_000_000  # bounds --samples
 
-_VALIDATION_ERRORS = (
-    SceneValidationError,
-    ExpressionError,
-    InvalidCurveError,
-    InvalidMarchingScaleError,
-    ValueError,
+# The exit code of an error, by its first matching entry.  A DomainError is
+# a runtime numeric-domain violation, not a config problem.
+_EXIT_CODES = (
+    (InfeasibleConstantError, EXIT_INFEASIBLE),
+    (DomainError, EXIT_NUMERICAL),
+    ((SceneValidationError, ExpressionError, InvalidCurveError, InvalidMarchingScaleError,
+      ValueError), EXIT_INVALID),
+    (GeometryError, EXIT_NUMERICAL),
 )
 
 
@@ -81,39 +86,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> SceneConfig:
     if args.preset:
         return SceneConfig.from_dict(load_preset(args.preset))
-    try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise SceneValidationError(f"cannot read config {args.config!r}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise SceneValidationError(f"config {args.config!r} is not valid JSON: {e}") from None
-    except RecursionError:
-        raise SceneValidationError(f"config {args.config!r} nests too deeply") from None
-    return SceneConfig.from_dict(raw)
+    return SceneConfig.load(args.config)
 
 
-def _default_tol(cfg: SceneConfig, args) -> float:
-    if args.tol is not None:
-        return args.tol
-    return 1e-8 if cfg.unit_speed else 1e-6
-
-
-def _note(curve, intervals) -> dict | None:
-    """The feasibility note of a curve that synthesis restricted, else None."""
-    if not intervals:
-        return None
-    return {"feasible_domain": [[a, b] for a, b in intervals],
-            "restricted_to": list(curve.domain)}
-
-
-def _print_restriction(note: dict) -> None:
+def _print_restriction(feasible_domain, restricted_to) -> None:
     """The restriction line on stderr.  Commands print it once they have
     succeeded, so that a failing one prints only its error line."""
-    print(
-        f"target constant feasible only on {note['feasible_domain']}; "
-        f"restricting to {note['restricted_to']}",
-        file=sys.stderr,
-    )
+    print(f"target constant feasible only on {feasible_domain}; restricting to {restricted_to}",
+          file=sys.stderr)
 
 
 def _samples(args, default: int) -> int:
@@ -146,62 +126,59 @@ def _write(args, name: str, write, data) -> Path:
     return path
 
 
-def _emit(summary: dict, note: dict | None = None) -> None:
-    if note:
-        summary["feasibility"] = note
-        _print_restriction(note)
+def _emit(summary: dict) -> None:
+    if "feasibility" in summary:
+        _print_restriction(**summary["feasibility"])
     print(json.dumps(summary, sort_keys=True))
 
 
-def cmd_build(cfg: SceneConfig, args) -> int:
+def _verified(cfg: SceneConfig, args, command: str):
+    """The step ``build`` and ``verify`` share: assemble the scene's pencil
+    and verify it.  Returns ``(summary, report, mesh)``, where the summary
+    holds the fields both commands print.  ``build`` samples the grid
+    before verifying, so that a grid without a usable vertex fails first;
+    for ``verify`` the mesh is None."""
     curve, marching, intervals = cfg.assemble()
     pencil = SurfacePencil(curve, marching, cfg.t_range)
-    mesh = sample_grid(pencil, cfg.ns, cfg.nt)
-    vertices = mesh.ns * mesh.nt
-    if len(mesh.defects) == vertices:
-        raise NotEnoughSamplesError(f"no usable grid vertex: all {vertices} vertices are defects")
-    tol = _default_tol(cfg, args)
+    summary = {"command": command}
+    mesh = None
+    if command == "build":
+        mesh = sample_grid(pencil, cfg.ns, cfg.nt)
+        vertices = mesh.ns * mesh.nt
+        if len(mesh.defects) == vertices:
+            raise NotEnoughSamplesError(
+                f"no usable grid vertex: all {vertices} vertices are defects")
+        summary.update(defect_count=len(mesh.defects), vertices=vertices,
+                       faces=int(mesh.faces.shape[0]))
+    tol = (1e-8 if cfg.unit_speed else 1e-6) if args.tol is None else args.tol
     report = verify_dtype(pencil, _samples(args, 1000), tol)
+    summary.update(c_estimate=report.c_estimate, max_deviation=report.max_deviation,
+                   verdict=report.verdict, skipped_samples=len(report.skipped))
+    if intervals:
+        summary["feasibility"] = {"feasible_domain": [[a, b] for a, b in intervals],
+                                  "restricted_to": list(curve.domain)}
+    return summary, report, mesh
+
+
+def cmd_build(cfg: SceneConfig, args) -> int:
+    summary, report, mesh = _verified(cfg, args, "build")
     obj_path = _write(args, cfg.obj_path, write_obj, mesh)
     try:
         csv_path = _write(args, cfg.csv_path, write_report_csv, report)
     except SceneValidationError:
         obj_path.unlink(missing_ok=True)  # no partial outputs from a failed build
         raise
-    summary = {
-        "command": "build",
-        "c_estimate": report.c_estimate,
-        "max_deviation": report.max_deviation,
-        "verdict": report.verdict,
-        "defect_count": len(mesh.defects),
-        "vertices": vertices,
-        "faces": int(mesh.faces.shape[0]),
-        "skipped_samples": len(report.skipped),
-        "obj_path": str(obj_path),
-        "csv_path": str(csv_path),
-    }
-    _emit(summary, _note(curve, intervals))
+    summary.update(obj_path=str(obj_path), csv_path=str(csv_path))
+    _emit(summary)
     return EXIT_OK
 
 
 def cmd_verify(cfg: SceneConfig, args) -> int:
-    curve, marching, intervals = cfg.assemble()
-    pencil = SurfacePencil(curve, marching, cfg.t_range)
-    tol = _default_tol(cfg, args)
-    report = verify_dtype(pencil, _samples(args, 1000), tol)
+    summary, report, _ = _verified(cfg, args, "verify")
     csv_path = _write(args, cfg.csv_path, write_report_csv, report)
-    summary = {
-        "command": "verify",
-        "c_estimate": report.c_estimate,
-        "max_deviation": report.max_deviation,
-        "tolerance": tol,
-        "verdict": report.verdict,
-        "geodesic": report.geodesic,
-        "asymptotic_planar": report.asymptotic_planar,
-        "skipped_samples": len(report.skipped),
-        "csv_path": str(csv_path),
-    }
-    _emit(summary, _note(curve, intervals))
+    summary.update(tolerance=report.tolerance, geodesic=report.geodesic,
+                   asymptotic_planar=report.asymptotic_planar, csv_path=str(csv_path))
+    _emit(summary)
     return EXIT_OK if report.verdict else EXIT_NOT_DTYPE
 
 
@@ -218,30 +195,9 @@ def cmd_classify(cfg: SceneConfig, args) -> int:
 
 
 def cmd_synthesize(cfg: SceneConfig, args) -> int:
-    curve, marching, intervals = cfg.synthesized(max(_samples(args, 256), 64))
-    note = _note(curve, intervals)
-    out = cfg.to_dict()
-    if note:
-        out["curve"]["range"] = note["restricted_to"]
-        out["feasible_domain"] = note["feasible_domain"]
-        _print_restriction(note)
-    block = out["marching"]
-    if isinstance(marching.form, ProductForm):
-        form = marching.form
-        block["mode"] = "explicit"
-        block["explicit"] = {k: format_expression(getattr(form, k)) for k in PRODUCT_KEYS}
-    else:
-        assert isinstance(marching.form, TabulatedProductForm)
-        form = marching.form
-        block["mode"] = "synthesized"
-        block.pop("explicit", None)
-        block["table"] = {
-            "kind": "cubic-interpolated coefficients, regenerated on build",
-            "nodes": int(form.nodes.size),
-            "max_interp_error": form.max_interp_error,
-            "excluded": [[a, b] for a, b in form.excluded],
-            "u_profile": format_expression(form.u_profile),
-        }
+    out = cfg.completed(_samples(args, 256))
+    if "feasible_domain" in out:
+        _print_restriction(out["feasible_domain"], out["curve"]["range"])
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -266,19 +222,9 @@ def main(argv=None) -> int:
         # per-operation warnings would only repeat that on stderr.
         with np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[args.command](cfg, args)
-    except InfeasibleConstantError as e:
+    except (ExpressionError, GeometryError, SceneValidationError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except DomainError as e:
-        # Runtime numeric-domain violation, not a config problem.
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _VALIDATION_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except GeometryError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for errors, code in _EXIT_CODES if isinstance(e, errors))
 
 
 if __name__ == "__main__":

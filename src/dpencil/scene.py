@@ -23,18 +23,25 @@ In explicit mode the "explicit" block holds either the six product parts
 l, m, n (in the curve parameter) and U, V, W (in t), or the three bivariate
 functions u, v, w.  In synthesized mode "c" is required and the marching
 scale is generated to meet it, on the part of the curve where that constant
-is feasible.  ``SceneConfig.pencil()`` assembles the pencil in either mode.
+is feasible.
+
+This module is the only one that reads a scene file or writes a scene
+config: ``SceneConfig.load(path)`` reads and validates a file,
+``SceneConfig.pencil()`` assembles the pencil in either mode, and
+``SceneConfig.completed(samples)`` returns the scene with its synthesized
+marching scale written in, the config ``pencil synthesize`` prints.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from pathlib import PurePath
+from pathlib import Path, PurePath
 
 from .dcurve import feasible_curve, synthesize_marching_scale
 from .errors import InfeasibleConstantError, SceneValidationError
-from .expr import CONSTANTS, parse_expression
+from .expr import CONSTANTS, format_expression, parse_expression
 from .frenet import CurveSpec
 from .pencil import GeneralForm, MarchingScale, ProductForm, SurfacePencil
 
@@ -77,6 +84,12 @@ def _pair(value, context: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise SceneValidationError(f"{context} must be an object")
+    return value
+
+
 def _text(value, context: str) -> str:
     if not isinstance(value, str):
         raise SceneValidationError(f"{context} must be a string, got {value!r}")
@@ -84,11 +97,14 @@ def _text(value, context: str) -> str:
 
 
 def _output_name(value, context: str) -> str:
-    """A relative path without ``..``: outputs stay under the output directory."""
+    """A relative path without ``..``: outputs stay under the output directory.
+    ``""`` and ``"."`` name the directory itself, not a file."""
     name = _text(value, context)
     path = PurePath(name)
     if path.is_absolute() or ".." in path.parts:
         raise SceneValidationError(f"{context} must stay under the output directory, got {name!r}")
+    if not path.parts:
+        raise SceneValidationError(f"{context} must name a file, got {name!r}")
     return name
 
 
@@ -115,12 +131,24 @@ class SceneConfig:
     description: str = ""
 
     @classmethod
+    def load(cls, path) -> "SceneConfig":
+        """The scene in the JSON file at ``path``; a file that cannot be read
+        or parsed is a :class:`SceneValidationError`."""
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as e:
+            raise SceneValidationError(f"cannot read config {str(path)!r}: {e}") from None
+        except json.JSONDecodeError as e:
+            raise SceneValidationError(f"config {str(path)!r} is not valid JSON: {e}") from None
+        except RecursionError:
+            raise SceneValidationError(f"config {str(path)!r} nests too deeply") from None
+        return cls.from_dict(raw)
+
+    @classmethod
     def from_dict(cls, data: dict) -> "SceneConfig":
         if not isinstance(data, dict):
             raise SceneValidationError("scene config must be a JSON object")
-        curve = _require(data, "curve", "config")
-        if not isinstance(curve, dict):
-            raise SceneValidationError("config.curve must be an object")
+        curve = _object(_require(data, "curve", "config"), "config.curve")
         x = _text(_require(curve, "x", "curve"), "curve.x")
         y = _text(_require(curve, "y", "curve"), "curve.y")
         z = _text(_require(curve, "z", "curve"), "curve.z")
@@ -136,9 +164,7 @@ class SceneConfig:
 
         t0 = _number(data.get("t0", 0.0), "t0")
 
-        marching = _require(data, "marching", "config")
-        if not isinstance(marching, dict):
-            raise SceneValidationError("config.marching must be an object")
+        marching = _object(_require(data, "marching", "config"), "config.marching")
         mode = _text(_require(marching, "mode", "marching"), "marching.mode")
         if mode not in ("explicit", "synthesized"):
             raise SceneValidationError(
@@ -146,9 +172,7 @@ class SceneConfig:
             )
         product = general = None
         if mode == "explicit":
-            block = _require(marching, "explicit", "marching")
-            if not isinstance(block, dict):
-                raise SceneValidationError("marching.explicit must be an object")
+            block = _object(_require(marching, "explicit", "marching"), "marching.explicit")
             if all(k in block for k in PRODUCT_KEYS):
                 product = {k: _text(block[k], f"marching.explicit.{k}") for k in PRODUCT_KEYS}
             elif all(k in block for k in _GENERAL_KEYS):
@@ -169,17 +193,13 @@ class SceneConfig:
         sign = marching.get("sign", 1)
         if isinstance(sign, bool) or sign not in (1, -1):
             raise SceneValidationError(f"marching.sign must be 1 or -1, got {sign!r}")
-        controls_block = marching.get("controls", {})
-        if not isinstance(controls_block, dict):
-            raise SceneValidationError("marching.controls must be an object")
+        controls_block = _object(marching.get("controls", {}), "marching.controls")
         controls = tuple(
             _number(controls_block.get(k, 1.0), f"marching.controls.{k}")
             for k in ("x", "y", "z")
         )
 
-        grid = data.get("grid", {})
-        if not isinstance(grid, dict):
-            raise SceneValidationError("config.grid must be an object")
+        grid = _object(data.get("grid", {}), "config.grid")
         ns = grid.get("ns", DEFAULT_NS)
         nt = grid.get("nt", DEFAULT_NT)
         if not isinstance(ns, int) or not isinstance(nt, int) or ns < 2 or nt < 2:
@@ -194,11 +214,12 @@ class SceneConfig:
                 f"t0 = {t0!r} must lie inside grid.t_range {list(t_range)!r}"
             )
 
-        outputs = data.get("outputs", {})
-        if not isinstance(outputs, dict):
-            raise SceneValidationError("config.outputs must be an object")
+        outputs = _object(data.get("outputs", {}), "config.outputs")
         obj_path = _output_name(outputs.get("obj_path", "surface.obj"), "outputs.obj_path")
         csv_path = _output_name(outputs.get("csv_path", "report.csv"), "outputs.csv_path")
+        if PurePath(obj_path) == PurePath(csv_path):
+            raise SceneValidationError("outputs.obj_path and outputs.csv_path name the same "
+                                       f"file, got {obj_path!r} and {csv_path!r}")
 
         return cls(
             curve_x=x, curve_y=y, curve_z=z, param=param, curve_range=crange,
@@ -287,6 +308,33 @@ class SceneConfig:
                 if len(infeasible) == _RESTRICT_RETRIES:
                     raise
                 infeasible.append(e.param)
+
+    def completed(self, samples: int) -> dict:
+        """The scene with the marching scale ``synthesized(samples)`` written in,
+        as ``pencil synthesize`` prints it: the restricted ``curve.range`` and
+        the ``feasible_domain`` list when synthesis restricted the curve, and
+        a closed-form ``explicit`` block or a ``table`` summary (regenerated
+        on load) in place of the given marching block."""
+        curve, marching, intervals = self.synthesized(samples)
+        out = self.to_dict()
+        if intervals:
+            out["curve"]["range"] = list(curve.domain)
+            out["feasible_domain"] = [[a, b] for a, b in intervals]
+        form, block = marching.form, out["marching"]
+        if isinstance(form, ProductForm):
+            block["mode"] = "explicit"
+            block["explicit"] = {k: format_expression(getattr(form, k)) for k in PRODUCT_KEYS}
+        else:
+            block["mode"] = "synthesized"
+            block.pop("explicit", None)
+            block["table"] = {
+                "kind": "cubic-interpolated coefficients, regenerated on build",
+                "nodes": int(form.nodes.size),
+                "max_interp_error": form.max_interp_error,
+                "excluded": [[a, b] for a, b in form.excluded],
+                "u_profile": format_expression(form.u_profile),
+            }
+        return out
 
     def assemble(self):
         """``(curve, marching, intervals)`` in either marching mode, synthesized

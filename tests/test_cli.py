@@ -10,6 +10,7 @@ import pytest
 from dpencil import cli, scene
 from dpencil.cli import MAX_SAMPLES, main
 from dpencil.dcurve import feasible_domain
+from dpencil.errors import SceneValidationError
 from dpencil.expr import MAX_DEPTH, evaluate, format_expression, parse_expression
 from dpencil.presets import load_preset, preset_names
 from dpencil.scene import MAX_GRID_VERTICES, SceneConfig
@@ -176,6 +177,26 @@ class TestBuild:
         assert not out_dir.exists()
         assert not (tmp_path / "escape.out").exists()
 
+    @pytest.mark.parametrize("outputs, error", [
+        ({"obj_path": ""}, "outputs.obj_path must name a file, got ''"),
+        ({"csv_path": "."}, "outputs.csv_path must name a file, got '.'"),
+        # Once exited 0: the CSV overwrote the mesh, and obj_path named the CSV.
+        ({"obj_path": "same.txt", "csv_path": "same.txt"}, "outputs.obj_path and "
+         "outputs.csv_path name the same file, got 'same.txt' and 'same.txt'"),
+        ({"obj_path": "a.obj", "csv_path": "./a.obj"}, "outputs.obj_path and "
+         "outputs.csv_path name the same file, got 'a.obj' and './a.obj'"),
+    ], ids=["empty", "dot", "same_name", "same_file"])
+    def test_output_naming_no_file_or_one_file_twice_exit_2(self, tmp_path, capsys, outputs,
+                                                              error):
+        cfg = load_preset("example1")
+        cfg["outputs"].update(outputs)
+        cfg["grid"].update(ns=5, nt=3)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
+                             "--samples", "16", "-o", str(out_dir))
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+        assert not out_dir.exists()
+
     def test_missing_field_exit_2(self, tmp_path, capsys):
         cfg = load_preset("example1")
         del cfg["curve"]["x"]
@@ -223,8 +244,9 @@ class TestBuild:
     def test_unwritable_output_in_a_real_process(self, tmp_path):
         # A directory as the CSV path once escaped as an IsADirectoryError
         # traceback (exit 1).
+        (tmp_path / "taken").mkdir()
         cfg = load_preset("example1")
-        cfg["outputs"]["csv_path"] = "."
+        cfg["outputs"]["csv_path"] = "taken"
         path = write_config(tmp_path, cfg)
         proc = subprocess.run(
             [sys.executable, "-m", "dpencil", "verify", "--config", path,
@@ -237,10 +259,11 @@ class TestBuild:
         assert proc.stderr.startswith("error: cannot write")
 
     def test_failed_csv_write_leaves_no_obj(self, tmp_path, capsys):
-        # The OBJ is written first; when the CSV then cannot be written, the
-        # build removes the OBJ it has just written.
+        # The OBJ is written first; when the CSV then cannot be written (its
+        # directory would be the OBJ file), the build removes the OBJ it has
+        # just written.
         cfg = load_preset("example1")
-        cfg["outputs"]["csv_path"] = "."
+        cfg["outputs"]["csv_path"] = "example1.obj/report.csv"
         out_dir = tmp_path / "out"
         code, out, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
                              "--samples", "64", "-o", str(out_dir))
@@ -334,7 +357,8 @@ class TestBuild:
         assert got["tolerance"] == 0.0
         assert code == (0 if got["max_deviation"] == 0.0 else 1)
 
-    @pytest.mark.parametrize("command, least", [("verify", 16), ("classify", 8)])
+    @pytest.mark.parametrize("command, least", [("verify", 16), ("classify", 8),
+                                                ("synthesize", 64)])
     def test_zero_samples_exit_2(self, tmp_path, capsys, command, least):
         code, out, err = run(capsys, command, "--preset", "example1", "--samples", "0",
                              "-o", str(tmp_path))
@@ -344,7 +368,60 @@ class TestBuild:
         assert not list(tmp_path.iterdir())
 
 
+MISSING = object()  # a field deleted from the config
+
+
+def edited_preset(fields: dict) -> dict:
+    """example1 with ``fields`` ("block.key": value) set, or deleted where
+    the value is MISSING."""
+    cfg = load_preset("example1")
+    for path, value in fields.items():
+        *blocks, key = path.split(".")
+        block = cfg
+        for name in blocks:
+            block = block[name]
+        if value is MISSING:
+            del block[key]
+        else:
+            block[key] = value
+    return cfg
+
+
 class TestLoad:
+    # One row per raise site that no other test reaches.
+    @pytest.mark.parametrize("fields, error", [
+        (None, "scene config must be a JSON object"),
+        ({"curve.x": 1}, "curve.x must be a string, got 1"),
+        ({"curve.range": [0.0]}, "curve.range must be [min, max]"),
+        ({"curve.range": ["0", 1.0]}, "curve.range[0] must be a number, got '0'"),
+        ({"curve.range": [1.0, 1.0]}, "curve.range must satisfy min < max, got [1.0, 1.0]"),
+        ({"marching": []}, "config.marching must be an object"),
+        ({"marching.mode": "implicit"},
+         "marching.mode must be 'explicit' or 'synthesized', got 'implicit'"),
+        ({"marching.explicit": "t"}, "marching.explicit must be an object"),
+        ({"marching.explicit.W": MISSING},
+         "marching.explicit needs either product parts l,m,n,U,V,W or bivariate u,v,w"),
+        ({"marching.mode": "synthesized", "marching.c": MISSING},
+         "synthesized mode requires marching.c"),
+        ({"marching.controls": [1.0]}, "marching.controls must be an object"),
+        ({"grid": 5}, "config.grid must be an object"),
+        ({"grid.ns": 1}, "grid.ns and grid.nt must be integers >= 2"),
+        ({"t0": 6.0}, "t0 = 6.0 must lie inside grid.t_range [0.0, 5.0]"),
+        ({"outputs": "x"}, "config.outputs must be an object"),
+    ])
+    def test_validation_error(self, fields, error):
+        raw = [] if fields is None else edited_preset(fields)
+        with pytest.raises(SceneValidationError) as info:
+            SceneConfig.from_dict(raw)
+        assert str(info.value) == error
+
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "classify", "--config", path)
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read config {path!r}: "
+                       f"[Errno 2] No such file or directory: {path!r}\n")
+
     def test_param_t_with_the_bivariate_form_exit_2(self, tmp_path, capsys):
         # The t of u, v, w read as the curve parameter as well: the scale did
         # not vanish at t0, and the load failed with that misleading message.
@@ -657,6 +734,15 @@ class TestSynthesize:
         code, out, err = run(capsys, "synthesize", "--config", path, "--samples", "256")
         assert (code, out, err) == (3, "", "error: target constant 0.99999 infeasible\n")
 
+    def test_bivariate_config(self, tmp_path, capsys):
+        # The given u, v, w block is replaced by the synthesized product parts,
+        # as the preset's own l, m, n, U, V, W block is.
+        cfg = load_preset("example1")
+        cfg["marching"]["explicit"] = {"u": "t*t", "v": "0", "w": "t"}
+        got = run(capsys, "synthesize", "--config", write_config(tmp_path, cfg))
+        assert got == run(capsys, "synthesize", "--preset", "example1")
+        assert got[0] == 0
+
     def test_requires_target(self, tmp_path, capsys):
         cfg = load_preset("example1")
         del cfg["marching"]["c"]
@@ -711,6 +797,12 @@ class TestPresetFidelity:
         for name in preset_names():
             cfg = preset_config(name)
             assert cfg.ns >= 2 and cfg.nt >= 2
+
+    def test_unknown_preset(self):
+        with pytest.raises(SceneValidationError) as info:
+            load_preset("example5")
+        assert str(info.value) == ("unknown preset 'example5'; available: "
+                                   + ", ".join(preset_names()))
 
     def test_example4b_variants_stored(self):
         body = load_preset("example4b")

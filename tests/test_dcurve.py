@@ -7,6 +7,7 @@ import pytest
 
 from dpencil.cli import main
 from dpencil.dcurve import (
+    _merge_holes,
     check_theorem_conditions,
     feasible_curve,
     feasible_domain,
@@ -300,6 +301,17 @@ class TestTheoremConditions:
         assert report.curve_class.kind == "Generic"
         assert (report.branch, report.branch_constants) == (None, {})
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda p: check_theorem_conditions(p, 0.5, sign=0), "sign must be +1 or -1"),
+        (lambda p: check_theorem_conditions(p, 0.5, sample_count=15),
+         "sample_count must be at least 16"),
+        (lambda p: synthesize_marching_scale(p.curve, 0.5, sign=0), "sign must be +1 or -1"),
+    ], ids=["theorem_sign", "theorem_samples", "synthesize_sign"])
+    def test_argument_checks(self, ex1, call, error):
+        with pytest.raises(ValueError) as info:
+            call(ex1)
+        assert str(info.value) == error
+
     def test_anti_salkowski_constants(self):
         # No preset curve has constant torsion and varying curvature.
         cls = CurveClass(ANTI_SALKOWSKI, 2.0, 0.0)
@@ -489,6 +501,11 @@ class TestFeasibleDomain:
         curve, intervals = feasible_curve(SceneConfig.from_dict(cfg).curve(), SQRT3_2)
         assert intervals is not None
         assert curve.domain[1] == pytest.approx(1e8 + 2.6698377, abs=1e-6)
+
+    def test_adjacent_holes_merge_into_one_window(self):
+        # Holes at most 1.5 steps apart share a window; each window reaches one
+        # step past its outer holes.
+        assert _merge_holes([0.0, 0.25, 0.5, 2.0], 0.25) == [(-0.25, 0.75), (1.75, 2.25)]
 
     def test_restrict_curve_margin(self, ex4):
         interval = (0.0, 2.0)

@@ -58,6 +58,12 @@ class TestParsing:
         with pytest.raises(UnknownFunctionError):
             parse_expression("foo(q)", ["q"])
 
+    @pytest.mark.parametrize("source, position", [("sin(q", 5), ("(q+1", 4)])
+    def test_expected_closing_paren(self, source, position):
+        with pytest.raises(ParseError) as info:
+            parse_expression(source, ["q"])
+        assert str(info.value) == f"expected ')' (offset {position})"
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_expression("1 + 2 )", [])
@@ -100,6 +106,11 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(parse_expression("ln(q)", ["q"]), {"q": 0.0})
 
+    @pytest.mark.parametrize("source", ["q^(-1)", "q^(-0.5)"])
+    def test_zero_base_with_negative_exponent(self, source):
+        with pytest.raises(DomainError, match="zero base with negative exponent"):
+            evaluate(parse_expression(source, ["q"]), {"q": 0.0})
+
     def test_unbound_variable(self):
         with pytest.raises(UnknownVariableError):
             evaluate(parse_expression("q + 1", ["q"]), {})
@@ -116,6 +127,8 @@ class TestEvaluate:
         ("q^2.5", 1e300),       # float ** overflows
         ("sin(q)", math.inf),   # math.sin raises ValueError
         ("ln(q)", 1e-120),      # 2/q^3 divides by an underflowed zero
+        ("acos(q)", 1.0),       # the derivative is undefined at +/-1
+        ("acos(q)", -1.0),
     ])
     def test_math_errors_in_jets_are_domain_errors(self, source, point):
         with pytest.raises(DomainError):

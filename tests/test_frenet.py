@@ -8,6 +8,7 @@ from dpencil.errors import (
     InflectionPointError,
     InvalidCurveError,
     IrregularCurveError,
+    NonFiniteCurveError,
     NotEnoughSamplesError,
 )
 from dpencil.expr import evaluate, parse_expression
@@ -113,6 +114,20 @@ class TestFrenetAt:
     def test_empty_domain_rejected(self):
         with pytest.raises(InvalidCurveError):
             make_curve("q", "q", "q", domain=(1.0, 1.0))
+
+    def test_foreign_variable_rejected(self):
+        with pytest.raises(InvalidCurveError) as info:
+            CurveSpec(x=parse_expression("q", ["q"]), y=parse_expression("a*q", ["q", "a"]),
+                      z=parse_expression("0", []), param="q", domain=(0.0, 1.0))
+        assert str(info.value) == "coordinate y references variables ['a'] other than 'q'"
+
+    @pytest.mark.parametrize("x, y, z, q", [
+        ("q", "1e308*q*q", "0", 1.0),  # y' = 2e308 overflows
+        ("-5*q^2", "q", "1.5e307*q^3", 0.0),  # finite derivatives, tau = 9e308/100
+    ], ids=["derivative", "torsion"])
+    def test_non_finite_apparatus(self, x, y, z, q):
+        with pytest.raises(NonFiniteCurveError):
+            frenet_at(make_curve(x, y, z, domain=(-1.0, 2.0)), q)
 
 
 class TestDarbouxUnit:

@@ -190,6 +190,12 @@ class TestConstruction:
         with pytest.raises(InvalidMarchingScaleError):
             SurfacePencil(ex1.curve, general_scale("t + 1", "0", "t"), (0.0, 1.0))
 
+    def test_scale_undefined_at_every_check(self, ex1):
+        with pytest.raises(InvalidMarchingScaleError) as info:
+            SurfacePencil(ex1.curve, general_scale("sqrt(-1-s*s)*t", "0", "t"), (0.0, 1.0))
+        assert str(info.value) == ("marching-scale functions are undefined at every "
+                                   "checked parameter")
+
     def test_t0_must_lie_in_range(self, ex1):
         with pytest.raises(InvalidMarchingScaleError):
             SurfacePencil(ex1.curve, general_scale("t", "t", "t", t0=2.0), (0.0, 1.0))
