@@ -14,6 +14,9 @@ rewrite of the numeric kernel that changes any of them must explain why
 and regenerate the fixtures in a commit of its own:
 
     PYTHONPATH=src python tests/test_golden.py
+
+``PRESET_SHA256`` pins the preset config dicts themselves, so a rewrite
+of ``presets.py`` that changes any key or value fails before a build.
 """
 
 import contextlib
@@ -41,6 +44,18 @@ SAMPLES = 250
 SYNTHESIZE = ("example1", "example2", "example3", "example4")
 SIGNS = (1, -1)
 SYNTHESIZED_BUILDS = ("example3", "example4")
+# SHA-256 of json.dumps(load_preset(name), sort_keys=True).
+PRESET_SHA256 = {
+    "example1": "5cde33b6c2cdbbb2a8ddec05fb5eafd2ec7033f9df67b67a6f31ded924d88ce2",
+    "example1b": "e4464050ec4ca7b0ec48daecbcff2886676586862f677e38f379c41df556a303",
+    "example2": "8673710a10756d896da91f0b9cd06dcad53ac320a7e8ff826298433767eb6d2d",
+    "example2b": "3b5c21c71afe69e744ac687e1c98f8f991298e836fb558a8701821e5486b5d32",
+    "example3": "d4d502cffbe271bbffee51685d52cdb12cd92cceb2c2d407f7f8a0120cc67041",
+    "example3b": "1a55a8d659d245a08750ddd06fac9f404e9874f601d31ebb8187e42c1eb3712d",
+    "example4": "c7c4b7c65c209e0c7f24eca701c3d168e23a1f24ec9362d2828b9b50f406782e",
+    "example4b": "3ed1516c1b5608bdbdb9570153d2bd4b1f69fd90419cc6fa2d037bf2b5650d9f",
+    "example4b_alt": "d794772a4e925cb88bac62a78054a3b40a836dff991e0bcd5ab70cfd632249ef",
+}
 
 
 def synthesized(cfg: dict, sign: int) -> dict:
@@ -113,6 +128,13 @@ def test_every_preset_pinned(golden, golden_nonsquare):
     assert sorted(golden_nonsquare) == sorted(shape_key(*shape) for shape in NONSQUARE)
     for pinned in golden_nonsquare.values():
         assert sorted(pinned) == preset_names()
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_dict_pinned(name):
+    assert sorted(PRESET_SHA256) == preset_names()
+    text = json.dumps(load_preset(name), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PRESET_SHA256[name]
 
 
 @pytest.mark.parametrize("name", preset_names())
