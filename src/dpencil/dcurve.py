@@ -255,16 +255,13 @@ def _specialize(cls: CurveClass, c: float, tol: float):
     return None, {}
 
 
-def _t_shift_node(t0: float):
-    if t0 == 0.0:
-        return Var("t")
-    return BinOp("-", Var("t"), number_node(t0))
-
-
-def _default_u_profile(t0: float) -> Expression:
-    node = _t_shift_node(t0)
-    names = frozenset(["t"])
-    return Expression(root=node, free_vars=names)
+def _linear_in_t(t0: float, a: float | None = None) -> Expression:
+    """``a (t - t0)`` as an expression in t, or ``t - t0`` when ``a`` is
+    None; at t0 = 0 the shift is plain ``t``."""
+    node = Var("t") if t0 == 0.0 else BinOp("-", Var("t"), number_node(t0))
+    if a is not None:
+        node = BinOp("*", number_node(a), node)
+    return Expression(node, frozenset(["t"]))
 
 
 def _phi2_radicand(kappa: np.ndarray, omega: np.ndarray, c: float):
@@ -340,30 +337,19 @@ def synthesize_marching_scale(curve: CurveSpec, c: float, sign: int = 1,
         raise ValueError("sign must be +1 or -1")
     qs = np.linspace(*curve.domain, _FIRST_TABLE_NODES)
     av, aw, g, usable = _coefficients_at(curve, c, sign, qs)
-    u_profile = u_profile or _default_u_profile(t0)
+    u_profile = u_profile or _linear_in_t(t0)
 
     def _spread_small(vals):
-        return float(np.max(vals) - np.min(vals)) <= _CONST_COEFF_TOL * (
-            1.0 + abs(float(np.mean(vals)))
-        )
+        return np.ptp(vals) <= _CONST_COEFF_TOL * (1.0 + abs(np.mean(vals)))
 
     if usable.all() and _spread_small(av) and _spread_small(aw):
         one = parse_expression("1")
-        t_shift = _t_shift_node(t0)
-        names = frozenset(["t"])
-        form = ProductForm(
-            l=one, m=one, n=one,
-            U=u_profile,
-            V=Expression(BinOp("*", number_node(float(np.mean(av))), t_shift), names),
-            W=Expression(BinOp("*", number_node(float(np.mean(aw))), t_shift), names),
-        )
-        return MarchingScale(form=form, param=curve.param, t0=t0)
-
-    return MarchingScale(
-        form=_build_table(curve, c, sign, u_profile, qs, av, g, usable),
-        param=curve.param,
-        t0=t0,
-    )
+        form = ProductForm(l=one, m=one, n=one, U=u_profile,
+                           V=_linear_in_t(t0, float(np.mean(av))),
+                           W=_linear_in_t(t0, float(np.mean(aw))))
+    else:
+        form = _build_table(curve, c, sign, u_profile, qs, av, g, usable)
+    return MarchingScale(form=form, param=curve.param, t0=t0)
 
 
 def _build_table(curve: CurveSpec, c: float, sign: int, u_profile: Expression,

@@ -217,16 +217,19 @@ class SceneConfig:
         outputs = _object(data.get("outputs", {}), "config.outputs")
         obj_path = _output_name(outputs.get("obj_path", "surface.obj"), "outputs.obj_path")
         csv_path = _output_name(outputs.get("csv_path", "report.csv"), "outputs.csv_path")
-        if PurePath(obj_path) == PurePath(csv_path):
-            raise SceneValidationError("outputs.obj_path and outputs.csv_path name the same "
-                                       f"file, got {obj_path!r} and {csv_path!r}")
+        obj, csv = PurePath(obj_path), PurePath(csv_path)
+        clash = "name the same file" if obj == csv else (
+            "nest" if obj in csv.parents or csv in obj.parents else "")
+        if clash:
+            raise SceneValidationError(f"outputs.obj_path and outputs.csv_path {clash}, "
+                                       f"got {obj_path!r} and {csv_path!r}")
 
         return cls(
             curve_x=x, curve_y=y, curve_z=z, param=param, curve_range=crange,
             unit_speed=unit_speed, t0=t0, mode=mode, product=product,
             general=general, controls=controls, c=c, sign=sign, ns=ns, nt=nt,
             t_range=t_range, obj_path=obj_path, csv_path=csv_path,
-            description=str(data.get("description", "")),
+            description=_text(data.get("description", ""), "description"),
         )
 
     def to_dict(self) -> dict:

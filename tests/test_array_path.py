@@ -492,7 +492,7 @@ def table_by_rounds(curve, c, sign=1, t0=0.0):
     round evaluated afresh, each round checked at the next round's odd
     nodes."""
     lo, hi = curve.domain
-    u_profile = dcurve._default_u_profile(t0)
+    u_profile = dcurve._linear_in_t(t0)
     qs = np.linspace(lo, hi, dcurve._FIRST_TABLE_NODES)
     while True:
         av, _, g, usable = dcurve._coefficients_at(curve, c, sign, qs)

@@ -185,7 +185,12 @@ class TestBuild:
          "outputs.csv_path name the same file, got 'same.txt' and 'same.txt'"),
         ({"obj_path": "a.obj", "csv_path": "./a.obj"}, "outputs.obj_path and "
          "outputs.csv_path name the same file, got 'a.obj' and './a.obj'"),
-    ], ids=["empty", "dot", "same_name", "same_file"])
+        # Once failed only at the CSV write, after the grid and verification.
+        ({"csv_path": "example1.obj/report.csv"}, "outputs.obj_path and outputs.csv_path "
+         "nest, got 'example1.obj' and 'example1.obj/report.csv'"),
+        ({"obj_path": "a/b.obj", "csv_path": "a"}, "outputs.obj_path and outputs.csv_path "
+         "nest, got 'a/b.obj' and 'a'"),
+    ], ids=["empty", "dot", "same_name", "same_file", "csv_under_obj", "obj_under_csv"])
     def test_output_naming_no_file_or_one_file_twice_exit_2(self, tmp_path, capsys, outputs,
                                                               error):
         cfg = load_preset("example1")
@@ -260,10 +265,10 @@ class TestBuild:
 
     def test_failed_csv_write_leaves_no_obj(self, tmp_path, capsys):
         # The OBJ is written first; when the CSV then cannot be written (its
-        # directory would be the OBJ file), the build removes the OBJ it has
-        # just written.
+        # name is longer than the file system allows), the build removes the
+        # OBJ it has just written.
         cfg = load_preset("example1")
-        cfg["outputs"]["csv_path"] = "example1.obj/report.csv"
+        cfg["outputs"]["csv_path"] = "r" * 300 + ".csv"
         out_dir = tmp_path / "out"
         code, out, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
                              "--samples", "64", "-o", str(out_dir))
@@ -408,6 +413,8 @@ class TestLoad:
         ({"grid.ns": 1}, "grid.ns and grid.nt must be integers >= 2"),
         ({"t0": 6.0}, "t0 = 6.0 must lie inside grid.t_range [0.0, 5.0]"),
         ({"outputs": "x"}, "config.outputs must be an object"),
+        # Once loaded as the string 'None'.
+        ({"description": None}, "description must be a string, got None"),
     ])
     def test_validation_error(self, fields, error):
         raw = [] if fields is None else edited_preset(fields)

@@ -108,8 +108,11 @@ def configs(draw):
     return cfg
 
 
+# Sample counts that every command accepts (synthesize needs 64), so that a
+# drawn count never stops a command before its work; counts below a minimum
+# are the --samples=0 example's.
 options = st.lists(st.one_of(
-    st.integers(16, 64).map(lambda n: f"--samples={n}"),
+    st.integers(64, 128).map(lambda n: f"--samples={n}"),
     st.sampled_from((0.0, 1e-8, 1e-6, 1.0)).map(lambda x: f"--tol={x}"),
 ), max_size=2)
 

@@ -49,6 +49,14 @@ def q_curve(x, y, z):
                      param="q", domain=(-1.0, 1.0))
 
 
+def straight_line() -> SceneConfig:
+    """example1 on the straight line (q, 2q, 0) over [0, 1], which has no
+    Frenet frame anywhere."""
+    cfg = load_preset("example1")
+    cfg["curve"].update(x="q", y="2*q", param="q", range=[0.0, 1.0], unit_speed=False)
+    return SceneConfig.from_dict(cfg)
+
+
 def synth_pencil(curve, c, sign=1, t_range=(0.0, 1.0)):
     ms = synthesize_marching_scale(curve, c, sign)
     return SurfacePencil(curve, ms, t_range)
@@ -312,6 +320,11 @@ class TestTheoremConditions:
             call(ex1)
         assert str(info.value) == error
 
+    def test_not_enough_samples(self):
+        with pytest.raises(NotEnoughSamplesError) as info:
+            check_theorem_conditions(straight_line().pencil(), 0.5, sample_count=16)
+        assert str(info.value) == "only 0 of 16 samples usable"
+
     def test_anti_salkowski_constants(self):
         # No preset curve has constant torsion and varying curvature.
         cls = CurveClass(ANTI_SALKOWSKI, 2.0, 0.0)
@@ -413,6 +426,11 @@ class TestSynthesize:
         pencil = SurfacePencil(ex1.curve, ms, (0.0, 1.0))
         report = verify_dtype(pencil, 128, 1e-8)
         assert report.c_estimate == pytest.approx(0.25, abs=1e-10)
+
+    def test_frame_undefined_at_nearly_all_table_nodes(self):
+        with pytest.raises(NotEnoughSamplesError) as info:
+            synthesize_marching_scale(straight_line().curve(), 0.5)
+        assert str(info.value) == "frame undefined at nearly all table nodes"
 
 
 class TestFeasibleDomain:
