@@ -118,7 +118,7 @@ def _write(args, name: str, write, data) -> Path:
             write(data, sink)
         os.replace(tmp, path)
         pending = False
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL or a lone surrogate in the name
         raise SceneValidationError(f"cannot write {str(path)!r}: {e}") from None
     finally:
         if pending:
@@ -143,7 +143,7 @@ def _verified(cfg: SceneConfig, args, command: str):
     summary = {"command": command}
     mesh = None
     if command == "build":
-        mesh = sample_grid(pencil, cfg.ns, cfg.nt)
+        mesh = sample_grid(pencil, *cfg.grid_shape)
         vertices = mesh.ns * mesh.nt
         if len(mesh.defects) == vertices:
             raise NotEnoughSamplesError(
@@ -162,9 +162,10 @@ def _verified(cfg: SceneConfig, args, command: str):
 
 def cmd_build(cfg: SceneConfig, args) -> int:
     summary, report, mesh = _verified(cfg, args, "build")
-    obj_path = _write(args, cfg.obj_path, write_obj, mesh)
+    obj_name, csv_name = cfg.outputs
+    obj_path = _write(args, obj_name, write_obj, mesh)
     try:
-        csv_path = _write(args, cfg.csv_path, write_report_csv, report)
+        csv_path = _write(args, csv_name, write_report_csv, report)
     except SceneValidationError:
         obj_path.unlink(missing_ok=True)  # no partial outputs from a failed build
         raise
@@ -175,7 +176,8 @@ def cmd_build(cfg: SceneConfig, args) -> int:
 
 def cmd_verify(cfg: SceneConfig, args) -> int:
     summary, report, _ = _verified(cfg, args, "verify")
-    csv_path = _write(args, cfg.csv_path, write_report_csv, report)
+    _, csv_name = cfg.outputs
+    csv_path = _write(args, csv_name, write_report_csv, report)
     summary.update(tolerance=report.tolerance, geodesic=report.geodesic,
                    asymptotic_planar=report.asymptotic_planar, csv_path=str(csv_path))
     _emit(summary)

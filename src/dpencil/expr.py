@@ -185,22 +185,18 @@ class _Parser:
         return node
 
     def _expr(self) -> tuple[Node, int]:
-        node, depth = self._term()
-        while True:
-            tok = self._match_op("+-")
-            if tok is None:
-                return node, depth
-            right, right_depth = self._term()
-            node, depth = BinOp(tok.text, node, right), _deeper(depth, right_depth, tok)
+        return self._chain("+-", self._term)
 
     def _term(self) -> tuple[Node, int]:
-        node, depth = self._factor()
-        while True:
-            tok = self._match_op("*/")
-            if tok is None:
-                return node, depth
-            right, right_depth = self._factor()
+        return self._chain("*/", self._factor)
+
+    def _chain(self, ops: str, operand) -> tuple[Node, int]:
+        # operand (op operand)*, folded from the left.
+        node, depth = operand()
+        while (tok := self._match_op(ops)) is not None:
+            right, right_depth = operand()
             node, depth = BinOp(tok.text, node, right), _deeper(depth, right_depth, tok)
+        return node, depth
 
     def _factor(self) -> tuple[Node, int]:
         tok = self._match_op("-")

@@ -30,10 +30,18 @@ config: ``SceneConfig.load(path)`` reads and validates a file,
 ``SceneConfig.pencil()`` assembles the pencil in either mode, and
 ``SceneConfig.completed(samples)`` returns the scene with its synthesized
 marching scale written in, the config ``pencil synthesize`` prints.
+
+A ``SceneConfig`` keeps the scene in this layout only, as one dict that
+``from_dict`` writes while it validates: every default filled in, ``t0``,
+``c``, the controls and both ranges as floats, ranges as lists, and only
+the keys above (one explicit form's, none in synthesized mode).
+``to_dict()`` returns a copy of it; the CLI reads it through ``t_range``,
+``grid_shape``, ``unit_speed`` and ``outputs``.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -72,7 +80,7 @@ def _number(value, context: str) -> float:
     return number
 
 
-def _pair(value, context: str) -> tuple[float, float]:
+def _pair(value, context: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SceneValidationError(f"{context} must be [min, max]")
     lo = _number(value[0], f"{context}[0]")
@@ -81,7 +89,7 @@ def _pair(value, context: str) -> tuple[float, float]:
         raise SceneValidationError(f"{context} must satisfy min < max, got {value!r}")
     if not math.isfinite(hi - lo):  # linspace over it yields inf and NaN
         raise SceneValidationError(f"{context} width max - min overflows, got {value!r}")
-    return lo, hi
+    return [lo, hi]
 
 
 def _object(value, context: str) -> dict:
@@ -110,25 +118,10 @@ def _output_name(value, context: str) -> str:
 
 @dataclass
 class SceneConfig:
-    curve_x: str
-    curve_y: str
-    curve_z: str
-    param: str
-    curve_range: tuple[float, float]
-    unit_speed: bool
-    t0: float
-    mode: str  # "explicit" | "synthesized"
-    product: dict | None
-    general: dict | None
-    controls: tuple[float, float, float]
-    c: float | None
-    sign: int
-    ns: int
-    nt: int
-    t_range: tuple[float, float]
-    obj_path: str
-    csv_path: str
-    description: str = ""
+    """A validated scene, kept as one normalized dict (see the module
+    docstring)."""
+
+    _scene: dict
 
     @classmethod
     def load(cls, path) -> "SceneConfig":
@@ -148,15 +141,14 @@ class SceneConfig:
     def from_dict(cls, data: dict) -> "SceneConfig":
         if not isinstance(data, dict):
             raise SceneValidationError("scene config must be a JSON object")
-        curve = _object(_require(data, "curve", "config"), "config.curve")
-        x = _text(_require(curve, "x", "curve"), "curve.x")
-        y = _text(_require(curve, "y", "curve"), "curve.y")
-        z = _text(_require(curve, "z", "curve"), "curve.z")
-        param = _text(_require(curve, "param", "curve"), "curve.param")
+        given = _object(_require(data, "curve", "config"), "config.curve")
+        curve = {k: _text(_require(given, k, "curve"), f"curve.{k}")
+                 for k in ("x", "y", "z", "param")}
+        param = curve["param"]
         if param in CONSTANTS:
             raise SceneValidationError(f"curve.param {param!r} clashes with the constant {param}")
-        crange = _pair(_require(curve, "range", "curve"), "curve.range")
-        unit_speed = curve.get("unit_speed", False)
+        curve["range"] = _pair(_require(given, "range", "curve"), "curve.range")
+        curve["unit_speed"] = unit_speed = given.get("unit_speed", False)
         if not isinstance(unit_speed, bool):
             raise SceneValidationError(
                 f"curve.unit_speed must be true or false, got {unit_speed!r}"
@@ -164,40 +156,36 @@ class SceneConfig:
 
         t0 = _number(data.get("t0", 0.0), "t0")
 
-        marching = _object(_require(data, "marching", "config"), "config.marching")
-        mode = _text(_require(marching, "mode", "marching"), "marching.mode")
+        given = _object(_require(data, "marching", "config"), "config.marching")
+        mode = _text(_require(given, "mode", "marching"), "marching.mode")
         if mode not in ("explicit", "synthesized"):
             raise SceneValidationError(
                 f"marching.mode must be 'explicit' or 'synthesized', got {mode!r}"
             )
-        product = general = None
+        marching = {"mode": mode}
         if mode == "explicit":
-            block = _object(_require(marching, "explicit", "marching"), "marching.explicit")
-            if all(k in block for k in PRODUCT_KEYS):
-                product = {k: _text(block[k], f"marching.explicit.{k}") for k in PRODUCT_KEYS}
-            elif all(k in block for k in _GENERAL_KEYS):
-                general = {k: _text(block[k], f"marching.explicit.{k}") for k in _GENERAL_KEYS}
-                if param == "t":
-                    raise SceneValidationError("curve.param 't' clashes with the marching "
-                                               "parameter t of marching.explicit u,v,w")
-            else:
+            block = _object(_require(given, "explicit", "marching"), "marching.explicit")
+            keys = next((keys for keys in (PRODUCT_KEYS, _GENERAL_KEYS)
+                         if all(k in block for k in keys)), None)
+            if keys is None:
                 raise SceneValidationError(
                     "marching.explicit needs either product parts l,m,n,U,V,W "
                     "or bivariate u,v,w"
                 )
-        c = marching.get("c")
-        if c is not None:
-            c = _number(c, "marching.c")
-        if mode == "synthesized" and c is None:
+            marching["explicit"] = {k: _text(block[k], f"marching.explicit.{k}") for k in keys}
+            if keys is _GENERAL_KEYS and param == "t":
+                raise SceneValidationError("curve.param 't' clashes with the marching "
+                                           "parameter t of marching.explicit u,v,w")
+        if given.get("c") is not None:
+            marching["c"] = _number(given["c"], "marching.c")
+        elif mode == "synthesized":
             raise SceneValidationError("synthesized mode requires marching.c")
-        sign = marching.get("sign", 1)
+        marching["sign"] = sign = given.get("sign", 1)
         if isinstance(sign, bool) or sign not in (1, -1):
             raise SceneValidationError(f"marching.sign must be 1 or -1, got {sign!r}")
-        controls_block = _object(marching.get("controls", {}), "marching.controls")
-        controls = tuple(
-            _number(controls_block.get(k, 1.0), f"marching.controls.{k}")
-            for k in ("x", "y", "z")
-        )
+        controls = _object(given.get("controls", {}), "marching.controls")
+        marching["controls"] = {k: _number(controls.get(k, 1.0), f"marching.controls.{k}")
+                                for k in ("x", "y", "z")}
 
         grid = _object(data.get("grid", {}), "config.grid")
         ns = grid.get("ns", DEFAULT_NS)
@@ -210,9 +198,7 @@ class SceneConfig:
             )
         t_range = _pair(_require(grid, "t_range", "grid"), "grid.t_range")
         if not t_range[0] <= t0 <= t_range[1]:
-            raise SceneValidationError(
-                f"t0 = {t0!r} must lie inside grid.t_range {list(t_range)!r}"
-            )
+            raise SceneValidationError(f"t0 = {t0!r} must lie inside grid.t_range {t_range!r}")
 
         outputs = _object(data.get("outputs", {}), "config.outputs")
         obj_path = _output_name(outputs.get("obj_path", "surface.obj"), "outputs.obj_path")
@@ -224,71 +210,52 @@ class SceneConfig:
             raise SceneValidationError(f"outputs.obj_path and outputs.csv_path {clash}, "
                                        f"got {obj_path!r} and {csv_path!r}")
 
-        return cls(
-            curve_x=x, curve_y=y, curve_z=z, param=param, curve_range=crange,
-            unit_speed=unit_speed, t0=t0, mode=mode, product=product,
-            general=general, controls=controls, c=c, sign=sign, ns=ns, nt=nt,
-            t_range=t_range, obj_path=obj_path, csv_path=csv_path,
-            description=_text(data.get("description", ""), "description"),
-        )
+        scene = {"curve": curve, "t0": t0, "marching": marching,
+                 "grid": {"ns": ns, "nt": nt, "t_range": t_range},
+                 "outputs": {"obj_path": obj_path, "csv_path": csv_path}}
+        description = _text(data.get("description", ""), "description")
+        if description:
+            scene["description"] = description
+        return cls(scene)
 
     def to_dict(self) -> dict:
-        marching: dict = {"mode": self.mode, "sign": self.sign}
-        if self.product is not None:
-            marching["explicit"] = dict(self.product)
-        elif self.general is not None:
-            marching["explicit"] = dict(self.general)
-        if self.c is not None:
-            marching["c"] = self.c
-        marching["controls"] = {
-            "x": self.controls[0], "y": self.controls[1], "z": self.controls[2]
-        }
-        out = {
-            "curve": {
-                "x": self.curve_x, "y": self.curve_y, "z": self.curve_z,
-                "param": self.param, "range": list(self.curve_range),
-                "unit_speed": self.unit_speed,
-            },
-            "t0": self.t0,
-            "marching": marching,
-            "grid": {"ns": self.ns, "nt": self.nt, "t_range": list(self.t_range)},
-            "outputs": {"obj_path": self.obj_path, "csv_path": self.csv_path},
-        }
-        if self.description:
-            out["description"] = self.description
-        return out
+        """A copy of the normalized scene."""
+        return copy.deepcopy(self._scene)
+
+    @property
+    def t_range(self) -> tuple[float, float]:
+        return tuple(self._scene["grid"]["t_range"])
+
+    @property
+    def grid_shape(self) -> tuple[int, int]:
+        """``(ns, nt)``, the vertex counts of the build grid."""
+        return self._scene["grid"]["ns"], self._scene["grid"]["nt"]
+
+    @property
+    def unit_speed(self) -> bool:
+        return self._scene["curve"]["unit_speed"]
+
+    @property
+    def outputs(self) -> tuple[str, str]:
+        """``(obj_path, csv_path)``, relative to the output directory."""
+        return self._scene["outputs"]["obj_path"], self._scene["outputs"]["csv_path"]
 
     def curve(self) -> CurveSpec:
-        return CurveSpec(
-            x=parse_expression(self.curve_x, [self.param]),
-            y=parse_expression(self.curve_y, [self.param]),
-            z=parse_expression(self.curve_z, [self.param]),
-            param=self.param,
-            domain=self.curve_range,
-            unit_speed=self.unit_speed,
-        )
+        curve = self._scene["curve"]
+        x, y, z = (parse_expression(curve[k], [curve["param"]]) for k in ("x", "y", "z"))
+        return CurveSpec(x=x, y=y, z=z, param=curve["param"], domain=tuple(curve["range"]),
+                         unit_speed=curve["unit_speed"])
 
     def _explicit_marching(self) -> MarchingScale:
-        if self.product is not None:
-            svars, tvars = [self.param], ["t"]
-            form = ProductForm(
-                l=parse_expression(self.product["l"], svars),
-                m=parse_expression(self.product["m"], svars),
-                n=parse_expression(self.product["n"], svars),
-                U=parse_expression(self.product["U"], tvars),
-                V=parse_expression(self.product["V"], tvars),
-                W=parse_expression(self.product["W"], tvars),
-                controls=self.controls,
-            )
-        else:
-            both = [self.param, "t"]
-            form = GeneralForm(
-                u=parse_expression(self.general["u"], both),
-                v=parse_expression(self.general["v"], both),
-                w=parse_expression(self.general["w"], both),
-                controls=self.controls,
-            )
-        return MarchingScale(form=form, param=self.param, t0=self.t0)
+        param, marching = self._scene["curve"]["param"], self._scene["marching"]
+        explicit = marching["explicit"]
+        if tuple(explicit) == PRODUCT_KEYS:  # l, m, n in the curve parameter, U, V, W in t
+            form, variables = ProductForm, ([param],) * 3 + (["t"],) * 3
+        else:  # u, v, w in both
+            form, variables = GeneralForm, ([param, "t"],) * 3
+        parts = {k: parse_expression(e, v) for (k, e), v in zip(explicit.items(), variables)}
+        return MarchingScale(form=form(**parts, controls=tuple(marching["controls"].values())),
+                             param=param, t0=self._scene["t0"])
 
     def synthesized(self, samples: int):
         """``(curve, marching, intervals)``: the scale synthesized for ``c`` on
@@ -298,14 +265,15 @@ class SceneConfig:
         sample step; synthesis then raises at a parameter inside it.  The
         restriction is redone with that parameter known to be infeasible, at
         most ``_RESTRICT_RETRIES`` times."""
-        if self.c is None:
+        c, sign = self._scene["marching"].get("c"), self._scene["marching"]["sign"]
+        if c is None:
             raise SceneValidationError("synthesize requires marching.c in the config")
         full = self.curve()
         infeasible = []
         while True:
-            curve, intervals = feasible_curve(full, self.c, samples, infeasible)
+            curve, intervals = feasible_curve(full, c, samples, infeasible)
             try:
-                marching = synthesize_marching_scale(curve, self.c, self.sign, t0=self.t0)
+                marching = synthesize_marching_scale(curve, c, sign, t0=self._scene["t0"])
                 return curve, marching, intervals
             except InfeasibleConstantError as e:
                 if len(infeasible) == _RESTRICT_RETRIES:
@@ -342,7 +310,7 @@ class SceneConfig:
     def assemble(self):
         """``(curve, marching, intervals)`` in either marching mode, synthesized
         at 256 samples; ``intervals`` is None unless synthesis restricted the curve."""
-        if self.mode == "explicit":
+        if self._scene["marching"]["mode"] == "explicit":
             return self.curve(), self._explicit_marching(), None
         return self.synthesized(256)
 

@@ -278,6 +278,24 @@ class TestBuild:
         assert err.startswith("error: cannot write")
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("csv_path, reason", [
+        ("r\u0000.csv", "embedded null byte"),
+        ("r\ud800.csv", "surrogates not allowed"),
+    ], ids=["nul", "surrogate"])
+    def test_unencodable_csv_name_leaves_no_obj(self, tmp_path, capsys, csv_path, reason):
+        # open() raises ValueError for these names, not OSError; the build
+        # once exited 2 with the bare reason and left the OBJ behind.
+        cfg = load_preset("example1")
+        cfg["outputs"]["csv_path"] = csv_path
+        cfg["grid"].update(ns=5, nt=3)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
+                             "--samples", "16", "-o", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {str(out_dir / csv_path)!r}: ")
+        assert err.endswith(f"{reason}\n")
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("error", [OSError("no space left"), RuntimeError("interrupted")])
     def test_failed_obj_write_leaves_nothing(self, tmp_path, capsys, monkeypatch, error):
         # A writer that fails mid-write once left a partial OBJ behind.
@@ -803,7 +821,7 @@ class TestPresetFidelity:
     def test_all_presets_loadable(self):
         for name in preset_names():
             cfg = preset_config(name)
-            assert cfg.ns >= 2 and cfg.nt >= 2
+            assert min(cfg.grid_shape) >= 2
 
     def test_unknown_preset(self):
         with pytest.raises(SceneValidationError) as info:

@@ -1,7 +1,8 @@
 """The CLI's exit-code contract over generated input.
 
 Every ``pencil`` command, whatever its config, expressions and options,
-must exit 0..4 with at most one line on stderr: no traceback, no warning.
+must exit 0..4 with at most one line on stderr: no traceback, no warning;
+a ``build`` that fails leaves no file in the output directory.
 Configs start from a preset and take generated curve and marching
 expressions, ranges, constants and grid sizes, and now and then a field of
 the wrong type or a missing one; they run in process through ``cli.main``.
@@ -39,6 +40,12 @@ def run_cli(command: str, config, options=()):
 
 def run_cli_output(command: str, config, options=()):
     """``run_cli`` that also returns stdout: (exit code, stdout, stderr)."""
+    return run_cli_files(command, config, options)[:3]
+
+
+def run_cli_files(command: str, config, options=()):
+    """``run_cli_output`` that also returns the files the command left
+    under ``-o``: (exit code, stdout, stderr, paths relative to ``-o``)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scene.json"
         path.write_text(config if isinstance(config, str) else json.dumps(config),
@@ -48,7 +55,9 @@ def run_cli_output(command: str, config, options=()):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+        out_dir = Path(tmp) / "out"
+        files = sorted(str(f.relative_to(out_dir)) for f in out_dir.rglob("*") if f.is_file())
+    return code, out.getvalue(), err.getvalue(), files
 
 
 def expressions(var: str):
@@ -172,6 +181,8 @@ FAR_SALKOWSKI = preset("example4", **{
 @example("verify", preset("example1", **{"outputs.csv_path": "."}), ["--samples=64"])
 @example("build", preset("example1", **{"outputs.csv_path": "."}), [])
 @example("build", preset("example1", **{"outputs.obj_path": "../escape.obj"}), [])
+@example("build", preset("example1", **{"outputs.csv_path": "r\u0000.csv"}), ["--samples=64"])
+@example("build", preset("example1", **{"outputs.csv_path": "r\ud800.csv"}), ["--samples=64"])
 @example("classify", preset("example2"), ["--tol=-1"])
 @example("verify", preset("example2"), ["--tol=nan"])
 @example("verify", preset("example2"), ["--tol=inf"])
@@ -191,9 +202,11 @@ FAR_SALKOWSKI = preset("example4", **{
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(COMMANDS), configs(), options)
 def test_exit_code_contract(command, config, opts):
-    code, err = run_cli(command, config, opts)
+    code, _, err, files = run_cli_files(command, config, opts)
     assert code in range(5)
     assert len(err.splitlines()) <= 1, err
+    if command == "build" and code != 0:  # a failed build leaves no output
+        assert files == [], err
 
 
 @st.composite
