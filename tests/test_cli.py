@@ -278,6 +278,22 @@ class TestBuild:
         assert err.startswith("error: cannot write")
         assert list(out_dir.iterdir()) == []
 
+    def test_csv_over_a_directory_leaves_no_obj(self, tmp_path, capsys):
+        # Every write completes; the CSV then cannot replace the directory
+        # standing at its name, and the OBJ that took its place goes too.
+        cfg = load_preset("example1")
+        cfg["outputs"]["csv_path"] = "taken"
+        cfg["grid"].update(ns=5, nt=3)
+        out_dir = tmp_path / "out"
+        (out_dir / "taken").mkdir(parents=True)
+        code, out, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
+                             "--samples", "16", "-o", str(out_dir))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write {str(out_dir / 'taken')!r}: ")
+        assert [f.name for f in out_dir.iterdir()] == ["taken"]
+        assert list((out_dir / "taken").iterdir()) == []
+
     @pytest.mark.parametrize("csv_path, reason", [
         ("r\u0000.csv", "embedded null byte"),
         ("r\ud800.csv", "surrogates not allowed"),
