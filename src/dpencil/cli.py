@@ -1,8 +1,8 @@
 """Command-line front end: build, verify, classify, synthesize.
 
 The CLI parses arguments, dispatches to a command, writes the OBJ and CSV
-outputs and maps errors to exit codes; ``scene.SceneConfig`` reads the
-scene file and writes the completed config that ``synthesize`` prints.
+outputs all or none and maps errors to exit codes; ``scene.SceneConfig``
+reads scene files and writes the completed config ``synthesize`` prints.
 
 Exit codes: 0 success (verify: the curve is D-type), 1 verify found a
 non-constant inner product, 2 invalid config or expression, 3 infeasible
@@ -100,30 +100,34 @@ def _samples(args, default: int) -> int:
     return default if args.samples is None else args.samples
 
 
-def _write(args, name: str, write, data) -> Path:
-    """``write(data, sink)`` into ``name`` under the output directory; an
-    output that cannot be created or written is a config error.
-
-    The data goes to a temporary file beside the output, which replaces the
-    output only once it is complete: a write that fails leaves no partial
-    file and no temporary file behind.
-    """
-    path = Path(args.out_dir) / name
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    pending = False  # tmp exists and has not replaced the output
+def _publish(args, outputs) -> list[Path]:
+    """``write(data, sink)`` into ``name`` under the output directory for
+    each ``(name, write, data)`` of ``outputs``, all or none; returns the
+    paths.  Each output is written in full to a temporary file beside it
+    before any replaces its output, in order; a failed replacement removes
+    the outputs already replaced, and no temporary file is left behind.  An
+    output that cannot be created or written is a config error."""
+    staged, published = [], []  # (tmp, path) of each temporary file opened; paths replaced
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "xb") as sink:
-            pending = True
-            write(data, sink)
-        os.replace(tmp, path)
-        pending = False
+        for name, write, data in outputs:
+            path = Path(args.out_dir) / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+            with open(tmp, "xb") as sink:
+                staged.append((tmp, path))
+                write(data, sink)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            published.append(path)
     except (OSError, ValueError) as e:  # ValueError: a NUL or a lone surrogate in the name
         raise SceneValidationError(f"cannot write {str(path)!r}: {e}") from None
     finally:
-        if pending:
-            tmp.unlink()
-    return path
+        if len(published) < len(outputs):
+            for tmp, _ in staged:
+                tmp.unlink(missing_ok=True)
+            for path in published:
+                path.unlink()
+    return published
 
 
 def _emit(summary: dict) -> None:
@@ -163,12 +167,8 @@ def _verified(cfg: SceneConfig, args, command: str):
 def cmd_build(cfg: SceneConfig, args) -> int:
     summary, report, mesh = _verified(cfg, args, "build")
     obj_name, csv_name = cfg.outputs
-    obj_path = _write(args, obj_name, write_obj, mesh)
-    try:
-        csv_path = _write(args, csv_name, write_report_csv, report)
-    except SceneValidationError:
-        obj_path.unlink(missing_ok=True)  # no partial outputs from a failed build
-        raise
+    obj_path, csv_path = _publish(args, [(obj_name, write_obj, mesh),
+                                         (csv_name, write_report_csv, report)])
     summary.update(obj_path=str(obj_path), csv_path=str(csv_path))
     _emit(summary)
     return EXIT_OK
@@ -177,7 +177,7 @@ def cmd_build(cfg: SceneConfig, args) -> int:
 def cmd_verify(cfg: SceneConfig, args) -> int:
     summary, report, _ = _verified(cfg, args, "verify")
     _, csv_name = cfg.outputs
-    csv_path = _write(args, csv_name, write_report_csv, report)
+    csv_path, = _publish(args, [(csv_name, write_report_csv, report)])
     summary.update(tolerance=report.tolerance, geodesic=report.geodesic,
                    asymptotic_planar=report.asymptotic_planar, csv_path=str(csv_path))
     _emit(summary)

@@ -137,8 +137,8 @@ def verify_dtype(p: SurfacePencil, sample_count: int = 1000,
     """Sample <n, W0> along the curve and judge whether it is constant.
 
     Parameters with an undefined frame or normal (inflections, irregular
-    points, expression domain violations) are skipped and reported.
-    """
+    points, expression domain violations) are skipped and reported; a
+    verdict needs 16 usable samples."""
     if sample_count < 16:
         raise ValueError("sample_count must be at least 16")
     ss, frame, _, normals, reasons = _t0_normals(p, sample_count)
@@ -150,7 +150,7 @@ def verify_dtype(p: SurfacePencil, sample_count: int = 1000,
     samples = tuple(map(DTypeSample, ss[good].tolist(), inner.tolist(), phi2s, phi3s,
                         map(math.atan2, phi3s, phi2s)))
     max_abs_tau = float(np.max(np.abs(frame.tau[good]), initial=0.0))
-    if len(samples) < 2:
+    if len(samples) < 16:
         raise NotEnoughSamplesError(
             f"only {len(samples)} of {sample_count} samples usable"
         )
@@ -194,8 +194,8 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
     Per sample: the marching scale vanishes at t0, phi1 = 0, phi3 equals
     c sqrt(kappa^2+tau^2)/kappa, and phi2 equals sign times the feasibility
     radical.  When the curve is planar / a helix / (anti-)Salkowski, the
-    matching specialized constants are reported.
-    """
+    matching specialized constants are reported.  The check needs 16
+    usable samples."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if sample_count < 16:
@@ -216,7 +216,7 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
     phi3_err = float(np.max(np.abs(phi3 - c * ratio), initial=0.0))
     phi2_err = float(np.max(np.abs(phi2 - sign * np.sqrt(np.maximum(radicand, 0.0))),
                             initial=0.0))
-    if usable < 2:
+    if usable < 16:
         raise NotEnoughSamplesError(f"only {usable} of {sample_count} samples usable")
 
     conditions = (

@@ -302,8 +302,8 @@ def classify_curve(curve: CurveSpec, sample_count: int = 256, tol: float = 1e-6)
 
     Parameters without a frame or with an undefined or non-finite curve are
     skipped (isolated inflections do not change a curve's global character)
-    and counted in ``CurveClass.skipped``; a false unit-speed claim raises.
-    """
+    and counted in ``CurveClass.skipped``.  A false unit-speed claim raises,
+    and so do fewer than 8 usable samples."""
     if sample_count < 8:
         raise ValueError("sample_count must be at least 8")
     qs = np.linspace(curve.domain[0], curve.domain[1], sample_count)
@@ -311,7 +311,7 @@ def classify_curve(curve: CurveSpec, sample_count: int = 256, tol: float = 1e-6)
     raise_first(curve, qs, reasons == "unit_speed")
     good = reasons == ""
     usable = int(np.count_nonzero(good))
-    if usable < 2:
+    if usable < 8:
         raise NotEnoughSamplesError(
             f"only {usable} of {sample_count} samples have a defined frame"
         )

@@ -112,7 +112,7 @@ class TestBuild:
                             unit_speed=False)
         cfg["grid"].update(ns=11, nt=3)
         code, summary, _ = run_json(capsys, "build", "--config", write_config(tmp_path, cfg),
-                                    "-o", str(tmp_path))
+                                    "--samples", "2000", "-o", str(tmp_path))
         assert code == 0
         assert summary["defect_count"] == 30
         obj = (tmp_path / "example1.obj").read_text(encoding="ascii")
@@ -264,9 +264,8 @@ class TestBuild:
         assert proc.stderr.startswith("error: cannot write")
 
     def test_failed_csv_write_leaves_no_obj(self, tmp_path, capsys):
-        # The OBJ is written first; when the CSV then cannot be written (its
-        # name is longer than the file system allows), the build removes the
-        # OBJ it has just written.
+        # The CSV cannot be written (its name is longer than the file system
+        # allows), so the OBJ written before it never replaces an output.
         cfg = load_preset("example1")
         cfg["outputs"]["csv_path"] = "r" * 300 + ".csv"
         out_dir = tmp_path / "out"
@@ -293,6 +292,25 @@ class TestBuild:
         assert err.startswith(f"error: cannot write {str(out_dir / 'taken')!r}: ")
         assert [f.name for f in out_dir.iterdir()] == ["taken"]
         assert list((out_dir / "taken").iterdir()) == []
+
+    def test_failed_build_keeps_the_previous_outputs(self, tmp_path, capsys):
+        # The build once wrote its OBJ over the previous one and removed it
+        # when the CSV failed: the first build's OBJ was gone.
+        cfg = load_preset("example1")
+        cfg["grid"].update(ns=5, nt=3)
+        out_dir = tmp_path / "out"
+        argv = ["build", "--config", write_config(tmp_path, cfg), "--samples", "16",
+                "-o", str(out_dir)]
+        assert run(capsys, *argv)[0] == 0
+        previous = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+        assert sorted(previous) == ["example1.csv", "example1.obj"]
+        long_name = "r" * 300 + ".csv"  # longer than the file system allows
+        cfg["outputs"]["csv_path"] = long_name
+        argv[2] = write_config(tmp_path, cfg)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {str(out_dir / long_name)!r}: ")
+        assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == previous
 
     @pytest.mark.parametrize("csv_path, reason", [
         ("r\u0000.csv", "embedded null byte"),
@@ -565,6 +583,19 @@ class TestVerify:
         assert code == 4
         assert "samples" in err
 
+    def test_too_few_usable_samples_exit_4(self, tmp_path, capsys):
+        # Only 13 of 1,000 samples lie before exp(s) overflows; verify once
+        # exited 0 with a true verdict from those 13.
+        cfg = load_preset("example3")
+        cfg["curve"] = EXP_CURVE
+        cfg["marching"]["explicit"].update(l="1", m="1", n="1", U="t", V="t", W="t")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "verify", "--config", write_config(tmp_path, cfg),
+                             "-o", str(out_dir))
+        assert (code, out) == (4, "")
+        assert err == "error: only 13 of 1000 samples usable\n"
+        assert not out_dir.exists()
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -608,10 +639,20 @@ class TestClassify:
         # them.  classify once exited 4 with "math range error in 'exp(s)'".
         cfg = load_preset("example3")
         cfg["curve"] = EXP_CURVE
-        code, got, err = run_json(capsys, "classify", "--config", write_config(tmp_path, cfg))
+        code, got, err = run_json(capsys, "classify", "--config", write_config(tmp_path, cfg),
+                                  "--samples", "1024")
         assert (code, err) == (0, "")
         assert got["kind"] == "Planar"
         assert got["skipped_samples"] > 0
+
+    def test_too_few_usable_samples_exit_4(self, tmp_path, capsys):
+        # Only 2 of 256 samples have a frame; classify once reported Planar
+        # from those two.
+        cfg = load_preset("example3")
+        cfg["curve"] = EXP_CURVE
+        code, out, err = run(capsys, "classify", "--config", write_config(tmp_path, cfg))
+        assert (code, out) == (4, "")
+        assert err == "error: only 2 of 256 samples have a defined frame\n"
 
     def test_overflowing_curve_exit_4(self, tmp_path, capsys):
         # y' = 2e308 q overflows at every sample: no frame is defined, so

@@ -2,7 +2,7 @@
 
 Every ``pencil`` command, whatever its config, expressions and options,
 must exit 0..4 with at most one line on stderr: no traceback, no warning;
-a ``build`` that fails leaves no file in the output directory.
+a command that fails leaves the files of its output directory as they were.
 Configs start from a preset and take generated curve and marching
 expressions, ranges, constants and grid sizes, and now and then a field of
 the wrong type or a missing one; they run in process through ``cli.main``.
@@ -43,21 +43,47 @@ def run_cli_output(command: str, config, options=()):
     return run_cli_files(command, config, options)[:3]
 
 
+def place_previous_outputs(config, out_dir: Path) -> dict:
+    """A file at each output name of ``config`` that ``open`` takes directly
+    under ``out_dir``, as an earlier run would have left: {path relative to
+    ``out_dir``: its bytes}."""
+    outputs = config.get("outputs") if isinstance(config, dict) else None
+    names = outputs.values() if isinstance(outputs, dict) else ()
+    placed = {}
+    for name in names:
+        if not isinstance(name, str) or (path := out_dir / name).parent != out_dir:
+            continue
+        data = f"previous {name!r}\n".encode()
+        try:
+            with open(path, "xb") as f:
+                f.write(data)
+        except (OSError, ValueError):  # too long, a NUL, a lone surrogate, taken
+            continue
+        placed[path.name] = data
+    return placed
+
+
 def run_cli_files(command: str, config, options=()):
-    """``run_cli_output`` that also returns the files the command left
-    under ``-o``: (exit code, stdout, stderr, paths relative to ``-o``)."""
+    """``run_cli_output`` over an output directory that holds a previous
+    output at each name ``place_previous_outputs`` takes; also returns those
+    and the files the command left under ``-o``: (exit code, stdout,
+    stderr, placed, left), each of the last two {path relative to ``-o``:
+    its bytes}."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scene.json"
         path.write_text(config if isinstance(config, str) else json.dumps(config),
                         encoding="utf-8")
-        argv = [command, "--config", str(path), "-o", str(Path(tmp) / "out"),
+        out_dir = Path(tmp) / "out"
+        out_dir.mkdir()
+        placed = place_previous_outputs(config, out_dir)
+        argv = [command, "--config", str(path), "-o", str(out_dir),
                 *(str(path) if o == CONFIG else o for o in options)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        out_dir = Path(tmp) / "out"
-        files = sorted(str(f.relative_to(out_dir)) for f in out_dir.rglob("*") if f.is_file())
-    return code, out.getvalue(), err.getvalue(), files
+        left = {str(f.relative_to(out_dir)): f.read_bytes()
+                for f in out_dir.rglob("*") if f.is_file()}
+    return code, out.getvalue(), err.getvalue(), placed, left
 
 
 def expressions(var: str):
@@ -183,6 +209,7 @@ FAR_SALKOWSKI = preset("example4", **{
 @example("build", preset("example1", **{"outputs.obj_path": "../escape.obj"}), [])
 @example("build", preset("example1", **{"outputs.csv_path": "r\u0000.csv"}), ["--samples=64"])
 @example("build", preset("example1", **{"outputs.csv_path": "r\ud800.csv"}), ["--samples=64"])
+@example("build", preset("example1", **{"outputs.csv_path": "r" * 300 + ".csv"}), [])
 @example("classify", preset("example2"), ["--tol=-1"])
 @example("verify", preset("example2"), ["--tol=nan"])
 @example("verify", preset("example2"), ["--tol=inf"])
@@ -202,11 +229,11 @@ FAR_SALKOWSKI = preset("example4", **{
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(COMMANDS), configs(), options)
 def test_exit_code_contract(command, config, opts):
-    code, _, err, files = run_cli_files(command, config, opts)
+    code, _, err, placed, left = run_cli_files(command, config, opts)
     assert code in range(5)
     assert len(err.splitlines()) <= 1, err
-    if command == "build" and code != 0:  # a failed build leaves no output
-        assert files == [], err
+    if code > 1:  # a failed command leaves -o as it was
+        assert left == placed, err
 
 
 @st.composite
