@@ -154,7 +154,7 @@ def _verified(cfg: SceneConfig, args, command: str):
                 f"no usable grid vertex: all {vertices} vertices are defects")
         summary.update(defect_count=len(mesh.defects), vertices=vertices,
                        faces=int(mesh.faces.shape[0]))
-    tol = (1e-8 if cfg.unit_speed else 1e-6) if args.tol is None else args.tol
+    tol = (1e-8 if curve.unit_speed else 1e-6) if args.tol is None else args.tol
     report = verify_dtype(pencil, _samples(args, 1000), tol)
     summary.update(c_estimate=report.c_estimate, max_deviation=report.max_deviation,
                    verdict=report.verdict, skipped_samples=len(report.skipped))

@@ -319,13 +319,13 @@ def _coefficients_at(curve: CurveSpec, c: float, sign: int, qs: np.ndarray):
 
 
 def synthesize_marching_scale(curve: CurveSpec, c: float, sign: int = 1,
-                              u_profile: Expression | None = None,
                               t0: float = 0.0) -> MarchingScale:
     """Build marching-scale functions whose pencil realizes <n, W0> = c.
 
     ``sign`` orients the w component; the resulting phi2 branch is -sign
     (the worked examples use sign = +1, which gives the negative branch).
-    ``u_profile`` is the tangential profile U(t), vanishing at t0.
+    The tangential part is u = t - t0: it does not change the normal along
+    the curve.
 
     With constant coefficients (e.g. unit-speed curves with constant
     curvature and torsion) the result is a closed-form product; otherwise
@@ -337,24 +337,22 @@ def synthesize_marching_scale(curve: CurveSpec, c: float, sign: int = 1,
         raise ValueError("sign must be +1 or -1")
     qs = np.linspace(*curve.domain, _FIRST_TABLE_NODES)
     av, aw, g, usable = _coefficients_at(curve, c, sign, qs)
-    u_profile = u_profile or _linear_in_t(t0)
 
     def _spread_small(vals):
         return np.ptp(vals) <= _CONST_COEFF_TOL * (1.0 + abs(np.mean(vals)))
 
     if usable.all() and _spread_small(av) and _spread_small(aw):
         one = parse_expression("1")
-        form = ProductForm(l=one, m=one, n=one, U=u_profile,
+        form = ProductForm(l=one, m=one, n=one, U=_linear_in_t(t0),
                            V=_linear_in_t(t0, float(np.mean(av))),
                            W=_linear_in_t(t0, float(np.mean(aw))))
     else:
-        form = _build_table(curve, c, sign, u_profile, qs, av, g, usable)
+        form = _build_table(curve, c, sign, qs, av, g, usable)
     return MarchingScale(form=form, param=curve.param, t0=t0)
 
 
-def _build_table(curve: CurveSpec, c: float, sign: int, u_profile: Expression,
-                 qs: np.ndarray, av: np.ndarray, g: np.ndarray,
-                 usable: np.ndarray) -> TabulatedProductForm:
+def _build_table(curve: CurveSpec, c: float, sign: int, qs: np.ndarray,
+                 av: np.ndarray, g: np.ndarray, usable: np.ndarray) -> TabulatedProductForm:
     """Refine the coefficient table until cubic interpolation error is tiny.
 
     ``qs``, ``av``, ``g`` and ``usable`` are the first round, as returned
@@ -375,8 +373,7 @@ def _build_table(curve: CurveSpec, c: float, sign: int, u_profile: Expression,
             raise NotEnoughSamplesError("frame undefined at nearly all table nodes")
         step = (hi - lo) / (qs.size - 1)
         excluded = _merge_holes(qs[~usable].tolist(), step)
-        form = TabulatedProductForm(u_profile, qs[usable], av[usable], g[usable],
-                                    sign, excluded)
+        form = TabulatedProductForm(qs[usable], av[usable], g[usable], sign, excluded)
         finer = np.linspace(lo, hi, 2 * qs.size - 1)
         odd = finer[1::2]
         odd_av, odd_aw, odd_g, odd_usable = _coefficients_at(curve, c, sign, odd)

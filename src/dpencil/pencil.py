@@ -92,17 +92,18 @@ class GeneralForm:
 class TabulatedProductForm:
     """Synthesized marching scale with sampled coefficient functions.
 
-    u = U(t); v = a_v(s) (t - t0); w = a_w(s) (t - t0), where a_v is a cubic
-    interpolant over a dense node table and t0 is that of the
-    ``MarchingScale`` holding the form.  The w coefficient is stored
-    through its square (which stays smooth where the feasibility radicand
-    vanishes): a_w = sign * sqrt(g(s)) with g interpolated.  Used when the
-    coefficients have no closed form (non-constant curvature/torsion).
-    ``max_interp_error`` is set by the synthesis that checks the table.
+    u = t - t0; v = a_v(s) (t - t0); w = a_w(s) (t - t0), where a_v is a
+    cubic interpolant over a dense node table and t0 is that of the
+    ``MarchingScale`` holding the form.  Along the curve the normal is
+    parallel to v_t N + w_t B whatever u is, so u is fixed.  The w
+    coefficient is stored through its square (which stays smooth where the
+    feasibility radicand vanishes): a_w = sign * sqrt(g(s)) with g
+    interpolated.  Used when the coefficients have no closed form
+    (non-constant curvature/torsion).  ``max_interp_error`` is set by the
+    synthesis that checks the table.
     """
 
-    def __init__(self, u_profile, nodes, v_values, g_values, sign=1, excluded=()):
-        self.u_profile = u_profile
+    def __init__(self, nodes, v_values, g_values, sign=1, excluded=()):
         self.sign = int(sign)
         self.nodes = np.asarray(nodes, dtype=float)
         self.v_values = np.asarray(v_values, dtype=float)
@@ -258,11 +259,10 @@ def _scale(ms: MarchingScale, s, t, walk) -> MarchingValues:
             parts.append((ctrl * f0, ctrl * f_s, ctrl * f_t))
     else:
         assert isinstance(form, TabulatedProductForm)
-        r0, r1 = walk(form.u_profile, T_VAR, t)
         dt = t - ms.t0
         av, av1 = form.v_coefficient(s), form.v_coefficient(s, 1)
         aw, aw1 = form.w_coefficient(s), form.w_coefficient(s, 1)
-        return MarchingValues(r0, av * dt, aw * dt, 0.0, av1 * dt, aw1 * dt, r1, av, aw)
+        return MarchingValues(dt, av * dt, aw * dt, 0.0, av1 * dt, aw1 * dt, 1.0, av, aw)
     (u, u_s, u_t), (v, v_s, v_t), (w, w_s, w_t) = parts
     return MarchingValues(u, v, w, u_s, v_s, w_s, u_t, v_t, w_t)
 

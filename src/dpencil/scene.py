@@ -23,7 +23,8 @@ In explicit mode the "explicit" block holds either the six product parts
 l, m, n (in the curve parameter) and U, V, W (in t), or the three bivariate
 functions u, v, w.  In synthesized mode "c" is required and the marching
 scale is generated to meet it, on the part of the curve where that constant
-is feasible.
+is feasible: it depends on the curve, "c", "sign" and "t0" alone, so this
+mode has no "controls".
 
 This module is the only one that reads a scene file or writes a scene
 config: ``SceneConfig.load(path)`` reads and validates a file,
@@ -34,9 +35,9 @@ marching scale written in, the config ``pencil synthesize`` prints.
 A ``SceneConfig`` keeps the scene in this layout only, as one dict that
 ``from_dict`` writes while it validates: every default filled in, ``t0``,
 ``c``, the controls and both ranges as floats, ranges as lists, and only
-the keys above (one explicit form's, none in synthesized mode).
-``to_dict()`` returns a copy of it; the CLI reads it through ``t_range``,
-``grid_shape``, ``unit_speed`` and ``outputs``.
+the keys above (one explicit form's and the controls in explicit mode,
+neither in synthesized mode).  ``to_dict()`` returns a copy of it; the CLI
+reads it through ``t_range``, ``grid_shape`` and ``outputs``.
 """
 
 from __future__ import annotations
@@ -183,9 +184,10 @@ class SceneConfig:
         marching["sign"] = sign = given.get("sign", 1)
         if isinstance(sign, bool) or sign not in (1, -1):
             raise SceneValidationError(f"marching.sign must be 1 or -1, got {sign!r}")
-        controls = _object(given.get("controls", {}), "marching.controls")
-        marching["controls"] = {k: _number(controls.get(k, 1.0), f"marching.controls.{k}")
-                                for k in ("x", "y", "z")}
+        if mode == "explicit":
+            controls = _object(given.get("controls", {}), "marching.controls")
+            marching["controls"] = {k: _number(controls.get(k, 1.0), f"marching.controls.{k}")
+                                    for k in ("x", "y", "z")}
 
         grid = _object(data.get("grid", {}), "config.grid")
         ns = grid.get("ns", DEFAULT_NS)
@@ -230,10 +232,6 @@ class SceneConfig:
     def grid_shape(self) -> tuple[int, int]:
         """``(ns, nt)``, the vertex counts of the build grid."""
         return self._scene["grid"]["ns"], self._scene["grid"]["nt"]
-
-    @property
-    def unit_speed(self) -> bool:
-        return self._scene["curve"]["unit_speed"]
 
     @property
     def outputs(self) -> tuple[str, str]:
@@ -284,27 +282,27 @@ class SceneConfig:
         """The scene with the marching scale ``synthesized(samples)`` written in,
         as ``pencil synthesize`` prints it: the restricted ``curve.range`` and
         the ``feasible_domain`` list when synthesis restricted the curve, and
-        a closed-form ``explicit`` block or a ``table`` summary (regenerated
-        on load) in place of the given marching block."""
+        a marching block built from ``c``, ``sign`` and the synthesized form
+        alone: a closed-form ``explicit`` block with the form's unit
+        controls, or a ``table`` summary (regenerated on load)."""
         curve, marching, intervals = self.synthesized(samples)
         out = self.to_dict()
         if intervals:
             out["curve"]["range"] = list(curve.domain)
             out["feasible_domain"] = [[a, b] for a, b in intervals]
-        form, block = marching.form, out["marching"]
+        form, given = marching.form, out["marching"]
+        block = {"c": given["c"], "sign": given["sign"]}
         if isinstance(form, ProductForm):
-            block["mode"] = "explicit"
-            block["explicit"] = {k: format_expression(getattr(form, k)) for k in PRODUCT_KEYS}
+            block.update(mode="explicit", controls=dict(zip("xyz", form.controls)), explicit={
+                k: format_expression(getattr(form, k)) for k in PRODUCT_KEYS})
         else:
-            block["mode"] = "synthesized"
-            block.pop("explicit", None)
-            block["table"] = {
+            block.update(mode="synthesized", table={
                 "kind": "cubic-interpolated coefficients, regenerated on build",
                 "nodes": int(form.nodes.size),
                 "max_interp_error": form.max_interp_error,
                 "excluded": [[a, b] for a, b in form.excluded],
-                "u_profile": format_expression(form.u_profile),
-            }
+            })
+        out["marching"] = block
         return out
 
     def assemble(self):

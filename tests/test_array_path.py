@@ -487,18 +487,17 @@ def test_speculative_hole_on_the_path_raises_as_stepwise():
     assert at_early.value.where != at_late.value.where
 
 
-def table_by_rounds(curve, c, sign=1, t0=0.0):
+def table_by_rounds(curve, c, sign=1):
     """The table of ``synthesize_marching_scale`` with every node of every
     round evaluated afresh, each round checked at the next round's odd
     nodes."""
     lo, hi = curve.domain
-    u_profile = dcurve._linear_in_t(t0)
     qs = np.linspace(lo, hi, dcurve._FIRST_TABLE_NODES)
     while True:
         av, _, g, usable = dcurve._coefficients_at(curve, c, sign, qs)
         step = (hi - lo) / (qs.size - 1)
-        form = TabulatedProductForm(u_profile, qs[usable], av[usable], g[usable],
-                                    sign, dcurve._merge_holes(qs[~usable].tolist(), step))
+        form = TabulatedProductForm(qs[usable], av[usable], g[usable], sign,
+                                    dcurve._merge_holes(qs[~usable].tolist(), step))
         finer = np.linspace(lo, hi, 2 * qs.size - 1)
         check = finer[1::2]
         check_av, check_aw, _, check_ok = dcurve._coefficients_at(curve, c, sign, check)

@@ -789,8 +789,7 @@ class TestSynthesize:
         assert code == 0
         _, marching, _ = SceneConfig.from_dict(cfg).synthesized(256)
         block = out["marching"]
-        printed = block.get("explicit") or {"u_profile": block["table"]["u_profile"]}
-        for key, text in printed.items():
+        for key, text in block.get("explicit", {}).items():
             assert parse_expression(text, ["t"]).root == getattr(marching.form, key).root
         path = write_config(tmp_path, out, "synthesized.json")
         for command in ("verify", "build"):

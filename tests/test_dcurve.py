@@ -31,7 +31,6 @@ from dpencil.pencil import (
     SurfacePencil,
     TabulatedProductForm,
     marching_grid,
-    marching_values,
 )
 from dpencil.presets import load_preset, preset_names
 
@@ -417,15 +416,6 @@ class TestSynthesize:
         # Boundary-touching (radicand exactly 0) counts as infeasible too.
         with pytest.raises(InfeasibleConstantError):
             synthesize_marching_scale(ex1.curve, 1.0)
-
-    def test_u_profile_override(self, ex1):
-        profile = parse_expression("t^2", ["t"])
-        ms = synthesize_marching_scale(ex1.curve, 0.25, u_profile=profile)
-        mv = marching_values(ms, 0.3, 2.0)
-        assert mv.u == pytest.approx(4.0, abs=1e-15)
-        pencil = SurfacePencil(ex1.curve, ms, (0.0, 1.0))
-        report = verify_dtype(pencil, 128, 1e-8)
-        assert report.c_estimate == pytest.approx(0.25, abs=1e-10)
 
     def test_frame_undefined_at_nearly_all_table_nodes(self):
         with pytest.raises(NotEnoughSamplesError) as info:

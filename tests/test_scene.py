@@ -91,13 +91,14 @@ CASES = {
          "grid": {**DEFAULT_GRID, "t_range": [0.0, 5.0]},
          "outputs": {**DEFAULT_OUTPUTS, "csv_path": "r.csv"}},
     ),
-    # Synthesized mode keeps no explicit block, even when one is given.
+    # Synthesized mode keeps no explicit block, even when one is given, and no
+    # controls.
     "synthesized": (
         {"curve": CIRCLE, "t0": 1.0,
          "marching": {"mode": "synthesized", "explicit": PRODUCT, "c": 0.5, "sign": -1},
          "grid": {"ns": 10, "nt": 5, "t_range": [0.0, 2.0]}},
         {"curve": NORM_CURVE, "t0": 1.0,
-         "marching": {"mode": "synthesized", "c": 0.5, "controls": UNIT_CONTROLS, "sign": -1},
+         "marching": {"mode": "synthesized", "c": 0.5, "sign": -1},
          "grid": {"ns": 10, "nt": 5, "t_range": [0.0, 2.0]}, "outputs": DEFAULT_OUTPUTS},
     ),
 }

@@ -118,7 +118,7 @@ def test_synthesized_tables(request, rng, table):
 @pytest.mark.parametrize("derivative", [2, -3])
 def test_coefficients_reject_other_derivatives(derivative):
     x = np.linspace(0.0, 1.0, 9)
-    form = TabulatedProductForm(None, x, x, 1.0 + x * x)
+    form = TabulatedProductForm(x, x, 1.0 + x * x)
     for coefficient in (form.v_coefficient, form.w_coefficient):
         with pytest.raises(ValueError, match=f"derivative must be 0 or 1, got {derivative}"):
             coefficient(0.5, derivative)
