@@ -106,7 +106,8 @@ def _publish(args, outputs) -> list[Path]:
     paths.  Each output is written in full to a temporary file beside it
     before any replaces its output, in order; a failed replacement removes
     the outputs already replaced, and no temporary file is left behind.  An
-    output that cannot be created or written is a config error."""
+    output that cannot be created or written is a config error, named by
+    its output path alone: an error's own file name may be a temporary one."""
     staged, published = [], []  # (tmp, path) of each temporary file opened; paths replaced
     try:
         for name, write, data in outputs:
@@ -120,7 +121,8 @@ def _publish(args, outputs) -> list[Path]:
             os.replace(tmp, path)
             published.append(path)
     except (OSError, ValueError) as e:  # ValueError: a NUL or a lone surrogate in the name
-        raise SceneValidationError(f"cannot write {str(path)!r}: {e}") from None
+        reason = f"[Errno {e.errno}] {e.strerror}" if getattr(e, "filename", None) else e
+        raise SceneValidationError(f"cannot write {str(path)!r}: {reason}") from None
     finally:
         if len(published) < len(outputs):
             for tmp, _ in staged:

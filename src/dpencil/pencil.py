@@ -94,8 +94,8 @@ class TabulatedProductForm:
 
     u = t - t0; v = a_v(s) (t - t0); w = a_w(s) (t - t0), where a_v is a
     cubic interpolant over a dense node table and t0 is that of the
-    ``MarchingScale`` holding the form.  Along the curve the normal is
-    parallel to v_t N + w_t B whatever u is, so u is fixed.  The w
+    ``MarchingScale`` holding the form.  u changes no normal along the
+    curve, where the normal is parallel to v_t B - w_t N.  The w
     coefficient is stored through its square (which stays smooth where the
     feasibility radicand vanishes): a_w = sign * sqrt(g(s)) with g
     interpolated.  Used when the coefficients have no closed form

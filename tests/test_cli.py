@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -311,6 +312,21 @@ class TestBuild:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {str(out_dir / long_name)!r}: ")
         assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == previous
+
+    def test_write_error_names_only_the_output(self, tmp_path, capsys):
+        # The line once ended in the random name of the temporary file beside
+        # the output, so the same input printed a different line on each run.
+        cfg = load_preset("example1")
+        name = "r" * 296 + ".csv"  # 300 bytes, longer than the file system allows
+        cfg["outputs"]["csv_path"] = name
+        cfg["grid"].update(ns=5, nt=3)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
+                             "--samples", "16", "-o", str(out_dir))
+        reason = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {str(out_dir / name)!r}: {reason}\n"
+        assert ".tmp" not in err
 
     @pytest.mark.parametrize("csv_path, reason", [
         ("r\u0000.csv", "embedded null byte"),
@@ -796,6 +812,33 @@ class TestSynthesize:
             code, report, _ = run_json(capsys, command, "--config", path, "-o", str(tmp_path))
             assert code == 0
             assert report["c_estimate"] == pytest.approx(cfg["marching"]["c"], abs=1e-6)
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_printed_config_verifies_at_its_constant(self, tmp_path, capsys, name):
+        # A preset's controls once rode along into the printed closed form,
+        # which then verified at another constant (example2b: 0.6708, not 0.5).
+        code, out, _ = run_json(capsys, "synthesize", "--preset", name)
+        assert code == 0
+        path = write_config(tmp_path, out, "synthesized.json")
+        code, report, _ = run_json(capsys, "verify", "--config", path, "-o", str(tmp_path))
+        assert code == 0
+        assert report["c_estimate"] == pytest.approx(out["marching"]["c"], abs=1e-6)
+
+    def test_controls_do_not_reach_a_synthesized_scale(self, tmp_path, capsys):
+        # The circle at c = 0.5: the scale depends on the curve, c, sign and
+        # t0 alone.  Copied into the printed closed form, these controls once
+        # made it verify at 0.7559.
+        cfg = load_preset("example1")
+        cfg["marching"] = {"mode": "synthesized", "c": 0.5, "controls": {"x": 1, "y": 2, "z": 1}}
+        assert "controls" not in SceneConfig.from_dict(cfg).to_dict()["marching"]
+        code, out, _ = run_json(capsys, "synthesize", "--config", write_config(tmp_path, cfg))
+        assert code == 0
+        assert out["marching"]["mode"] == "explicit"
+        assert out["marching"]["controls"] == {"x": 1.0, "y": 1.0, "z": 1.0}
+        path = write_config(tmp_path, out, "synthesized.json")
+        code, report, _ = run_json(capsys, "verify", "--config", path, "-o", str(tmp_path))
+        assert code == 0
+        assert report["c_estimate"] == pytest.approx(0.5, abs=1e-6)
 
     def test_narrow_window_around_an_inflection(self, tmp_path, capsys):
         # (q, q^3, q^6) at c = 0.99999 is feasible only on (-0.0018, 0.0018),
