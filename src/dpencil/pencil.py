@@ -92,12 +92,11 @@ class GeneralForm:
 class TabulatedProductForm:
     """Synthesized marching scale with sampled coefficient functions.
 
-    u = t - t0; v = a_v(s) (t - t0); w = a_w(s) (t - t0), where a_v is a
-    cubic interpolant over a dense node table and t0 is that of the
-    ``MarchingScale`` holding the form.  u changes no normal along the
-    curve, where the normal is parallel to v_t B - w_t N.  The w
-    coefficient is stored through its square (which stays smooth where the
-    feasibility radicand vanishes): a_w = sign * sqrt(g(s)) with g
+    u = t - t0; v = a_v(s) (t - t0); w = a_w(s) (t - t0), with t0 that of
+    the ``MarchingScale`` holding the form and a_v a cubic interpolant over
+    a dense node table; u does not change the normal along the curve.  The
+    w coefficient is stored through its square (which stays smooth where
+    the feasibility radicand vanishes): a_w = sign * sqrt(g(s)) with g
     interpolated.  Used when the coefficients have no closed form
     (non-constant curvature/torsion).  ``max_interp_error`` is set by the
     synthesis that checks the table.
