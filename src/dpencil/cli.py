@@ -18,7 +18,9 @@ import functools
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +76,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     src = parser.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=preset_names(), help="built-in scene")
     src.add_argument("--config", metavar="PATH", help="JSON scene config file")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="verdict tolerance (default 1e-8 unit-speed, 1e-6 otherwise)")
+    parser.add_argument("--tol", type=float, default=None, help=(
+        "verdict tolerance (default 1e-8 at measured unit speed, 1e-6 otherwise)"))
     parser.add_argument("--samples", type=int, default=None,
                         help="sample count (default 1000; classify 256)")
     parser.add_argument("-o", "--out-dir", default=".", metavar="DIR",
@@ -103,32 +105,35 @@ def _samples(args, default: int) -> int:
 def _publish(args, outputs) -> list[Path]:
     """``write(data, sink)`` into ``name`` under the output directory for
     each ``(name, write, data)`` of ``outputs``, all or none; returns the
-    paths.  Each output is written in full to a temporary file beside it
-    before any replaces its output, in order; a failed replacement removes
-    the outputs already replaced, and no temporary file is left behind.  An
-    output that cannot be created or written is a config error, named by
-    its output path alone: an error's own file name may be a temporary one."""
-    staged, published = [], []  # (tmp, path) of each temporary file opened; paths replaced
+    paths.  Each output is written in full, under its own name, into one
+    temporary directory inside the output directory before any replaces
+    its output, in order; a failed replacement removes the outputs already
+    replaced, and the temporary directory is removed either way.  An output
+    that cannot be created or written is a config error, named by its
+    output path alone: an error's own file name may be a temporary one."""
+    out_dir, stage, published = Path(args.out_dir), None, []
     try:
         for name, write, data in outputs:
-            path = Path(args.out_dir) / name
+            path = out_dir / name
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-            with open(tmp, "xb") as sink:
-                staged.append((tmp, path))
+            os.fsencode(path)  # a lone surrogate fails here, at its place in the path
+            stage = stage or Path(tempfile.mkdtemp(prefix=".pencil-", dir=out_dir))
+            (stage / name).parent.mkdir(parents=True, exist_ok=True)
+            with open(stage / name, "xb") as sink:
                 write(data, sink)
-        for tmp, path in staged:
-            os.replace(tmp, path)
+        for name, _, _ in outputs:
+            path = out_dir / name
+            os.replace(stage / name, path)
             published.append(path)
     except (OSError, ValueError) as e:  # ValueError: a NUL or a lone surrogate in the name
         reason = f"[Errno {e.errno}] {e.strerror}" if getattr(e, "filename", None) else e
         raise SceneValidationError(f"cannot write {str(path)!r}: {reason}") from None
     finally:
         if len(published) < len(outputs):
-            for tmp, _ in staged:
-                tmp.unlink(missing_ok=True)
-            for path in published:
-                path.unlink()
+            for done in published:
+                done.unlink()
+        if stage:
+            shutil.rmtree(stage, ignore_errors=True)
     return published
 
 
@@ -156,8 +161,7 @@ def _verified(cfg: SceneConfig, args, command: str):
                 f"no usable grid vertex: all {vertices} vertices are defects")
         summary.update(defect_count=len(mesh.defects), vertices=vertices,
                        faces=int(mesh.faces.shape[0]))
-    tol = (1e-8 if curve.unit_speed else 1e-6) if args.tol is None else args.tol
-    report = verify_dtype(pencil, _samples(args, 1000), tol)
+    report = verify_dtype(pencil, _samples(args, 1000), args.tol)
     summary.update(c_estimate=report.c_estimate, max_deviation=report.max_deviation,
                    verdict=report.verdict, skipped_samples=len(report.skipped))
     if intervals:

@@ -56,6 +56,8 @@ from .pencil import (
 # Radicand values inside this band count as boundary-touching: phi2 would be
 # non-smooth there, so feasibility and synthesis treat them as infeasible.
 BOUNDARY_TOL = 1e-12
+# Speeds within this of 1 count as unit speed for verify_dtype's default tolerance.
+UNIT_SPEED_TOL = 1e-9
 _CONST_COEFF_TOL = 1e-10
 _INTERP_TARGET = 1e-9
 _FIRST_TABLE_NODES = 257
@@ -71,10 +73,9 @@ def _t0_normals(p: SurfacePencil, sample_count: int):
     per sample only where the scale is defined; the other samples get no
     frame, only the reason the frame is missing (which wins over "domain",
     as in ``surface_normals``), from one array ``frenet_at`` over just
-    those parameters.  A curve falsely declared unit-speed raises at its
-    first offending sample either way.  Returns ``(ss, frame, mv, normals,
-    reasons)``, each with one leading axis over the samples; ``reasons`` is
-    "" where the normal is usable and the skip reason elsewhere.
+    those parameters.  Returns ``(ss, frame, mv, normals, reasons)``, each
+    with one leading axis over the samples; ``reasons`` is "" where the
+    normal is usable and the skip reason elsewhere.
     """
     lo, hi = p.curve.domain
     ss = np.linspace(lo, hi, sample_count)
@@ -91,8 +92,6 @@ def _t0_normals(p: SurfacePencil, sample_count: int):
                 reason = e.reason
         else:
             reason = next(unscaled)
-            if reason == "unit_speed":
-                p.frame(s)  # raises the scalar InvalidCurveError
         frames.append(frame)
         frame_reasons.append(reason)
     frame = stack_frames(frames)
@@ -133,12 +132,14 @@ def phi_components(p: SurfacePencil, s: float) -> tuple[float, float, float]:
 
 
 def verify_dtype(p: SurfacePencil, sample_count: int = 1000,
-                 tolerance: float = 1e-8) -> DTypeReport:
+                 tolerance: float | None = None) -> DTypeReport:
     """Sample <n, W0> along the curve and judge whether it is constant.
 
     Parameters with an undefined frame or normal (inflections, irregular
     points, expression domain violations) are skipped and reported; a
-    verdict needs 16 usable samples."""
+    verdict needs 16 usable samples.  ``tolerance`` None is measured: 1e-8
+    when the speed of every usable sample is within ``UNIT_SPEED_TOL`` of
+    1, 1e-6 otherwise; the report records the value used."""
     if sample_count < 16:
         raise ValueError("sample_count must be at least 16")
     ss, frame, _, normals, reasons = _t0_normals(p, sample_count)
@@ -154,6 +155,9 @@ def verify_dtype(p: SurfacePencil, sample_count: int = 1000,
         raise NotEnoughSamplesError(
             f"only {len(samples)} of {sample_count} samples usable"
         )
+    if tolerance is None:
+        unit_speed = np.all(np.abs(frame.rho[good] - 1.0) <= UNIT_SPEED_TOL)
+        tolerance = 1e-8 if unit_speed else 1e-6
     c_estimate = float(np.mean(inner))
     max_deviation = float(np.max(np.abs(inner - c_estimate)))
     flag_tol = max(tolerance, 1e-9)

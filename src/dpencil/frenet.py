@@ -18,7 +18,6 @@ and one reason per parameter in place of the error:
   torsion built from them, overflowed or are NaN (NonFiniteCurveError,
   a DomainError);
 - ``"irregular"``: speed at most EPS_REGULAR (IrregularCurveError);
-- ``"unit_speed"``: declared unit speed but not (InvalidCurveError);
 - ``"inflection"``: curvature at most EPS_KAPPA (InflectionPointError).
 
 Entries with a reason are unspecified; every other entry equals the
@@ -45,7 +44,6 @@ from .expr import Expression, evaluate, evaluate_jet3
 
 EPS_REGULAR = 1e-9
 EPS_KAPPA = 1e-9
-UNIT_SPEED_TOL = 1e-9
 
 PLANAR = "Planar"
 GENERAL_HELIX = "GeneralHelix"
@@ -63,7 +61,6 @@ class CurveSpec:
     z: Expression
     param: str
     domain: tuple[float, float]
-    unit_speed: bool = False
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -124,14 +121,14 @@ def frenet_at(curve: CurveSpec, q):
     derivatives = (jx.v1, jy.v1, jz.v1, jx.v2, jy.v2, jz.v2, jx.v3, jy.v3, jz.v3)
     # Below 1e75 no dot product overflows (r' x r'' < 2e150); past it numpy warns.
     if sum(map(abs, derivatives)) < 1e75:
-        return _frenet_point(curve, q, derivatives)
+        return _frenet_point(q, derivatives)
     if not all(map(math.isfinite, derivatives)):
         raise NonFiniteCurveError(q)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _frenet_point(curve, q, derivatives)
+        return _frenet_point(q, derivatives)
 
 
-def _frenet_point(curve: CurveSpec, q: float, derivatives: tuple) -> FrenetApparatus:
+def _frenet_point(q: float, derivatives: tuple) -> FrenetApparatus:
     """Scalar ``frenet_at`` from the finite curve derivatives."""
     x1, y1, z1, x2, y2, z2 = derivatives[:6]
     d1 = np.array(derivatives[:3])
@@ -139,10 +136,6 @@ def _frenet_point(curve: CurveSpec, q: float, derivatives: tuple) -> FrenetAppar
     rho = math.sqrt(d1.dot(d1))
     if rho <= EPS_REGULAR:
         raise IrregularCurveError(q, rho)
-    if curve.unit_speed and abs(rho - 1.0) > UNIT_SPEED_TOL:
-        raise InvalidCurveError(
-            f"curve declared unit speed but |r'({q!r})| = {rho!r}"
-        )
     # r' x r'' and B x T written out: np.cross of two 3-vectors costs more
     # than the rest of the apparatus, and rounds the same.
     cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
@@ -211,12 +204,11 @@ def _frenet_stack(curve: CurveSpec, qs: np.ndarray):
     # In the order the scalar form checks them.
     conditions = [
         ~(okx & oky & okz), ~finite, rho <= EPS_REGULAR,
-        curve.unit_speed & (np.abs(rho - 1.0) > UNIT_SPEED_TOL),
         ~(np.isfinite(rho3) & np.isfinite(kappa)), kappa <= EPS_KAPPA, ~np.isfinite(w),
     ]
     if np.logical_or.reduce(conditions).any():
-        reasons = np.select(conditions, ["domain", "non_finite", "irregular", "unit_speed",
-                                         "non_finite", "inflection", "non_finite"], "")
+        reasons = np.select(conditions, ["domain", "non_finite", "irregular", "non_finite",
+                                         "inflection", "non_finite"], "")
     else:  # as wide as np.select makes it: callers write reasons into it
         reasons = np.full(qs.shape, "", dtype="<U10")
     return FrenetApparatus(T, N, B, kappa, tau, rho, W0, w), reasons
@@ -302,13 +294,12 @@ def classify_curve(curve: CurveSpec, sample_count: int = 256, tol: float = 1e-6)
 
     Parameters without a frame or with an undefined or non-finite curve are
     skipped (isolated inflections do not change a curve's global character)
-    and counted in ``CurveClass.skipped``.  A false unit-speed claim raises,
-    and so do fewer than 8 usable samples."""
+    and counted in ``CurveClass.skipped``; fewer than 8 usable samples
+    raise."""
     if sample_count < 8:
         raise ValueError("sample_count must be at least 8")
     qs = np.linspace(curve.domain[0], curve.domain[1], sample_count)
     app, reasons = frenet_at(curve, qs)
-    raise_first(curve, qs, reasons == "unit_speed")
     good = reasons == ""
     usable = int(np.count_nonzero(good))
     if usable < 8:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dcurve import DTypeReport
 from .expr import evaluate_jet3
-from .frenet import NO_FRAME, FrenetApparatus, frenet_at, raise_first
+from .frenet import NO_FRAME, FrenetApparatus, frenet_at
 from .jets import Jet3
 from .pencil import SurfacePencil, marching_grid, pencil_point, surface_normals
 
@@ -62,8 +62,7 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int) -> SurfaceMesh:
     borrow a frame from a nudged parameter) and are listed in the defect
     report with a zero normal.  Positions are always finite: one that
     overflows falls back to the curve point, or to the origin, as a
-    ``non_finite`` defect.  A curve falsely declared unit-speed raises
-    :class:`InvalidCurveError` at its first such column.
+    ``non_finite`` defect.
     """
     if ns < 2 or nt < 2:
         raise ValueError("grid sizes must be at least 2x2")
@@ -74,11 +73,8 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int) -> SurfaceMesh:
 
     app, column_reason = frenet_at(p.curve, ss)
     framed = column_reason == ""
-    unit_speed = column_reason == "unit_speed"
-    # Inflection columns borrow the frame of a nudged parameter.  A column
-    # walk raises at the first falsely unit-speed column: nudges stop there.
-    for i in np.flatnonzero((column_reason == "inflection")
-                            & np.logical_and.accumulate(~unit_speed)).tolist():
+    # Inflection columns borrow the frame of a nudged parameter.
+    for i in np.flatnonzero(column_reason == "inflection").tolist():
         for cand in (float(ss[i]) + nudge, float(ss[i]) - nudge):
             try:
                 nudged = frenet_at(p.curve, cand)
@@ -88,7 +84,6 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int) -> SurfaceMesh:
                 v[i] = getattr(nudged, name)
             framed[i] = True
             break
-    raise_first(p.curve, ss, unit_speed)
     # Curve points as constant jets: per column, the bits of CurveSpec.point.
     zero = np.zeros(ns)
     coords = [evaluate_jet3(e, None, ss, {p.curve.param: Jet3(ss, zero, zero, zero)})

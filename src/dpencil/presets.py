@@ -57,7 +57,7 @@ def _example1() -> dict:
     return _scene(
         "example1", "planar circle, D-type constant sqrt(3)/2",
         {"x": "cos(s)", "y": "sin(s)", "z": "0",
-         "param": "s", "range": [-_TWO_PI, _TWO_PI], "unit_speed": True},
+         "param": "s", "range": [-_TWO_PI, _TWO_PI]},
         {"l": "1", "m": "1", "n": "1", "U": "t", "V": "sqrt(3)/2*t", "W": "t/2"},
         _SQRT3_2, [0.0, 5.0],
     )
@@ -67,7 +67,7 @@ def _example2() -> dict:
     return _scene(
         "example2", "cylindrical helix, D-type constant 1/2",
         {"x": "cos(s/sqrt(2))", "y": "sin(s/sqrt(2))", "z": "s/sqrt(2)",
-         "param": "s", "range": [-_TWO_PI, _TWO_PI], "unit_speed": True},
+         "param": "s", "range": [-_TWO_PI, _TWO_PI]},
         {"l": "1", "m": "1", "n": "1", "U": "t", "V": "sqrt(2)/2*t", "W": "sqrt(2)/2*t"},
         0.5, [0.0, 0.25],
     )
@@ -77,7 +77,7 @@ def _example3() -> dict:
     return _scene(
         "example3", "eight curve (non-unit speed, planar), D-type constant sqrt(3)/2",
         {"x": "sin(q)", "y": "sin(q)*cos(q)", "z": "0",
-         "param": "q", "range": [0.0, _TWO_PI], "unit_speed": False},
+         "param": "q", "range": [0.0, _TWO_PI]},
         {"l": "1", "m": f"(sqrt(3)/2)/{_EIGHT_DENOM}", "n": f"(1/2)/{_EIGHT_DENOM}",
          "U": "t", "V": "t", "W": "t"},
         _SQRT3_2, [0.0, 1.0],
@@ -91,7 +91,7 @@ def _example4() -> dict:
         "constant sqrt(3)/2 on the feasible subdomain",
         {"x": _SALKOWSKI_XY.format(f="sin"), "y": _SALKOWSKI_XY.format(f="cos"),
          "z": "25/(4*sqrt(26))*cos(sqrt(26)/13*q)",
-         "param": "q", "range": [0.0, _TWO_PI], "unit_speed": False},
+         "param": "q", "range": [0.0, _TWO_PI]},
         {"l": "1",
          "m": "(sqrt(78)/10)/cos(sqrt(26)/26*q)^2",
          "n": "(sqrt(26)/10)*sqrt(1 - 3*tan(sqrt(26)/26*q)^2)/cos(sqrt(26)/26*q)",

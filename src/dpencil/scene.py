@@ -5,7 +5,7 @@ synthesized), grid sizes, and output paths::
 
     {
       "curve": {"x": "cos(s)", "y": "sin(s)", "z": "0",
-                "param": "s", "range": [-6.2832, 6.2832], "unit_speed": true},
+                "param": "s", "range": [-6.2832, 6.2832]},
       "t0": 0.0,
       "marching": {
         "mode": "explicit",
@@ -37,7 +37,9 @@ A ``SceneConfig`` keeps the scene in this layout only, as one dict that
 ``c``, the controls and both ranges as floats, ranges as lists, and only
 the keys above (one explicit form's and the controls in explicit mode,
 neither in synthesized mode).  ``to_dict()`` returns a copy of it; the CLI
-reads it through ``t_range``, ``grid_shape`` and ``outputs``.
+reads it through ``t_range``, ``grid_shape`` and ``outputs``.  A curve's
+speed is measured, not declared (see ``verify_dtype``): an older config's
+``curve.unit_speed`` is dropped like any other key outside the layout.
 """
 
 from __future__ import annotations
@@ -149,11 +151,6 @@ class SceneConfig:
         if param in CONSTANTS:
             raise SceneValidationError(f"curve.param {param!r} clashes with the constant {param}")
         curve["range"] = _pair(_require(given, "range", "curve"), "curve.range")
-        curve["unit_speed"] = unit_speed = given.get("unit_speed", False)
-        if not isinstance(unit_speed, bool):
-            raise SceneValidationError(
-                f"curve.unit_speed must be true or false, got {unit_speed!r}"
-            )
 
         t0 = _number(data.get("t0", 0.0), "t0")
 
@@ -241,8 +238,7 @@ class SceneConfig:
     def curve(self) -> CurveSpec:
         curve = self._scene["curve"]
         x, y, z = (parse_expression(curve[k], [curve["param"]]) for k in ("x", "y", "z"))
-        return CurveSpec(x=x, y=y, z=z, param=curve["param"], domain=tuple(curve["range"]),
-                         unit_speed=curve["unit_speed"])
+        return CurveSpec(x=x, y=y, z=z, param=curve["param"], domain=tuple(curve["range"]))
 
     def _explicit_marching(self) -> MarchingScale:
         param, marching = self._scene["curve"]["param"], self._scene["marching"]

@@ -129,7 +129,6 @@ def test_criterion_5_round_trip():
         for name in ("example1", "example2", "example3", "example4"):
             cfg = preset_config(name)
             curve = cfg.curve()
-            tol = 1e-8 if curve.unit_speed else 1e-6
             bound = _feasibility_bound(curve)
             for c in (0.0, 0.1, 0.25, -0.25, bound / 2.0):
                 if abs(c) >= bound:
@@ -138,9 +137,9 @@ def test_criterion_5_round_trip():
                     continue
                 ms = synthesize_marching_scale(curve, c)
                 pencil = SurfacePencil(curve, ms, (0.0, 1.0))
-                report = verify_dtype(pencil, 256, tol)
-                assert abs(report.c_estimate - c) <= tol, (name, c)
-                assert report.max_deviation <= tol, (name, c)
+                report = verify_dtype(pencil, 256)
+                assert abs(report.c_estimate - c) <= report.tolerance, (name, c)
+                assert report.max_deviation <= report.tolerance, (name, c)
             with pytest.raises(InfeasibleConstantError):
                 synthesize_marching_scale(curve, bound * 1.5)
 

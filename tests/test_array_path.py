@@ -25,7 +25,6 @@ from dpencil.dcurve import (
 from dpencil.errors import (
     DomainError,
     InflectionPointError,
-    InvalidCurveError,
     IrregularCurveError,
     NonFiniteCurveError,
 )
@@ -51,22 +50,19 @@ REASONS = (
     (NonFiniteCurveError, "non_finite"),
     (DomainError, "domain"),
     (IrregularCurveError, "irregular"),
-    (InvalidCurveError, "unit_speed"),
     (InflectionPointError, "inflection"),
 )
 
 
-def make_curve(x, y, z, domain, unit_speed=False):
+def make_curve(x, y, z, domain):
     return CurveSpec(x=parse_expression(x, ["q"]), y=parse_expression(y, ["q"]),
-                     z=parse_expression(z, ["q"]), param="q", domain=domain,
-                     unit_speed=unit_speed)
+                     z=parse_expression(z, ["q"]), param="q", domain=domain)
 
 
 SPECIAL = {
     "hole": make_curve("q", "sqrt(1-q)", "q*q", (0.0, 2.0)),
     "cusp": make_curve("q^3", "q^2", "0", (-1.0, 1.0)),
     "eight": make_curve("sin(q)", "sin(q)*cos(q)", "0", (0.0, 2.0 * math.pi)),
-    "false_unit_speed": make_curve("q", "q^2", "q^3", (-1.0, 1.0), unit_speed=True),
     "overflow": make_curve("q", "1e308*q*q", "0", (1.0, 5.0)),
     "overflow_part": make_curve("cos(q)", "sin(q)", "1e-300*exp(q)^2", (300.0, 360.0)),
     # Derivatives past 1e75 with a defined apparatus at q = 0 (curvature
@@ -114,7 +110,7 @@ def test_special_curves_cover_every_reason():
     seen = set()
     for curve in SPECIAL.values():
         seen.update(frenet_at(curve, np.linspace(*curve.domain, 257))[1].tolist())
-    assert seen == {"", "domain", "non_finite", "irregular", "unit_speed", "inflection"}
+    assert seen == {"", "domain", "non_finite", "irregular", "inflection"}
 
 
 @pytest.mark.parametrize("source, q, reason", [
@@ -255,7 +251,7 @@ def first_scalar_error(curve, qs):
     return None
 
 
-@pytest.mark.parametrize("name", ["hole", "false_unit_speed", "overflow_part"])
+@pytest.mark.parametrize("name", ["hole", "overflow_part"])
 def test_callers_raise_the_scalar_error(name):
     curve = SPECIAL[name]
     expected = first_scalar_error(curve, np.linspace(*curve.domain, 257))
@@ -263,13 +259,7 @@ def test_callers_raise_the_scalar_error(name):
     with pytest.raises(type(expected)) as got:
         synthesize_marching_scale(curve, 0.0)
     assert str(got.value) == str(expected)
-    if name == "false_unit_speed":  # classify skips domain and non-finite samples
-        expected = first_scalar_error(curve, np.linspace(*curve.domain, 256))
-        with pytest.raises(type(expected)) as got:
-            classify_curve(curve)
-        assert str(got.value) == str(expected)
-    else:
-        assert classify_curve(curve).skipped > 0
+    assert classify_curve(curve).skipped > 0  # classify skips domain and non-finite samples
 
 
 def test_non_finite_curve_is_skipped_by_classify():

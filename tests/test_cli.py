@@ -212,7 +212,6 @@ class TestBuild:
         assert "curve.x" in err
 
     @pytest.mark.parametrize("block, key, value", [
-        ("curve", "unit_speed", "false"),  # a string, not a JSON boolean
         ("marching", "sign", True),  # bool is an int, but not a sign
     ])
     def test_mistyped_field_exit_2(self, tmp_path, capsys, block, key, value):
@@ -327,6 +326,20 @@ class TestBuild:
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {str(out_dir / name)!r}: {reason}\n"
         assert ".tmp" not in err
+
+    @pytest.mark.parametrize("length", [238, 255])
+    def test_longest_output_names(self, tmp_path, capsys, length):
+        # Each output was once written to a temporary file beside it, whose
+        # name is 18 bytes longer: names of 238 to 255 bytes exited 2.
+        cfg = load_preset("example1")
+        name = "r" * (length - 4) + ".csv"
+        cfg["outputs"]["csv_path"] = name
+        cfg["grid"].update(ns=5, nt=3)
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
+                           "--samples", "16", "-o", str(out_dir))
+        assert (code, err) == (0, "")
+        assert sorted(f.name for f in out_dir.iterdir()) == sorted(["example1.obj", name])
 
     @pytest.mark.parametrize("csv_path, reason", [
         ("r\u0000.csv", "embedded null byte"),
@@ -611,6 +624,40 @@ class TestVerify:
         assert (code, out) == (4, "")
         assert err == "error: only 13 of 1000 samples usable\n"
         assert not out_dir.exists()
+
+
+# Speed sqrt(1 + 4 q^2 + 9 q^4): 1 at q = 0 only, sqrt(14) at q = -1.
+TWISTED_CUBIC = {"x": "q", "y": "q^2", "z": "q^3", "param": "q", "range": [-1.0, 1.0]}
+
+
+class TestUnitSpeedIsMeasured:
+    def test_example1_without_the_key_verifies_at_1e_8(self, tmp_path, capsys):
+        # The default tolerance once came from curve.unit_speed: 1e-6 without it.
+        cfg = load_preset("example1")
+        cfg["curve"].pop("unit_speed", None)
+        code, summary, _ = run_json(capsys, "verify", "--config", write_config(tmp_path, cfg),
+                                    "-o", str(tmp_path))
+        assert code == 0
+        assert summary["tolerance"] == 1e-8
+
+    @pytest.mark.parametrize("command, code", [("classify", 0), ("build", 0), ("verify", 1)])
+    def test_false_declaration_is_dropped(self, tmp_path, capsys, command, code):
+        # A false unit-speed declaration once made every command exit 2.
+        cfg = load_preset("example1")
+        cfg["curve"] = {**TWISTED_CUBIC, "unit_speed": True}
+        cfg["grid"].update(ns=9, nt=4)
+        got, summary, err = run_json(capsys, command, "--config", write_config(tmp_path, cfg),
+                                     "-o", str(tmp_path))
+        assert (got, err) == (code, "")
+        if command == "verify":
+            assert summary["tolerance"] == 1e-6
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_no_key_in_printed_configs(self, capsys, name):
+        assert "unit_speed" not in SceneConfig.from_dict(load_preset(name)).to_dict()["curve"]
+        code, out, _ = run_json(capsys, "synthesize", "--preset", name)
+        assert code == 0
+        assert "unit_speed" not in out["curve"]
 
 
 class TestClassify:

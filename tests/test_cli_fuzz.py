@@ -111,7 +111,6 @@ def preset_with_curve(draw) -> dict:
     for key in ("x", "y", "z"):
         if draw(st.booleans()):
             curve[key] = draw(expressions(curve["param"]))
-            curve["unit_speed"] = False
     if draw(st.booleans()):
         lo = draw(finite)
         curve["range"] = [lo, lo + draw(st.floats(1e-3, 1e3))]
@@ -123,8 +122,6 @@ def configs(draw):
     cfg = preset_with_curve(draw)
     curve, marching, grid = cfg["curve"], cfg["marching"], cfg["grid"]
     param = curve["param"]
-    if draw(rarely):
-        curve["unit_speed"] = not curve["unit_speed"]
     marching["mode"] = draw(st.sampled_from(("explicit", "synthesized")))
     marching["c"] = draw(st.sampled_from((0.0, 0.25, 0.5, 3 ** 0.5 / 2, 1.0, 1.5)) | finite)
     marching["sign"] = draw(st.sampled_from((1, -1)))
@@ -216,7 +213,6 @@ FAR_SALKOWSKI = preset("example4", **{
 @example("verify", preset("example1"), ["--samples=0"])
 @example("verify", preset("example1"), [f"--samples={MAX_SAMPLES + 1}"])
 @example("build", preset("example1", **{"grid.ns": 101, "grid.nt": 9901}), [])
-@example("build", preset("example3", **{"curve.unit_speed": "false"}), [])
 @example("build", preset("example3", **{"marching.sign": True}), [])
 @example("build", preset("example3", **{"grid.t_range": [0.0, 10 ** 400]}), [])
 @example("build", preset("example3", **{"curve.range": [0.0, float("inf")]}), [])

@@ -20,7 +20,6 @@ from dpencil.dcurve import (
 from dpencil.errors import (
     DegenerateNormalError,
     InfeasibleConstantError,
-    InvalidCurveError,
     NonFiniteNormalError,
     NotEnoughSamplesError,
 )
@@ -30,7 +29,6 @@ from dpencil.pencil import (
     ProductForm,
     SurfacePencil,
     TabulatedProductForm,
-    marching_grid,
 )
 from dpencil.presets import load_preset, preset_names
 
@@ -83,6 +81,13 @@ class TestPhiComponents:
 
 
 class TestVerifyDtype:
+    @pytest.mark.parametrize("name, tolerance", [
+        ("example1", 1e-8), ("example2", 1e-8), ("example3", 1e-6), ("example4", 1e-6)])
+    def test_default_tolerance_is_measured(self, name, tolerance):
+        # The circle and the helix have unit speed, the eight and the
+        # Salkowski curve do not; the default was once 1e-8 for every curve.
+        assert verify_dtype(preset_pencil(name), 250).tolerance == tolerance
+
     def test_example1_constant(self, ex1):
         report = verify_dtype(ex1, 1000, 1e-9)
         assert report.c_estimate == pytest.approx(SQRT3_2, abs=1e-9)
@@ -218,21 +223,6 @@ class TestVerifyFrames:
         assert skipped == scalar_skips(p, 250)
         assert skipped[-1] == (2.0 * math.pi, "inflection")
         assert {why for s, why in skipped if math.pi < s < 2.0 * math.pi} == {"domain"}
-
-    def test_false_unit_speed_raises_where_the_scale_is_undefined(self):
-        # |r'(-1)| = sqrt(10), and sqrt(q) leaves the scale undefined at the
-        # first sample, q = -1: it raises as the scalar frame there does.
-        cfg = load_preset("example1")
-        cfg["curve"] = {"x": "q+q^2", "y": "q^3", "z": "0", "param": "q",
-                        "range": [-1.0, 1.0], "unit_speed": True}
-        cfg["marching"]["explicit"].update(m="sqrt(q)", n="sqrt(q)")
-        p = SceneConfig.from_dict(cfg).pencil()
-        assert not marching_grid(p.marching, [-1.0], [p.t0])[1].any()
-        with pytest.raises(InvalidCurveError) as expected:
-            frenet_at(p.curve, -1.0)
-        with pytest.raises(InvalidCurveError) as got:
-            verify_dtype(p, 64)
-        assert str(got.value) == str(expected.value)
 
 
 class TestTheoremConditions:

@@ -28,21 +28,19 @@ from conftest import preset_config
 from oracles import fd_derivatives
 
 
-def make_curve(x, y, z, param="q", domain=(0.0, 2.0 * math.pi), unit_speed=False):
+def make_curve(x, y, z, param="q", domain=(0.0, 2.0 * math.pi)):
     return CurveSpec(
         x=parse_expression(x, [param]),
         y=parse_expression(y, [param]),
         z=parse_expression(z, [param]),
         param=param,
         domain=domain,
-        unit_speed=unit_speed,
     )
 
 
-CIRCLE = make_curve("cos(s)", "sin(s)", "0", param="s",
-                    domain=(-2 * math.pi, 2 * math.pi), unit_speed=True)
+CIRCLE = make_curve("cos(s)", "sin(s)", "0", param="s", domain=(-2 * math.pi, 2 * math.pi))
 HELIX = make_curve("cos(s/sqrt(2))", "sin(s/sqrt(2))", "s/sqrt(2)", param="s",
-                   domain=(-2 * math.pi, 2 * math.pi), unit_speed=True)
+                   domain=(-2 * math.pi, 2 * math.pi))
 EIGHT = make_curve("sin(q)", "sin(q)*cos(q)", "0")
 
 
@@ -104,12 +102,6 @@ class TestFrenetAt:
         cusp = make_curve("q^2", "0", "0", domain=(-1.0, 1.0))
         with pytest.raises(IrregularCurveError):
             frenet_at(cusp, 0.0)
-
-    def test_unit_speed_declaration_enforced(self):
-        bad = make_curve("cos(2*s)", "sin(2*s)", "0", param="s",
-                         domain=(0.0, 3.0), unit_speed=True)
-        with pytest.raises(InvalidCurveError):
-            frenet_at(bad, 1.0)
 
     def test_empty_domain_rejected(self):
         with pytest.raises(InvalidCurveError):
@@ -272,7 +264,7 @@ class TestFrameInvariants:
                 assert np.max(np.abs(dB + app.tau * app.N)) <= 1e-5
 
     def test_unit_speed_formulas_agree(self):
-        # For declared unit-speed curves kappa = |r''| and
+        # For unit-speed curves kappa = |r''| and
         # tau = det(r', r'', r''') / |r''|^2.
         for curve in (CIRCLE, HELIX):
             for q in np.linspace(curve.domain[0], curve.domain[1], 100):

@@ -1,11 +1,7 @@
 import collections
 import dataclasses
 import io
-import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -20,7 +16,6 @@ from dpencil.errors import (
     DegenerateNormalError,
     DomainError,
     InflectionPointError,
-    InvalidCurveError,
     IrregularCurveError,
     NonFiniteNormalError,
 )
@@ -36,7 +31,7 @@ from dpencil.pencil import (
 from dpencil.presets import load_preset
 from dpencil.scene import SceneConfig
 
-from conftest import SRC, preset_config, preset_pencil
+from conftest import preset_config, preset_pencil
 from oracles import read_csv_report, read_obj
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -308,49 +303,6 @@ class TestMarchingGridMatchesPoint:
         assert (got.value.message, got.value.where) == (message, where)
         assert str(got.value) == f"{message} in {where!r}"
         assert not marching_grid(p.marching, [s], [t])[1].any()
-
-
-class TestFalseUnitSpeed:
-    # Declared unit speed, but |r'(q)| = sqrt(1 + 4 q^2 + 9 q^4), which is
-    # sqrt(14) at the first column q = -1.
-    CURVE = {"x": "q", "y": "q^2", "z": "q^3", "param": "q", "range": [-1.0, 1.0],
-             "unit_speed": True}
-    MESSAGE = f"curve declared unit speed but |r'(-1.0)| = {math.sqrt(14.0)!r}"
-
-    def test_sample_grid_raises_invalid_curve(self):
-        with pytest.raises(InvalidCurveError) as got:
-            sample_grid(curve_pencil(self.CURVE), 9, 4)
-        assert str(got.value) == self.MESSAGE
-
-    @pytest.mark.parametrize("lo, raised_at", [
-        (0.0, 1e-6),  # column 0 is an inflection; its nudged frame raises
-        (-1.0, -1.0),  # column 0 raises before the inflection column at 0
-    ])
-    def test_nudges_raise_in_column_order(self, lo, raised_at):
-        # r = (q + q^2, q^3, 0): speed 1 and r'' parallel to r' at q = 0 only.
-        curve = {"x": "q+q^2", "y": "q^3", "z": "0", "param": "q", "range": [lo, 1.0],
-                 "unit_speed": True}
-        p = curve_pencil(curve)
-        with pytest.raises(InvalidCurveError) as expected:
-            frenet_at(p.curve, raised_at)
-        with pytest.raises(InvalidCurveError) as got:
-            sample_grid(p, 9, 4)
-        assert str(got.value) == str(expected.value)
-
-    def test_build_exit_2(self, tmp_path):
-        cfg = load_preset("example1")
-        cfg["curve"] = self.CURVE
-        cfg["grid"].update(ns=9, nt=4)
-        path = tmp_path / "scene.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "dpencil", "build", "--config", str(path),
-             "-o", str(tmp_path)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == f"error: {self.MESSAGE}\n"
 
 
 class TestNonFiniteNormals:
