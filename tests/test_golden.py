@@ -46,15 +46,15 @@ SIGNS = (1, -1)
 SYNTHESIZED_BUILDS = ("example3", "example4")
 # SHA-256 of json.dumps(load_preset(name), sort_keys=True).
 PRESET_SHA256 = {
-    "example1": "5cde33b6c2cdbbb2a8ddec05fb5eafd2ec7033f9df67b67a6f31ded924d88ce2",
-    "example1b": "e4464050ec4ca7b0ec48daecbcff2886676586862f677e38f379c41df556a303",
-    "example2": "8673710a10756d896da91f0b9cd06dcad53ac320a7e8ff826298433767eb6d2d",
-    "example2b": "3b5c21c71afe69e744ac687e1c98f8f991298e836fb558a8701821e5486b5d32",
-    "example3": "d4d502cffbe271bbffee51685d52cdb12cd92cceb2c2d407f7f8a0120cc67041",
-    "example3b": "1a55a8d659d245a08750ddd06fac9f404e9874f601d31ebb8187e42c1eb3712d",
-    "example4": "c7c4b7c65c209e0c7f24eca701c3d168e23a1f24ec9362d2828b9b50f406782e",
-    "example4b": "3ed1516c1b5608bdbdb9570153d2bd4b1f69fd90419cc6fa2d037bf2b5650d9f",
-    "example4b_alt": "d794772a4e925cb88bac62a78054a3b40a836dff991e0bcd5ab70cfd632249ef",
+    "example1": "dc2633c034f0c8091356c8295ea1fc946eda5c8ebe0952772aa54eb3cc3ed390",
+    "example1b": "2a11658b05f030d3b401ed56db20df130200fe1878427908a2e2649107d023d2",
+    "example2": "70f2035fe79f376ec5e20b45f827ccf0aa3b37255768b33f698b3e2e8ac3d34a",
+    "example2b": "f799e9c508d912f3513ba20d1c7cff1e59af1594529eee57f51f17c1f1b42753",
+    "example3": "5209f10f1c68ab59051e97a27230f692050062c5fd4355e8d68decccf34ada63",
+    "example3b": "fdc3721c22c093bd3ce6422d4f5b3c3402ca82433c5ebb388c5e105cb03b4a15",
+    "example4": "341dbf99fd2ed8b0e14be0aee3eb5a97b454fa151953f8252d6247584caf9d4a",
+    "example4b": "4255e6115fe255c40ae2fcc7e9d525829afbba4854b4e9ff0e5c52a6e9acc47c",
+    "example4b_alt": "58be2c64594f07aef41ac609023d38d6be1581aaed26133348fdbc22053479dd",
 }
 
 
