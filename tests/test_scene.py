@@ -39,7 +39,7 @@ CIRCLE = {"x": "cos(s)", "y": "sin(s)", "z": "0", "param": "s", "range": [-3, 3]
 PRODUCT = {"l": "1", "m": "1", "n": "1", "U": "t", "V": "sqrt(3)/2*t", "W": "t/2"}
 # The normalized curve, grid, controls and outputs where the config leaves
 # them to their defaults.
-NORM_CURVE = {**CIRCLE, "range": [-3.0, 3.0], "unit_speed": False}
+NORM_CURVE = {**CIRCLE, "range": [-3.0, 3.0]}
 DEFAULT_GRID = {"ns": 200, "nt": 50}
 UNIT_CONTROLS = {"x": 1.0, "y": 1.0, "z": 1.0}
 DEFAULT_OUTPUTS = {"obj_path": "surface.obj", "csv_path": "report.csv"}
@@ -58,7 +58,7 @@ CASES = {
          "marching": {"mode": "explicit", "explicit": PRODUCT, "c": 1, "sign": -1,
                       "controls": {"x": 2, "y": 1, "z": -1}},
          "grid": {"ns": 7, "nt": 3, "t_range": [-1, 1]}},
-        {"curve": {**NORM_CURVE, "unit_speed": True}, "t0": 0.0,
+        {"curve": NORM_CURVE, "t0": 0.0,
          "marching": {"mode": "explicit", "explicit": PRODUCT, "c": 1.0, "sign": -1,
                       "controls": {"x": 2.0, "y": 1.0, "z": -1.0}},
          "grid": {"ns": 7, "nt": 3, "t_range": [-1.0, 1.0]}, "outputs": DEFAULT_OUTPUTS},
