@@ -131,6 +131,10 @@ def curve_pencil(curve, **explicit):
 
 
 STRAIGHT_LINE = {"x": "s", "y": "0", "z": "0", "param": "s", "range": [0.0, 1.0]}
+# An inflection at s = 0 whose frame is borrowed from s - nudge: z is
+# undefined past s = 1e-6, so at s + nudge = 2e-6 and on every s > 0 column.
+CUBIC_CUT_AFTER_INFLECTION = {"x": "s", "y": "s^3", "z": "0*sqrt(1e-6-s)", "param": "s",
+                              "range": [-1.0, 1.0]}
 
 
 def synthesized_pencil():
@@ -234,6 +238,8 @@ GRID_CASES = {
     # Curvature zero everywhere: every column is an inflection, and so is
     # each nudged parameter.
     "straight_line": (lambda: curve_pencil(STRAIGHT_LINE), 7, 4),
+    "inflection_framed_below_5x3": (lambda: curve_pencil(CUBIC_CUT_AFTER_INFLECTION), 5, 3),
+    "inflection_framed_below_9x4": (lambda: curve_pencil(CUBIC_CUT_AFTER_INFLECTION), 9, 4),
 }
 
 
