@@ -217,7 +217,7 @@ def _frenet_stack(curve: CurveSpec, qs: np.ndarray):
 # Reasons for which callers leave a parameter out; the others are errors.
 SKIPPED = ("irregular", "inflection")
 
-# Scalar errors after which verification and grid sampling go on without a
+# Scalar errors after which verification's per-sample frames go on without a
 # frame, reporting the error's ``reason``; the others propagate.
 NO_FRAME = (InflectionPointError, IrregularCurveError, DomainError)
 

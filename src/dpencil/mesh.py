@@ -1,11 +1,11 @@
 """Grid sampling of pencil surfaces and OBJ / CSV serialization.
 
 ``sample_grid`` takes the Frenet frames of all grid columns in one array
-``frenet_at`` call, the curve points in one array call per coordinate and
-the marching scale in one ``marching_grid`` call; only the nudged frames
-of inflection columns are taken per column (``verify_dtype`` still takes
-its frames per sample, but only where the marching scale is defined along
-t0).
+``frenet_at`` call and the nudged frames of all inflection columns in a
+second one, so no frame is taken per column; it takes the curve points in
+one array call per coordinate and the marching scale in one
+``marching_grid`` call (``verify_dtype`` still takes its frames per sample,
+but only where the marching scale is defined along t0).
 
 Defects are ``MeshDefect`` named tuples, built in one pass over the
 defective vertices.  Output formatting is bit-exact: identical inputs
@@ -24,7 +24,7 @@ import numpy as np
 
 from .dcurve import DTypeReport
 from .expr import evaluate_jet3
-from .frenet import NO_FRAME, FrenetApparatus, frenet_at
+from .frenet import FrenetApparatus, frenet_at
 from .jets import Jet3
 from .pencil import SurfacePencil, marching_grid, pencil_point, surface_normals
 
@@ -73,17 +73,17 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int) -> SurfaceMesh:
 
     app, column_reason = frenet_at(p.curve, ss)
     framed = column_reason == ""
-    # Inflection columns borrow the frame of a nudged parameter.
-    for i in np.flatnonzero(column_reason == "inflection").tolist():
-        for cand in (float(ss[i]) + nudge, float(ss[i]) - nudge):
-            try:
-                nudged = frenet_at(p.curve, cand)
-            except NO_FRAME:
-                continue
-            for name, v in vars(app).items():
-                v[i] = getattr(nudged, name)
-            framed[i] = True
-            break
+    # Inflection columns borrow the frame of s + nudge, else of s - nudge.
+    infl = np.flatnonzero(column_reason == "inflection")
+    if infl.size:
+        nudged, nudged_reason = frenet_at(p.curve, np.concatenate([ss[infl] + nudge,
+                                                                   ss[infl] - nudge]))
+        up, down = np.split(nudged_reason == "", 2)
+        pick = np.where(up, 0, infl.size) + np.arange(infl.size)
+        infl, pick = infl[up | down], pick[up | down]
+        for name, v in vars(app).items():
+            v[infl] = getattr(nudged, name)[pick]
+        framed[infl] = True
     # Curve points as constant jets: per column, the bits of CurveSpec.point.
     zero = np.zeros(ns)
     coords = [evaluate_jet3(e, None, ss, {p.curve.param: Jet3(ss, zero, zero, zero)})
@@ -92,11 +92,8 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int) -> SurfaceMesh:
     column_reason[framed & ~defined] = "domain"
     framed &= defined
     r = np.where(defined[:, None], np.stack([j.v0 for j, _ in coords], axis=1), 0.0)[:, None]
-    # Entries without a frame are unspecified: zero them like a missing frame.
-    frame = FrenetApparatus(**{
-        name: np.where(framed.reshape((-1,) + (1,) * (v.ndim - 1)), v, 0.0)[:, None]
-        for name, v in vars(app).items()
-    })
+    # Rows without a frame are unspecified: on_curve and the reasons set them aside.
+    frame = FrenetApparatus(**{name: v[:, None] for name, v in vars(app).items()})
     framed, column_reason = framed[:, None], column_reason[:, None]
     mv, ok = marching_grid(p.marching, ss, ts)
     on_curve = np.expand_dims(~(framed & ok), -1)

@@ -110,6 +110,19 @@ class TestSampleGrid:
         with pytest.raises(ValueError):
             sample_grid(ex1, 1, 5)
 
+    def test_no_scalar_frenet_call(self, monkeypatch):
+        # 17 nodes over [0, 2pi] hit the inflections at 0, pi and 2pi, whose
+        # nudged frames come from an array call too.
+        array_q = []
+
+        def counting(curve, q):
+            array_q.append(isinstance(q, np.ndarray))
+            return frenet_at(curve, q)
+
+        monkeypatch.setattr("dpencil.mesh.frenet_at", counting)
+        sample_grid(preset_pencil("example3"), 17, 6)
+        assert array_q and all(array_q), f"{array_q.count(False)} scalar calls"
+
 
 def explicit_pencil(name, t_range=None, **explicit):
     """Preset ``name`` with its explicit marching block replaced."""
