@@ -178,9 +178,10 @@ class SceneConfig:
             marching["c"] = _number(given["c"], "marching.c")
         elif mode == "synthesized":
             raise SceneValidationError("synthesized mode requires marching.c")
-        marching["sign"] = sign = given.get("sign", 1)
+        sign = given.get("sign", 1)
         if isinstance(sign, bool) or sign not in (1, -1):
             raise SceneValidationError(f"marching.sign must be 1 or -1, got {sign!r}")
+        marching["sign"] = int(sign)  # 1.0 and 1 are one scene
         if mode == "explicit":
             controls = _object(given.get("controls", {}), "marching.controls")
             marching["controls"] = {k: _number(controls.get(k, 1.0), f"marching.controls.{k}")

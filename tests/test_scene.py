@@ -109,6 +109,16 @@ def test_normalization_pinned(raw, expected):
     assert normalized(raw) == json.dumps(expected, sort_keys=True)
 
 
+@pytest.mark.parametrize("mode", ["explicit", "synthesized"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_float_sign_is_the_integer_sign(mode, sign):
+    # 1.0 == 1, so both spellings are accepted: they normalize to one scene.
+    raw = {"curve": CIRCLE, "grid": {"t_range": [0, 5]},
+           "marching": {"mode": mode, "explicit": PRODUCT, "c": 0.5, "sign": sign}}
+    spelled = {**raw, "marching": {**raw["marching"], "sign": float(sign)}}
+    assert normalized(spelled) == normalized(raw)
+
+
 def test_config_is_its_own_copy():
     # Neither the dict to_dict returns nor the one from_dict read reaches
     # back into the config.
