@@ -77,11 +77,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", choices=preset_names(), help="built-in scene")
     src.add_argument("--config", metavar="PATH", help="JSON scene config file")
     parser.add_argument("--tol", type=float, default=None, help=(
-        "verdict tolerance (default 1e-8 at measured unit speed, 1e-6 otherwise)"))
+        "verdict tolerance of build, verify and classify (default 1e-8 at measured "
+        "unit speed, 1e-6 otherwise and for classify); synthesize ignores it"))
     parser.add_argument("--samples", type=int, default=None,
-                        help="sample count (default 1000; classify 256)")
+                        help="sample count (default 1000; classify and synthesize 256)")
     parser.add_argument("-o", "--out-dir", default=".", metavar="DIR",
-                        help="directory for OBJ/CSV outputs")
+                        help="directory for the build and verify outputs; the others write none")
     return parser
 
 
