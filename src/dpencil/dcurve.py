@@ -34,13 +34,10 @@ from .frenet import (
     NO_FRAME,
     PLANAR,
     SALKOWSKI,
-    SKIPPED,
     CurveClass,
     CurveSpec,
     classify_curve,
     frenet_at,
-    raise_first,
-    reasons_outside,
 )
 from .pencil import (
     MarchingScale,
@@ -287,12 +284,6 @@ def _radicands(curve: CurveSpec, c: float, qs: np.ndarray):
     return app, ratio, radicand, (reasons == "") & (radicand >= BOUNDARY_TOL), reasons
 
 
-def _failed(reasons: np.ndarray) -> np.ndarray:
-    """Parameters where the scalar ``frenet_at`` raises an error other than
-    an undefined frame."""
-    return reasons_outside(reasons, ("",) + SKIPPED)
-
-
 def _coefficients_at(curve: CurveSpec, c: float, sign: int, qs: np.ndarray):
     """(a_v, a_w, a_w^2, usable) over ``qs``, so that v = a_v (t - t0) and
     w = a_w (t - t0) meet the target wherever the frame is defined
@@ -302,19 +293,17 @@ def _coefficients_at(curve: CurveSpec, c: float, sign: int, qs: np.ndarray):
     examples; it rescales both components equally, so the resulting normal
     direction (and the verified constant) is unaffected by it.  The square
     of a_w is returned as well because it stays smooth where the radicand
-    vanishes, which is what the tabulated form interpolates.  At the first
-    parameter with a frame where ``_radicands`` finds ``c`` infeasible, or
-    with a ``frenet_at`` error other than an undefined frame, that error is
-    raised.
+    vanishes, which is what the tabulated form interpolates.  A parameter
+    without a frame, whatever the ``frenet_at`` reason, is not usable; at
+    the first one with a frame where ``_radicands`` finds ``c`` infeasible,
+    :class:`InfeasibleConstantError` is raised.
     """
     app, ratio, radicand, feasible, reasons = _radicands(curve, c, qs)
     usable = reasons == ""
-    failed = _failed(reasons) | (usable & ~feasible)
-    if failed.any():
-        i = int(np.argmax(failed))
-        if usable[i]:
-            raise InfeasibleConstantError(c, float(qs[i]), float(radicand[i]))
-        raise_first(curve, qs, failed)
+    infeasible = usable & ~feasible
+    if infeasible.any():
+        i = int(np.argmax(infeasible))
+        raise InfeasibleConstantError(c, float(qs[i]), float(radicand[i]))
     with np.errstate(all="ignore"):
         av = c * ratio / app.rho
         aw = sign * np.sqrt(radicand) / app.rho
@@ -334,8 +323,9 @@ def synthesize_marching_scale(curve: CurveSpec, c: float, sign: int = 1,
     With constant coefficients (e.g. unit-speed curves with constant
     curvature and torsion) the result is a closed-form product; otherwise
     the coefficients are tabulated densely enough that cubic interpolation
-    stays below the round-trip tolerance, with undefined-frame windows
-    reported as excluded subdomains.  The first table round decides which.
+    stays below the round-trip tolerance, with the windows around nodes
+    without a frame, for any ``frenet_at`` reason, reported as excluded
+    subdomains.  The first table round decides which.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -447,17 +437,19 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
     one call per ``_SPECULATE`` steps; the midpoints off the path are never
     read.
 
-    A sample whose frame is undefined (inflection or irregular point) is a
-    hole in the frame rather than a boundary when the parameters
-    ``h = min(1e-7, step / 4)`` to either side of it inside the domain are
-    feasible: it counts as feasible, and synthesis leaves it out of its
-    table as any node without a frame.  On a planar curve the radicand is
-    1 - c^2 wherever the frame exists, so every inflection is such a hole.
-    A hole between infeasible samples is a feasible window narrower than
-    one sample step, and both its boundaries are bisected toward; such a
-    window with no sample inside it is not found.  All undefined samples
-    are probed in one ``frenet_at`` call, whose errors count as
-    infeasible; the others are bisected toward as boundaries.
+    A parameter without a frame, for any ``frenet_at`` reason, is
+    infeasible, so nothing is raised and a curve that is undefined or
+    overflows on part of its domain is restricted as on any infeasible
+    part.  A sample without a frame is a hole in the frame rather than a
+    boundary when the parameters ``h = min(1e-7, step / 4)`` to either side
+    of it inside the domain are feasible: it counts as feasible, and
+    synthesis leaves it out of its table as any node without a frame.  On
+    a planar curve the radicand is 1 - c^2 wherever the frame exists, so
+    every inflection is such a hole.  A hole between infeasible samples is
+    a feasible window narrower than one sample step, and both its
+    boundaries are bisected toward; such a window with no sample inside it
+    is not found.  All samples without a frame are probed in one
+    ``frenet_at`` call; the others are bisected toward as boundaries.
 
     Boundaries are sought only between the ``sample_count`` uniform samples
     and the parameters ``infeasible``, known to be infeasible (where
@@ -471,25 +463,22 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
         raise ValueError("sample_count must be at least 64")
 
     def feasible(qs: np.ndarray):
-        _, _, _, ok, reasons = _radicands(curve, c, qs)
-        return ok, reasons
+        return _radicands(curve, c, qs)[3:]  # (feasible, reasons)
 
-    # (ok, failed) by midpoint, filled ahead of the bisection.
-    known: dict[float, tuple[bool, bool]] = {}
+    # Feasibility by midpoint, filled ahead of the bisection.
+    known: dict[float, bool] = {}
 
     def step(mid: np.ndarray, q_true: np.ndarray, q_false: np.ndarray):
         points = mid.tolist()
         if not all(map(known.__contains__, points)):
             ahead = _speculate(q_true, q_false)
-            ok, reasons = feasible(ahead)
-            known.update(zip(ahead.tolist(), zip(ok.tolist(), _failed(reasons).tolist())))
-        return np.array([known[q] for q in points], dtype=bool).T
+            known.update(zip(ahead.tolist(), feasible(ahead)[0].tolist()))
+        return np.array([known[q] for q in points], dtype=bool)
 
     lo, hi = curve.domain
     qs = np.linspace(lo, hi, sample_count)
     flags, reasons = feasible(qs)
-    raise_first(curve, qs, _failed(reasons))
-    # Undefined frames, probed for holes.
+    # Samples without a frame, probed for holes.
     h = min(1e-7, (hi - lo) / (sample_count - 1) / 4)
     gaps = np.flatnonzero(reasons != "")
     if gaps.size:
@@ -507,26 +496,18 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
     falling = flags[edges]
     q_true = np.where(falling, qs[edges], qs[edges + 1])
     q_false = np.where(falling, qs[edges + 1], qs[edges])
-    # Bisected one bracket after another, an error at a midpoint of bracket k
-    # would end the search: bracket k and the later ones stop there, and the
-    # error of the first such bracket is raised once the earlier ones are done.
-    stop, error = edges.size, None
     while True:
         # Past |q| = 2^23 neighbouring doubles are more than 1e-9 apart: a
         # bracket whose midpoint rounds to one of its ends is done too.
-        a, b = q_true[:stop], q_false[:stop]
-        mid = 0.5 * (a + b)
-        live = np.flatnonzero((np.abs(b - a) > 1e-9) & (mid != a) & (mid != b))
+        mid = 0.5 * (q_true + q_false)
+        live = np.flatnonzero((np.abs(q_false - q_true) > 1e-9)
+                              & (mid != q_true) & (mid != q_false))
         if live.size == 0:
             break
         mid = mid[live]
-        ok, failed = step(mid, q_true[live], q_false[live])
-        if failed.any():
-            stop, error = live[np.argmax(failed)], (mid, failed)
+        ok = step(mid, q_true[live], q_false[live])
         q_true[live] = np.where(ok, mid, q_true[live])
         q_false[live] = np.where(ok, q_false[live], mid)
-    if error is not None:
-        raise_first(curve, *error)
 
     # Boundaries alternate between rising and falling: with the domain ends
     # that are feasible, they pair up into the intervals.
@@ -542,7 +523,8 @@ def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256, infeasib
     Returns ``(curve, intervals)``.  When the whole domain is feasible the
     curve comes back unchanged with ``intervals`` None; otherwise
     ``intervals`` lists every feasible subinterval.  Raises
-    :class:`InfeasibleConstantError` when no parameter is feasible.  The
+    :class:`InfeasibleConstantError` when no parameter is feasible, also
+    where the curve has no frame anywhere.  The
     whole domain counts as feasible when one interval reaches both ends to
     within 1e-7, an absolute tolerance at any |q|.  An interval may hold
     holes, undefined frames with feasible parameters beside them, or be

@@ -214,30 +214,9 @@ def _frenet_stack(curve: CurveSpec, qs: np.ndarray):
     return FrenetApparatus(T, N, B, kappa, tau, rho, W0, w), reasons
 
 
-# Reasons for which callers leave a parameter out; the others are errors.
-SKIPPED = ("irregular", "inflection")
-
 # Scalar errors after which verification's per-sample frames go on without a
 # frame, reporting the error's ``reason``; the others propagate.
 NO_FRAME = (InflectionPointError, IrregularCurveError, DomainError)
-
-
-def reasons_outside(reasons: np.ndarray, allowed: tuple[str, ...]) -> np.ndarray:
-    """Where ``reasons`` is none of ``allowed``: ``~np.isin(reasons, allowed)``
-    by one comparison per allowed reason, a few times cheaper at these sizes."""
-    outside = reasons != allowed[0]
-    for reason in allowed[1:]:
-        outside &= reasons != reason
-    return outside
-
-
-def raise_first(curve: CurveSpec, qs: np.ndarray, failed: np.ndarray) -> None:
-    """Raise what the scalar ``frenet_at`` raises at the first parameter of
-    ``qs`` marked in ``failed``; do nothing when none is marked."""
-    if failed.any():
-        q = float(qs[np.argmax(failed)])
-        frenet_at(curve, q)
-        raise AssertionError(f"frenet_at is defined at {q!r}, where its array form failed")
 
 
 @dataclass(frozen=True)

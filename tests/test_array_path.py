@@ -35,7 +35,6 @@ from dpencil.frenet import (
     FrenetApparatus,
     classify_curve,
     frenet_at,
-    raise_first,
 )
 from dpencil.mesh import sample_grid
 from dpencil.pencil import TabulatedProductForm
@@ -240,26 +239,22 @@ def assert_jets_match(source, qs):
 
 # -- callers ---------------------------------------------------------------
 
-def first_scalar_error(curve, qs):
-    for q in qs.tolist():
-        try:
-            frenet_at(curve, q)
-        except (InflectionPointError, IrregularCurveError):
-            continue
-        except Exception as e:
-            return e
-    return None
-
-
-@pytest.mark.parametrize("name", ["hole", "overflow_part"])
-def test_callers_raise_the_scalar_error(name):
+@pytest.mark.parametrize("name, error, end", [
+    ("hole", DomainError, 1.0),  # sqrt(1 - q) and its derivatives end at q = 1
+    ("overflow_part", NonFiniteCurveError, 350.42),
+], ids=["hole", "overflow_part"])
+def test_callers_skip_every_parameter_without_a_frame(name, error, end):
     curve = SPECIAL[name]
-    expected = first_scalar_error(curve, np.linspace(*curve.domain, 257))
-    assert expected is not None
-    with pytest.raises(type(expected)) as got:
-        synthesize_marching_scale(curve, 0.0)
-    assert str(got.value) == str(expected)
-    assert classify_curve(curve).skipped > 0  # classify skips domain and non-finite samples
+    with pytest.raises(error):
+        frenet_at(curve, curve.domain[1])
+    got = feasible_domain(curve, 0.0)
+    assert got == bisected_domain(curve, 0.0)
+    ((lo, hi),) = got
+    assert lo == curve.domain[0] and hi == pytest.approx(end, abs=0.01)
+    restricted, intervals = feasible_curve(curve, 0.0)
+    assert intervals == got and restricted.domain[1] < hi
+    synthesize_marching_scale(restricted, 0.0)
+    assert classify_curve(curve).skipped > 0
 
 
 def test_non_finite_curve_is_skipped_by_classify():
@@ -289,14 +284,14 @@ def test_grid_and_verify_name_overflow_alike():
 def bisected_domain(curve, c, sample_count=256):
     """Feasible intervals with one scalar ``frenet_at`` per parameter and
     one bisection per boundary, in order.  A parameter is feasible when its
-    frame exists and its radicand is at least ``BOUNDARY_TOL``.  A sample
-    without a frame between feasible samples counts as feasible when the
-    parameters 1e-7 (at most a quarter step) to either side inside the
-    domain are."""
+    frame exists (``frenet_at`` raises none of its errors) and its radicand
+    is at least ``BOUNDARY_TOL``.  A sample without a frame between
+    feasible samples counts as feasible when the parameters 1e-7 (at most a
+    quarter step) to either side inside the domain are."""
     def feasible(q):
         try:
             app = frenet_at(curve, q)
-        except (InflectionPointError, IrregularCurveError):
+        except NO_FRAME:
             return False
         ratio = math.hypot(app.kappa, app.tau) / app.kappa
         return 1.0 - c * c * ratio * ratio >= BOUNDARY_TOL
@@ -304,15 +299,9 @@ def bisected_domain(curve, c, sample_count=256):
     def no_frame(q):
         try:
             frenet_at(curve, q)
-        except (InflectionPointError, IrregularCurveError):
+        except NO_FRAME:
             return True
         return False
-
-    def probe(q):
-        try:
-            return feasible(q)
-        except NO_FRAME:
-            return False
 
     def refine(q_true, q_false):
         while abs(q_false - q_true) > 1e-9:
@@ -330,7 +319,7 @@ def bisected_domain(curve, c, sample_count=256):
     holes = [i for i, q in enumerate(qs)
              if no_frame(q)
              and all(flags[j] for j in (i - 1, i + 1) if 0 <= j < len(qs))
-             and all(probe(p) for p in (q - h, q + h) if lo <= p <= hi)]
+             and all(feasible(p) for p in (q - h, q + h) if lo <= p <= hi)]
     for i in holes:
         flags[i] = True
     intervals, start = [], qs[0] if flags[0] else None
@@ -380,31 +369,25 @@ def stepwise_domain(curve, c, sample_count=256, visits=None):
     ``(live, mid)`` of every step."""
     def feasible(qs):
         _, _, radicand, _, reasons = dcurve._radicands(curve, c, qs)
-        return (reasons == "") & (radicand >= BOUNDARY_TOL), dcurve._failed(reasons)
+        return (reasons == "") & (radicand >= BOUNDARY_TOL)
 
     lo, hi = curve.domain
     qs = np.linspace(lo, hi, sample_count)
-    flags, failed = feasible(qs)
-    raise_first(curve, qs, failed)
+    flags = feasible(qs)
     edges = np.flatnonzero(flags[1:] != flags[:-1])
     falling = flags[edges]
     q_true = np.where(falling, qs[edges], qs[edges + 1])
     q_false = np.where(falling, qs[edges + 1], qs[edges])
-    stop, error = edges.size, None
     while True:
-        live = np.flatnonzero(np.abs(q_false[:stop] - q_true[:stop]) > 1e-9)
+        live = np.flatnonzero(np.abs(q_false - q_true) > 1e-9)
         if live.size == 0:
             break
         mid = 0.5 * (q_true[live] + q_false[live])
         if visits is not None:
             visits.append((live.tolist(), mid.tolist()))
-        ok, failed = feasible(mid)
-        if failed.any():
-            stop, error = live[np.argmax(failed)], (mid, failed)
+        ok = feasible(mid)
         q_true[live] = np.where(ok, mid, q_true[live])
         q_false[live] = np.where(ok, q_false[live], mid)
-    if error is not None:
-        raise_first(curve, *error)
 
     intervals = []
     start = float(qs[0]) if flags[0] else None
@@ -454,27 +437,24 @@ def test_speculative_hole_off_the_path_is_never_read(monkeypatch):
     assert got == bisected_domain(curve, 0.6) == stepwise_domain(curve, 0.6)
 
 
-def test_speculative_hole_on_the_path_raises_as_stepwise():
+def test_speculative_hole_on_the_path_is_infeasible_as_stepwise():
     visits = []
     stepwise_domain(WAVY, 0.6, visits=visits)
     assert len(visits[0][0]) >= 3
-    # Bracket 2 meets its hole at step 3, bracket 0 at step 7: the search
-    # of bracket 0 goes on, and its error is the one raised.
+    # Bracket 2 meets its hole at step 3, bracket 0 at step 7; each is an
+    # infeasible midpoint. Bracket 0's lies on the feasible side of its
+    # boundary, which moves to it; bracket 2's lies on the infeasible side.
     late = dict(zip(*visits[3]))[2]
     early = dict(zip(*visits[7]))[0]
     curve = wavy_with_holes(hx=early, hy=late)
-    with pytest.raises(DomainError) as expected:
-        stepwise_domain(curve, 0.6)
-    with pytest.raises(DomainError) as got:
-        feasible_domain(curve, 0.6)
-    with pytest.raises(DomainError) as at_early:
-        frenet_at(curve, early)
-    with pytest.raises(DomainError) as at_late:
-        frenet_at(curve, late)
-    assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value) == str(at_early.value)
-    assert got.value.where == expected.value.where == at_early.value.where
-    assert at_early.value.where != at_late.value.where
+    for q in (early, late):
+        with pytest.raises(DomainError):
+            frenet_at(curve, q)
+    got = feasible_domain(curve, 0.6)
+    assert got == stepwise_domain(curve, 0.6) == bisected_domain(curve, 0.6)
+    base = feasible_domain(WAVY, 0.6)
+    assert got[0][0] != base[0][0] and abs(got[0][0] - early) <= 1e-9
+    assert got[0][1] == base[0][1] and got[1:] == base[1:]
 
 
 def table_by_rounds(curve, c, sign=1):

@@ -729,6 +729,15 @@ class TestClassify:
         assert len(err.splitlines()) == 1
 
 
+def circle_scene(z: str, lo: float, hi: float) -> dict:
+    """The circle in q with the coordinate ``z`` on [lo, hi], synthesized at
+    c = 0.5."""
+    cfg = load_preset("example1")
+    cfg["curve"].update(x="cos(q)", y="sin(q)", z=z, param="q", range=[lo, hi])
+    cfg["marching"] = {"mode": "synthesized", "c": 0.5, "sign": 1}
+    return cfg
+
+
 class TestSynthesize:
     def test_circle(self, capsys):
         code, cfg, _ = run_json(capsys, "synthesize", "--preset", "example1")
@@ -904,6 +913,36 @@ class TestSynthesize:
         assert code == 0
         code, out, err = run(capsys, "synthesize", "--config", path, "--samples", "256")
         assert (code, out, err) == (3, "", "error: target constant 0.99999 infeasible\n")
+
+    def test_node_without_a_derivative_leaves_the_table(self, tmp_path, capsys):
+        # abs has no derivative at the table node q = 0, so the node has no
+        # frame and is left out of the table, as an inflection is; it once
+        # failed synthesis with exit 4.
+        cfg = circle_scene("0*abs(q)", -1.0, 1.0)
+        cfg["grid"].update(ns=21, nt=5)
+        path = write_config(tmp_path, cfg)
+        code, out, _ = run_json(capsys, "synthesize", "--config", path)
+        assert code == 0
+        assert out["marching"]["table"]["excluded"] == [[-0.0078125, 0.0078125]]
+        code, _, _ = run_json(capsys, "verify", "--config", path, "-o", str(tmp_path))
+        assert code == 0
+        code, summary, _ = run_json(capsys, "build", "--config", path, "-o", str(tmp_path))
+        assert code == 0
+        assert summary["defect_count"] == 5  # the column at q = 0
+
+    def test_undefined_part_is_restricted_away(self, tmp_path, capsys):
+        # asin(q/2) and its derivatives are defined only on (-2, 2): past
+        # that the curve has no frame, like an infeasible part, and the
+        # curve is restricted to (-2, 2); it once failed with exit 4.
+        cfg = circle_scene("0*asin(q/2)", -3.0, 3.0)
+        code, out, _ = run_json(capsys, "synthesize", "--config", write_config(tmp_path, cfg))
+        assert code == 0
+        (interval,) = out["feasible_domain"]
+        assert interval == pytest.approx([-2.0, 2.0], abs=1e-9)
+        lo, hi = out["curve"]["range"]
+        assert -2.0 < lo < hi < 2.0
+        path = write_config(tmp_path, out, "synthesized.json")
+        assert run(capsys, "verify", "--config", path, "-o", str(tmp_path))[0] == 0
 
     def test_bivariate_config(self, tmp_path, capsys):
         # The given u, v, w block is replaced by the synthesized product parts,
