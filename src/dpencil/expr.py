@@ -225,7 +225,10 @@ class _Parser:
     def _atom(self) -> tuple[Node, int]:
         tok = self._advance()
         if tok.kind == "num":
-            return Num(float(tok.text)), 1
+            value = float(tok.text)
+            if math.isinf(value):
+                raise ParseError(f"number {tok.text!r} overflows", tok.pos)
+            return Num(value), 1
         if tok.kind == "ident":
             nxt = self._peek()
             if nxt.kind == "op" and nxt.text == "(":

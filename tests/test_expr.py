@@ -64,6 +64,17 @@ class TestParsing:
             parse_expression(source, ["q"])
         assert str(info.value) == f"expected ')' (offset {position})"
 
+    @pytest.mark.parametrize("source, position", [
+        ("sqrt(-1e400)", 6), ("s - 1e309", 4), ("2*" + "9" * 400, 2),
+    ], ids=["1e400", "1e309", "400_digits"])
+    def test_overflowing_number_is_a_parse_error(self, source, position):
+        with pytest.raises(ParseError, match="overflows") as info:
+            parse_expression(source, ["s"])
+        assert info.value.position == position
+
+    def test_underflowing_number_is_zero(self):
+        assert evaluate(parse_expression("1e-400 + s", ["s"]), {"s": 2.0}) == 2.0
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_expression("1 + 2 )", [])
