@@ -2,7 +2,9 @@
 
 Every ``pencil`` command, whatever its config, expressions and options,
 must exit 0..4 with at most one line on stderr: no traceback, no warning;
-a command that fails leaves the files of its output directory as they were.
+a command that succeeds, or finds the inner product not constant, prints
+one JSON object on stdout with every number finite; a command that fails
+leaves the files of its output directory as they were.
 Configs start from a preset and take generated curve and marching
 expressions, ranges, constants and grid sizes, and now and then a field of
 the wrong type or a missing one; they run in process through ``cli.main``.
@@ -84,6 +86,10 @@ def run_cli_files(command: str, config, options=()):
         left = {str(f.relative_to(out_dir)): f.read_bytes()
                 for f in out_dir.rglob("*") if f.is_file()}
     return code, out.getvalue(), err.getvalue(), placed, left
+
+
+def reject_constant(name: str):
+    raise ValueError(f"{name} in the JSON output")
 
 
 def expressions(var: str):
@@ -192,6 +198,8 @@ FAR_SALKOWSKI = preset("example4", **{
 @example("classify", with_curve("é*q"), [])
 @example("classify", with_curve("q²"), [])
 @example("classify", with_curve("q³"), [])
+@example("classify", preset("example1", **{"curve.z": "sqrt(-1e400)"}), [])
+@example("verify", preset("example1", **{"curve.z": "sqrt(s - 1e400)"}), ["--samples=64"])
 @example("build", with_curve("exp(q)*cos(q)", "exp(q)*sin(q)", "q", 0.0, 800.0), [])
 @example("build", with_curve("q", "exp(q/2)*exp(q/2)", "0", 0.0, 1000.0), [])
 @example("classify", with_curve("q", "1e308*q*q", lo=1.0, hi=2.0), [])
@@ -225,9 +233,11 @@ FAR_SALKOWSKI = preset("example4", **{
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(COMMANDS), configs(), options)
 def test_exit_code_contract(command, config, opts):
-    code, _, err, placed, left = run_cli_files(command, config, opts)
+    code, out, err, placed, left = run_cli_files(command, config, opts)
     assert code in range(5)
     assert len(err.splitlines()) <= 1, err
+    if code <= 1:
+        assert isinstance(json.loads(out, parse_constant=reject_constant), dict), out
     if code > 1:  # a failed command leaves -o as it was
         assert left == placed, err
 
