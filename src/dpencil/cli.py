@@ -1,8 +1,9 @@
 """Command-line front end: build, verify, classify, synthesize.
 
 The CLI parses arguments, dispatches to a command, writes the OBJ and CSV
-outputs all or none and maps errors to exit codes; ``scene.SceneConfig``
-reads scene files and writes the completed config ``synthesize`` prints.
+outputs all or none, each through a temporary file beside it, and maps
+errors to exit codes; ``scene.SceneConfig`` reads scene files and writes
+the completed config ``synthesize`` prints.
 
 Exit codes: 0 success (verify: the curve is D-type), 1 verify found a
 non-constant inner product, 2 invalid config or expression, 3 infeasible
@@ -14,13 +15,12 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -106,35 +106,35 @@ def _samples(args, default: int) -> int:
 def _publish(args, outputs) -> list[Path]:
     """``write(data, sink)`` into ``name`` under the output directory for
     each ``(name, write, data)`` of ``outputs``, all or none; returns the
-    paths.  Each output is written in full, under its own name, into one
-    temporary directory inside the output directory before any replaces
-    its output, in order; a failed replacement removes the outputs already
-    replaced, and the temporary directory is removed either way.  An output
-    that cannot be created or written is a config error, named by its
-    output path alone: an error's own file name may be a temporary one."""
-    out_dir, stage, published = Path(args.out_dir), None, []
+    paths.  A name the file system refuses fails its probe before anything
+    is replaced.  Each output is written in full into a temporary file of a
+    short, fixed-length name beside it; once all are, each is renamed over
+    its output, in order.  A failure removes the temporary files not yet
+    renamed and the outputs already renamed.  An output that cannot be
+    created or written is a config error named by its output path alone."""
+    out_dir, staged, published = Path(args.out_dir), [], []
     try:
         for name, write, data in outputs:
             path = out_dir / name
             path.parent.mkdir(parents=True, exist_ok=True)
-            os.fsencode(path)  # a lone surrogate fails here, at its place in the path
-            stage = stage or Path(tempfile.mkdtemp(prefix=".pencil-", dir=out_dir))
-            (stage / name).parent.mkdir(parents=True, exist_ok=True)
-            with open(stage / name, "xb") as sink:
+            with contextlib.suppress(FileNotFoundError):  # a free name; other errors refuse it
+                os.lstat(path)
+            tmp = path.parent / f".pencil-{os.urandom(6).hex()}"
+            with open(tmp, "xb") as sink:  # mode 0666 & ~umask, as the output's
+                staged.append((tmp, path))
                 write(data, sink)
-        for name, _, _ in outputs:
-            path = out_dir / name
-            os.replace(stage / name, path)
+        for tmp, path in staged:
+            os.replace(tmp, path)
             published.append(path)
     except (OSError, ValueError) as e:  # ValueError: a NUL or a lone surrogate in the name
         reason = f"[Errno {e.errno}] {e.strerror}" if getattr(e, "filename", None) else e
         raise SceneValidationError(f"cannot write {str(path)!r}: {reason}") from None
     finally:
         if len(published) < len(outputs):
+            for tmp, _ in staged[len(published):]:
+                tmp.unlink()
             for done in published:
                 done.unlink()
-        if stage:
-            shutil.rmtree(stage, ignore_errors=True)
     return published
 
 

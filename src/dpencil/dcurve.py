@@ -438,9 +438,10 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
     read.
 
     A parameter without a frame, for any ``frenet_at`` reason, is
-    infeasible, so nothing is raised and a curve that is undefined or
-    overflows on part of its domain is restricted as on any infeasible
-    part.  A sample without a frame is a hole in the frame rather than a
+    infeasible, so a curve that is undefined or overflows on part of its
+    domain is restricted as on any infeasible part; one without a frame at
+    any sample raises :class:`NotEnoughSamplesError`, as ``classify_curve``
+    does.  A sample without a frame is a hole in the frame rather than a
     boundary when the parameters ``h = min(1e-7, step / 4)`` to either side
     of it inside the domain are feasible: it counts as feasible, and
     synthesis leaves it out of its table as any node without a frame.  On
@@ -481,6 +482,8 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
     # Samples without a frame, probed for holes.
     h = min(1e-7, (hi - lo) / (sample_count - 1) / 4)
     gaps = np.flatnonzero(reasons != "")
+    if gaps.size == sample_count:
+        raise NotEnoughSamplesError(f"only 0 of {sample_count} samples have a defined frame")
     if gaps.size:
         probes = np.concatenate([qs[gaps] - h, qs[gaps] + h])
         inside = (probes >= lo) & (probes <= hi)
@@ -523,9 +526,9 @@ def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256, infeasib
     Returns ``(curve, intervals)``.  When the whole domain is feasible the
     curve comes back unchanged with ``intervals`` None; otherwise
     ``intervals`` lists every feasible subinterval.  Raises
-    :class:`InfeasibleConstantError` when no parameter is feasible, also
-    where the curve has no frame anywhere.  The
-    whole domain counts as feasible when one interval reaches both ends to
+    :class:`InfeasibleConstantError` when no parameter is feasible, and
+    :class:`NotEnoughSamplesError` when no sample has a frame.  The whole
+    domain counts as feasible when one interval reaches both ends to
     within 1e-7, an absolute tolerance at any |q|.  An interval may hold
     holes, undefined frames with feasible parameters beside them, or be
     only a narrow window around one (see ``feasible_domain``).  An

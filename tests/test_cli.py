@@ -2,8 +2,10 @@ import errno
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dpencil.cli import MAX_SAMPLES, main
 from dpencil.dcurve import feasible_domain
 from dpencil.errors import SceneValidationError
 from dpencil.expr import MAX_DEPTH, evaluate, format_expression, parse_expression
+from dpencil.mesh import write_report_csv
 from dpencil.presets import load_preset, preset_names
 from dpencil.scene import MAX_GRID_VERTICES, SceneConfig
 
@@ -341,23 +344,21 @@ class TestBuild:
         assert (code, err) == (0, "")
         assert sorted(f.name for f in out_dir.iterdir()) == sorted(["example1.obj", name])
 
-    @pytest.mark.parametrize("csv_path, reason", [
-        ("r\u0000.csv", "embedded null byte"),
-        ("r\ud800.csv", "surrogates not allowed"),
-    ], ids=["nul", "surrogate"])
-    def test_unencodable_csv_name_leaves_no_obj(self, tmp_path, capsys, csv_path, reason):
-        # open() raises ValueError for these names, not OSError; the build
-        # once exited 2 with the bare reason and left the OBJ behind.
+    @pytest.mark.parametrize("csv_path", ["r\u0000.csv", "r\ud800.csv"], ids=["nul", "surrogate"])
+    def test_unencodable_csv_name_leaves_no_obj(self, tmp_path, capsys, monkeypatch, csv_path):
+        # No file system takes these names: they are refused when the config
+        # loads, before the grid is sampled.  open() once raised ValueError
+        # for them after the whole build, and the OBJ was once left behind.
+        monkeypatch.setattr(cli, "sample_grid", lambda *a: pytest.fail("grid sampled"))
         cfg = load_preset("example1")
         cfg["outputs"]["csv_path"] = csv_path
-        cfg["grid"].update(ns=5, nt=3)
         out_dir = tmp_path / "out"
         code, out, err = run(capsys, "build", "--config", write_config(tmp_path, cfg),
                              "--samples", "16", "-o", str(out_dir))
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot write {str(out_dir / csv_path)!r}: ")
-        assert err.endswith(f"{reason}\n")
-        assert list(out_dir.iterdir()) == []
+        assert err == ("error: outputs.csv_path must be a file name without NUL that the "
+                       f"file system can encode, got {csv_path!r}\n")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("error", [OSError("no space left"), RuntimeError("interrupted")])
     def test_failed_obj_write_leaves_nothing(self, tmp_path, capsys, monkeypatch, error):
@@ -394,6 +395,68 @@ class TestBuild:
         assert code == 2
         assert list(tmp_path.iterdir()) == [previous]
         assert previous.read_bytes() == b"previous report\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_outputs_take_the_umask_mode(self, tmp_path, capsys, umask):
+        # Each output is created with open(), as a new file would be: a
+        # temporary file from tempfile.mkstemp is mode 0600 whatever the umask.
+        cfg = load_preset("example1")
+        cfg["grid"].update(ns=5, nt=3)
+        out_dir = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            code, _, _ = run(capsys, "build", "--config", write_config(tmp_path, cfg),
+                             "--samples", "16", "-o", str(out_dir))
+        finally:
+            os.umask(previous)
+        assert code == 0
+        modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in out_dir.iterdir()}
+        assert modes == {"example1.obj": 0o666 & ~umask, "example1.csv": 0o666 & ~umask}
+
+    def test_nested_output_name(self, tmp_path, capsys, monkeypatch):
+        # The CSV is written beside its output, in sub/, so that the rename
+        # over it stays within one directory.
+        sinks = []
+
+        def write_and_record(report, sink):
+            sinks.append(Path(sink.name))
+            write_report_csv(report, sink)
+
+        monkeypatch.setattr(cli, "write_report_csv", write_and_record)
+        cfg = load_preset("example1")
+        cfg["outputs"]["csv_path"] = "sub/r.csv"
+        cfg["grid"].update(ns=5, nt=3)
+        out_dir = tmp_path / "out"
+        code, summary, _ = run_json(capsys, "build", "--config", write_config(tmp_path, cfg),
+                                    "--samples", "16", "-o", str(out_dir))
+        assert code == 0
+        assert summary["csv_path"] == str(out_dir / "sub" / "r.csv")
+        (sink,) = sinks
+        assert sink.parent == out_dir / "sub"
+        assert sink.name.startswith(".pencil-")
+        assert sorted(str(f.relative_to(out_dir)) for f in out_dir.rglob("*")) == [
+            "example1.obj", "sub", "sub/r.csv"]
+
+    @pytest.mark.parametrize("case", ["success", "failed_write", "long_name"])
+    def test_no_temporary_file_is_left(self, tmp_path, capsys, monkeypatch, case):
+        def fail(report, sink):
+            sink.write(b"s,")
+            raise OSError("no space left")
+
+        cfg = load_preset("example1")
+        cfg["outputs"]["obj_path"] = "sub/example1.obj"
+        cfg["grid"].update(ns=5, nt=3)
+        if case == "failed_write":
+            monkeypatch.setattr(cli, "write_report_csv", fail)
+        if case == "long_name":
+            cfg["outputs"]["csv_path"] = "r" * 300 + ".csv"
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, "build", "--config", write_config(tmp_path, cfg),
+                         "--samples", "16", "-o", str(out_dir))
+        assert code == (0 if case == "success" else 2)
+        assert list(out_dir.rglob(".pencil-*")) == []
+        left = sorted(str(f.relative_to(out_dir)) for f in out_dir.rglob("*") if f.is_file())
+        assert left == (["example1.csv", "sub/example1.obj"] if case == "success" else [])
 
     @pytest.mark.parametrize("command", ["build", "verify", "classify", "synthesize"])
     def test_samples_past_the_cap_exit_2(self, tmp_path, capsys, monkeypatch, command):
@@ -929,6 +992,21 @@ class TestSynthesize:
         code, summary, _ = run_json(capsys, "build", "--config", path, "-o", str(tmp_path))
         assert code == 0
         assert summary["defect_count"] == 5  # the column at q = 0
+
+    @pytest.mark.parametrize("command", ["synthesize", "verify", "build", "classify"])
+    def test_curve_without_a_frame_exit_4(self, tmp_path, capsys, command):
+        # A straight line has no frame anywhere, so no constant is feasible
+        # on it.  synthesize, verify and build once exited 3 with "target
+        # constant 0.5 infeasible", and classify 4.
+        cfg = load_preset("example1")
+        cfg["curve"].update(x="q", y="2*q", z="0", param="q", range=[0.0, 1.0])
+        cfg["marching"] = {"mode": "synthesized", "c": 0.5, "sign": 1}
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg),
+                             "-o", str(out_dir))
+        assert (code, out) == (4, "")
+        assert err == "error: only 0 of 256 samples have a defined frame\n"
+        assert not out_dir.exists()
 
     def test_undefined_part_is_restricted_away(self, tmp_path, capsys):
         # asin(q/2) and its derivatives are defined only on (-2, 2): past

@@ -440,6 +440,14 @@ class TestFeasibleDomain:
         with pytest.raises(ValueError):
             feasible_domain(ex1.curve, 0.5, 32)
 
+    def test_no_frame_anywhere_is_not_enough_samples(self):
+        # No constant is feasible on a curve without a frame; the error says
+        # so as classify_curve does, rather than blame the constant.
+        for restrict in (feasible_domain, feasible_curve):
+            with pytest.raises(NotEnoughSamplesError) as info:
+                restrict(straight_line().curve(), 0.5, 300)
+            assert str(info.value) == "only 0 of 300 samples have a defined frame"
+
     def test_known_infeasible_parameter_splits_its_bracket(self):
         # The infeasible window (1.3625, 3.6959) lies between two of the 256
         # samples, both feasible; synthesis raised at q inside it.
