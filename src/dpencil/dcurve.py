@@ -5,8 +5,12 @@ where n is the surface unit normal along the curve and W0 the curve's unit
 Darboux vector.  Geodesics (constant 0) and asymptotic planar curves
 (constant 1 with zero torsion) are the degenerate cases.
 
-Along the t = t0 line the normal is n = phi2 N + phi3 B, and the condition
-with constant c pins the components to
+Along the t = t0 line every member has u = v = w = 0, so the scale's
+s-partials vanish there, dP/ds = rho T, and the normal is
+n = phi2 N + phi3 B with phi2 = -w_t/h, phi3 = v_t/h, h = hypot(v_t, w_t),
+and <n, W0> = kappa v_t / (omega h) (Wang, Tang & Tai, CAD 2004).  The
+theorem check reads phi so; ``verify_dtype`` keeps the full normal.  The
+condition with constant c pins the components to
 
     phi3 = c sqrt(kappa^2 + tau^2) / kappa,
     phi2 = +/- sqrt(1 - c^2 (kappa^2 + tau^2) / kappa^2),
@@ -36,7 +40,7 @@ from .frenet import (
     SALKOWSKI,
     CurveClass,
     CurveSpec,
-    classify_curve,
+    classify_from_samples,
     frenet_at,
 )
 from .pencil import (
@@ -61,40 +65,6 @@ _FIRST_TABLE_NODES = 257
 _MAX_TABLE_NODES = 8193
 # Bisection steps of feasible_domain evaluated ahead in one frenet_at call.
 _SPECULATE = 5
-
-
-def _t0_normals(p: SurfacePencil, sample_count: int):
-    """Unit normals along the t = t0 line at ``sample_count`` parameters.
-
-    The marching scale comes first, in one array pass.  Frames are taken
-    per sample only where the scale is defined; the other samples get no
-    frame, only the reason the frame is missing (which wins over "domain",
-    as in ``surface_normals``), from one array ``frenet_at`` over just
-    those parameters.  Returns ``(ss, frame, mv, normals, reasons)``, each
-    with one leading axis over the samples; ``reasons`` is "" where the
-    normal is usable and the skip reason elsewhere.
-    """
-    lo, hi = p.curve.domain
-    ss = np.linspace(lo, hi, sample_count)
-    mv, ok = marching_grid(p.marching, ss, [p.t0])
-    mv, ok = MarchingValues(*(f[:, 0] for f in mv)), ok[:, 0]
-    unscaled = iter(frenet_at(p.curve, ss[~ok])[1].tolist() if not ok.all() else ())
-    frames, frame_reasons = [], []
-    for s, scaled in zip(ss.tolist(), ok.tolist()):
-        frame, reason = None, ""
-        if scaled:
-            try:
-                frame = p.frame(s)
-            except NO_FRAME as e:
-                reason = e.reason
-        else:
-            reason = next(unscaled)
-        frames.append(frame)
-        frame_reasons.append(reason)
-    frame = stack_frames(frames)
-    frame_reason = np.array(frame_reasons)
-    normals, reasons = surface_normals(frame, frame_reason == "", frame_reason, mv, ok)
-    return ss, frame, mv, normals, reasons
 
 
 class DTypeSample(NamedTuple):
@@ -136,10 +106,30 @@ def verify_dtype(p: SurfacePencil, sample_count: int = 1000,
     points, expression domain violations) are skipped and reported; a
     verdict needs 16 usable samples.  ``tolerance`` None is measured: 1e-8
     when the speed of every usable sample is within ``UNIT_SPEED_TOL`` of
-    1, 1e-6 otherwise; the report records the value used."""
+    1, 1e-6 otherwise; the report records the value used.  The normals
+    are full ones, on frames taken per sample only where the marching
+    scale (one array pass along t0) is defined; the other samples get only
+    their frame's reason, which wins over "domain" as in ``surface_normals``,
+    from one array ``frenet_at`` call over just those parameters."""
     if sample_count < 16:
         raise ValueError("sample_count must be at least 16")
-    ss, frame, _, normals, reasons = _t0_normals(p, sample_count)
+    ss = np.linspace(*p.curve.domain, sample_count)
+    mv, ok = marching_grid(p.marching, ss, [p.t0])
+    mv, ok = MarchingValues(*(f[:, 0] for f in mv)), ok[:, 0]
+    unscaled = iter(frenet_at(p.curve, ss[~ok])[1].tolist() if not ok.all() else ())
+    frames, frame_reasons = [], []
+    for s, scaled in zip(ss.tolist(), ok.tolist()):
+        frame, reason = None, "" if scaled else next(unscaled)
+        if scaled:
+            try:
+                frame = p.frame(s)
+            except NO_FRAME as e:
+                reason = e.reason
+        frames.append(frame)
+        frame_reasons.append(reason)
+    frame = stack_frames(frames)
+    frame_reason = np.array(frame_reasons)
+    normals, reasons = surface_normals(frame, frame_reason == "", frame_reason, mv, ok)
     skipped = [(s, why) for s, why in zip(ss.tolist(), reasons.tolist()) if why]
     good = reasons == ""
     n = normals[good]
@@ -192,23 +182,31 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
                              sample_count: int = 256, tol: float = 1e-8) -> TheoremReport:
     """Check the characterizing conditions for <n, W0> = c with phi2 branch ``sign``.
 
-    Per sample: the marching scale vanishes at t0, phi1 = 0, phi3 equals
-    c sqrt(kappa^2+tau^2)/kappa, and phi2 equals sign times the feasibility
-    radical.  When the curve is planar / a helix / (anti-)Salkowski, the
-    matching specialized constants are reported.  The check needs 16
-    usable samples."""
+    Per sample: the marching scale and its s-partials (so phi1) vanish at
+    t0, and phi3 = v_t/h and phi2 = -w_t/h (the module docstring) equal
+    c sqrt(kappa^2+tau^2)/kappa and sign times the feasibility radical.
+    The scale takes one array pass along t0, and the frames one array
+    ``frenet_at`` call that the classification shares; samples are skipped
+    where ``surface_normals`` over them gives a reason, as in ``verify_dtype``.
+    When the curve is planar / a helix / (anti-)Salkowski, the matching
+    specialized constants are reported.  The check needs 16 usable samples."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if sample_count < 16:
         raise ValueError("sample_count must be at least 16")
-    ss, frame, mv, normals, reasons = _t0_normals(p, sample_count)
-    good = reasons == ""
+    ss = np.linspace(*p.curve.domain, sample_count)
+    mv, ok = marching_grid(p.marching, ss, [p.t0])
+    mv, ok = MarchingValues(*(f[:, 0] for f in mv)), ok[:, 0]
+    frame, frame_reason = frenet_at(p.curve, ss)
+    framed = frame_reason == ""
+    with np.errstate(all="ignore"):  # unspecified frames, masked out by the reasons
+        good = surface_normals(frame, framed, frame_reason, mv, ok)[1] == ""
+        h = np.hypot(mv.v_t, mv.w_t)[good]
+        phi2, phi3 = -mv.w_t[good] / h, mv.v_t[good] / h
     skipped = int(np.count_nonzero(~good))
     usable = sample_count - skipped
-    n = normals[good]
-    phi1, phi2, phi3 = (np.vecdot(n, v[good]) for v in (frame.T, frame.N, frame.B))
     iso_err = float(np.max(np.abs([mv.u[good], mv.v[good], mv.w[good]]), initial=0.0))
-    phi1_err = float(np.max(np.abs(phi1), initial=0.0))
+    phi1_err = float(np.max(np.abs([mv.u_s[good], mv.v_s[good], mv.w_s[good]]), initial=0.0))
     ratio, radicand = _phi2_radicand(frame.kappa[good], frame.omega[good], c)
     infeasible = radicand < -tol
     if infeasible.any():
@@ -226,7 +224,7 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
         ConditionCheck("phi2_branch", phi2_err <= tol, phi2_err),
         ConditionCheck("phi3_target", phi3_err <= tol, phi3_err),
     )
-    cls = classify_curve(p.curve, sample_count, tol=1e-6)
+    cls = classify_from_samples(frame.kappa[framed], frame.tau[framed], 1e-6, int((~framed).sum()))
     branch, constants = _specialize(cls, c, tol)
     return TheoremReport(
         passed=all(cond.passed for cond in conditions),

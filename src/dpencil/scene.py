@@ -112,17 +112,17 @@ def _text(value, context: str) -> str:
 def _output_name(value, context: str) -> str:
     """A relative path without ``..``: outputs stay under the output directory.
     ``""`` and ``"."`` name the directory itself, not a file.  A name with a
-    NUL or one ``os.fsencode`` cannot encode (a lone surrogate) names no file
-    on any file system; one too long is refused only when it is written, as
-    the limit depends on the file system."""
+    NUL or any surrogate (``os.fsencode`` would turn a low one into a raw
+    byte) names no file; one too long is refused only when it is written,
+    as the limit depends on the file system."""
     name = _text(value, context)
     path = PurePath(name)
     if path.is_absolute() or ".." in path.parts:
         raise SceneValidationError(f"{context} must stay under the output directory, got {name!r}")
     if not path.parts:
         raise SceneValidationError(f"{context} must name a file, got {name!r}")
-    with contextlib.suppress(UnicodeEncodeError):  # a lone surrogate
-        if b"\0" not in os.fsencode(name):
+    with contextlib.suppress(UnicodeEncodeError):  # strict UTF-8 refuses every surrogate
+        if name.encode() and b"\0" not in os.fsencode(name):
             return name
     raise SceneValidationError(f"{context} must be a file name without NUL that the file "
                                f"system can encode, got {name!r}")

@@ -344,11 +344,13 @@ class TestBuild:
         assert (code, err) == (0, "")
         assert sorted(f.name for f in out_dir.iterdir()) == sorted(["example1.obj", name])
 
-    @pytest.mark.parametrize("csv_path", ["r\u0000.csv", "r\ud800.csv"], ids=["nul", "surrogate"])
+    @pytest.mark.parametrize("csv_path", ["r\u0000.csv", "r\ud800.csv", "r\udc80.csv"],
+                             ids=["nul", "surrogate", "low_surrogate"])
     def test_unencodable_csv_name_leaves_no_obj(self, tmp_path, capsys, monkeypatch, csv_path):
         # No file system takes these names: they are refused when the config
         # loads, before the grid is sampled.  open() once raised ValueError
-        # for them after the whole build, and the OBJ was once left behind.
+        # for them after the whole build, and the OBJ was once left behind;
+        # os.fsencode once wrote the low surrogate as the raw byte 0x80.
         monkeypatch.setattr(cli, "sample_grid", lambda *a: pytest.fail("grid sampled"))
         cfg = load_preset("example1")
         cfg["outputs"]["csv_path"] = csv_path

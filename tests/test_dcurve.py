@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from dpencil import dcurve
 from dpencil.cli import main
 from dpencil.dcurve import (
     _merge_holes,
@@ -29,6 +30,7 @@ from dpencil.pencil import (
     ProductForm,
     SurfacePencil,
     TabulatedProductForm,
+    marching_grid,
 )
 from dpencil.presets import load_preset, preset_names
 
@@ -223,6 +225,54 @@ class TestVerifyFrames:
         assert skipped == scalar_skips(p, 250)
         assert skipped[-1] == (2.0 * math.pi, "inflection")
         assert {why for s, why in skipped if math.pi < s < 2.0 * math.pi} == {"domain"}
+
+
+def theorem_case(name):
+    """``(pencil, c)``: a preset's pencil, or for ``<preset>_synthesized``
+    the pencil synthesized on the preset's curve, with the preset's ``c``."""
+    raw = load_preset(name.removesuffix("_synthesized"))
+    if name.endswith("_synthesized"):
+        raw["marching"] = {"mode": "synthesized", "c": raw["marching"]["c"]}
+    return SceneConfig.from_dict(raw).pencil(), raw["marching"]["c"]
+
+
+THEOREM_CASES = preset_names() + [f"example{i}_synthesized" for i in range(1, 5)]
+
+
+class TestTheoremFrames:
+    """The theorem check reads phi from the scale's t-partials over one array
+    frame call; it skips exactly where verification's full normals do."""
+
+    def test_one_array_frenet_call_and_no_frame(self, ex4, monkeypatch):
+        frames, calls = [], []
+        frame = SurfacePencil.frame
+        monkeypatch.setattr(SurfacePencil, "frame", lambda p, s: frames.append(s) or frame(p, s))
+        monkeypatch.setattr(dcurve, "frenet_at",
+                            lambda curve, q: calls.append(q) or frenet_at(curve, q))
+        assert check_theorem_conditions(ex4, SQRT3_2, sign=-1, sample_count=128).passed
+        assert frames == []
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.linspace(*ex4.curve.domain, 128))
+
+    @pytest.mark.parametrize("name", THEOREM_CASES)
+    def test_inner_is_the_t_partial_identity(self, name):
+        # <n, W0> = kappa v_t / (omega h), h = hypot(v_t, w_t), on t = t0.
+        p, _ = theorem_case(name)
+        report = verify_dtype(p, 1000)
+        ss = np.linspace(*p.curve.domain, 1000)
+        usable = np.isin(ss, [sample.s for sample in report.samples])
+        app, _ = frenet_at(p.curve, ss[usable])
+        mv, _ = marching_grid(p.marching, ss[usable], [p.t0])
+        v_t, w_t = mv.v_t[:, 0], mv.w_t[:, 0]
+        identity = app.kappa * v_t / (app.omega * np.hypot(v_t, w_t))
+        inner = np.array([sample.inner for sample in report.samples])
+        assert np.max(np.abs(inner - identity)) <= 1e-12
+
+    @pytest.mark.parametrize("name", THEOREM_CASES)
+    def test_skips_match_verification(self, name):
+        p, c = theorem_case(name)
+        report = check_theorem_conditions(p, c, sign=-1, sample_count=1000)
+        assert report.skipped == len(verify_dtype(p, 1000).skipped)
 
 
 class TestTheoremConditions:
