@@ -10,7 +10,6 @@ from .dcurve import (
     check_theorem_conditions,
     feasible_curve,
     feasible_domain,
-    phi_components,
     restrict_curve,
     synthesize_marching_scale,
     verify_dtype,
@@ -76,7 +75,6 @@ __all__ = [
     "marching_grid",
     "marching_values",
     "parse_expression",
-    "phi_components",
     "preset_names",
     "restrict_curve",
     "sample_grid",

@@ -9,8 +9,8 @@ Along the t = t0 line every member has u = v = w = 0, so the scale's
 s-partials vanish there, dP/ds = rho T, and the normal is
 n = phi2 N + phi3 B with phi2 = -w_t/h, phi3 = v_t/h, h = hypot(v_t, w_t),
 and <n, W0> = kappa v_t / (omega h) (Wang, Tang & Tai, CAD 2004).  The
-theorem check reads phi so; ``verify_dtype`` keeps the full normal.  The
-condition with constant c pins the components to
+theorem check reads phi so; ``verify_dtype`` keeps the full normal of
+``surface_normals``.  The condition with constant c pins the components to
 
     phi3 = c sqrt(kappa^2 + tau^2) / kappa,
     phi2 = +/- sqrt(1 - c^2 (kappa^2 + tau^2) / kappa^2),
@@ -87,15 +87,15 @@ class DTypeReport:
     asymptotic_planar: bool
 
 
-def phi_components(p: SurfacePencil, s: float) -> tuple[float, float, float]:
-    """Frenet components (phi1, phi2, phi3) of the surface normal at (s, t0)."""
-    app = p.frame(s)
-    n = p.normal(s, p.t0, frame=app)
-    return (
-        float(np.dot(n, app.T)),
-        float(np.dot(n, app.N)),
-        float(np.dot(n, app.B)),
-    )
+def _t0_scale(p: SurfacePencil, sample_count: int):
+    """``(ss, mv, ok)``: ``sample_count`` parameters spread over the
+    curve's domain, the marching values on t = t0 there and their mask,
+    from one ``marching_grid`` pass."""
+    if sample_count < 16:
+        raise ValueError("sample_count must be at least 16")
+    ss = np.linspace(*p.curve.domain, sample_count)
+    mv, ok = marching_grid(p.marching, ss, [p.t0])
+    return ss, MarchingValues(*(f[:, 0] for f in mv)), ok[:, 0]
 
 
 def verify_dtype(p: SurfacePencil, sample_count: int = 1000,
@@ -111,11 +111,7 @@ def verify_dtype(p: SurfacePencil, sample_count: int = 1000,
     scale (one array pass along t0) is defined; the other samples get only
     their frame's reason, which wins over "domain" as in ``surface_normals``,
     from one array ``frenet_at`` call over just those parameters."""
-    if sample_count < 16:
-        raise ValueError("sample_count must be at least 16")
-    ss = np.linspace(*p.curve.domain, sample_count)
-    mv, ok = marching_grid(p.marching, ss, [p.t0])
-    mv, ok = MarchingValues(*(f[:, 0] for f in mv)), ok[:, 0]
+    ss, mv, ok = _t0_scale(p, sample_count)
     unscaled = iter(frenet_at(p.curve, ss[~ok])[1].tolist() if not ok.all() else ())
     frames, frame_reasons = [], []
     for s, scaled in zip(ss.tolist(), ok.tolist()):
@@ -192,11 +188,7 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
     specialized constants are reported.  The check needs 16 usable samples."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if sample_count < 16:
-        raise ValueError("sample_count must be at least 16")
-    ss = np.linspace(*p.curve.domain, sample_count)
-    mv, ok = marching_grid(p.marching, ss, [p.t0])
-    mv, ok = MarchingValues(*(f[:, 0] for f in mv)), ok[:, 0]
+    ss, mv, ok = _t0_scale(p, sample_count)
     frame, frame_reason = frenet_at(p.curve, ss)
     framed = frame_reason == ""
     with np.errstate(all="ignore"):  # unspecified frames, masked out by the reasons

@@ -39,7 +39,7 @@ class DomainError(ExpressionError):
     """Numeric domain violation (sqrt of a negative, division by zero, ...).
 
     ``where`` names the offending subexpression once known; the evaluator
-    attach it at the innermost enclosing node.
+    attaches it at the innermost enclosing node.
     """
 
     reason = "domain"
@@ -92,25 +92,6 @@ class InflectionPointError(GeometryError):
         super().__init__(
             f"Frenet frame undefined at parameter {param!r}: curvature {kappa:.3e}"
         )
-
-
-class DegenerateNormalError(GeometryError):
-    """Surface partials are (nearly) parallel; no unit normal exists."""
-
-    def __init__(self, s: float, t: float):
-        self.s = s
-        self.t = t
-        super().__init__(f"degenerate surface normal at (s, t) = ({s!r}, {t!r})")
-
-
-class NonFiniteNormalError(GeometryError):
-    """Surface partials or their norms overflowed or are NaN; no unit normal
-    can be computed."""
-
-    def __init__(self, s: float, t: float):
-        self.s = s
-        self.t = t
-        super().__init__(f"non-finite surface normal at (s, t) = ({s!r}, {t!r})")
 
 
 class InfeasibleConstantError(GeometryError):

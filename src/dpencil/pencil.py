@@ -15,12 +15,13 @@ differ only in the jet walk they hand it: the scalar ``evaluate_jet3``,
 which raises, or one array call per expression that folds its ``ok`` into
 the grid mask.  Product forms separate, so their s-parts run over the grid
 column and their t-parts over the row; a general form runs over the whole
-grid.  ``pencil_point``, ``pencil_partials`` and
-``pencil_normal`` broadcast: the frame fields (scalars of shape F, vectors
-of shape F + (3,), as ``frenet_at`` over an array or ``stack_frames``
-gives them) broadcast against the marching fields, and a single frame with
-scalar marching values gives a single 3-vector.  ``surface_normals`` names
-why a normal is missing, in one order of precedence for every caller.
+grid.  ``pencil_point``, ``pencil_partials`` and ``pencil_normal`` are
+the one evaluation of a pencil's geometry, at a point or over arrays: the
+frame fields (scalars of shape F, vectors of shape F + (3,), as
+``frenet_at`` over an array or ``stack_frames`` gives them) broadcast
+against the marching fields, and a single frame with scalar marching
+values gives a single 3-vector.  ``surface_normals`` names why a normal
+is missing, in one order of precedence for every caller.
 
 A synthesized scale (``TabulatedProductForm``) interpolates its node table
 with ``_NotAKnotSpline``, a not-a-knot cubic (de Boor, *A Practical Guide
@@ -41,12 +42,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import (
-    DegenerateNormalError,
-    DomainError,
-    InvalidMarchingScaleError,
-    NonFiniteNormalError,
-)
+from .errors import DomainError, InvalidMarchingScaleError
 from .expr import Expression, evaluate_jet3
 from .frenet import EPS_REGULAR, CurveSpec, FrenetApparatus, frenet_at
 from .jets import Jet3
@@ -269,9 +265,12 @@ def _scale(ms: MarchingScale, s, t, walk) -> MarchingValues:
 class SurfacePencil:
     """A pencil of surfaces sharing ``curve`` as their t = t0 parameter line.
 
-    Nothing is cached: every method recomputes from the curve and the
-    marching scale, so concurrent callers see deterministic values.  Callers
-    that visit many t at one s compute ``frame(s)`` once and pass it in.
+    Construction validates the pencil: the scale's parameter is the
+    curve's, t0 lies in ``t_range`` and the scale vanishes on t = t0.  The
+    pencil gives the curve's frame, ``frame(s)``; its points, partials and
+    normals come from ``pencil_point``, ``pencil_partials`` and
+    ``pencil_normal``, which mask a missing normal instead of raising.
+    Nothing is cached, so concurrent callers see deterministic values.
     """
 
     def __init__(self, curve: CurveSpec, marching: MarchingScale,
@@ -320,33 +319,6 @@ class SurfacePencil:
 
     def frame(self, s: float) -> FrenetApparatus:
         return frenet_at(self.curve, s)
-
-    def point(self, s: float, t: float, frame: FrenetApparatus | None = None) -> np.ndarray:
-        if frame is None:
-            frame = self.frame(s)
-        mv = marching_values(self.marching, s, t)
-        return pencil_point(self.curve.point(s), frame, mv)
-
-    def partials(self, s: float, t: float,
-                 frame: FrenetApparatus | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(dP/ds, dP/dt); dP/ds uses the Frenet equations scaled by the speed."""
-        if frame is None:
-            frame = self.frame(s)
-        return pencil_partials(frame, marching_values(self.marching, s, t))
-
-    def normal(self, s: float, t: float,
-               frame: FrenetApparatus | None = None) -> np.ndarray:
-        """Unit normal at (s, t); raises :class:`NonFiniteNormalError` or
-        :class:`DegenerateNormalError` where ``pencil_normal`` masks it."""
-        if frame is None:
-            frame = self.frame(s)
-        unit, degenerate, non_finite = pencil_normal(
-            frame, marching_values(self.marching, s, t))
-        if non_finite:
-            raise NonFiniteNormalError(s, t)
-        if degenerate:
-            raise DegenerateNormalError(s, t)
-        return unit
 
 
 # Stacked in place of a missing frame: every quantity built on it is zero

@@ -12,13 +12,7 @@ from dpencil.dcurve import (
     synthesize_marching_scale,
     verify_dtype,
 )
-from dpencil.errors import (
-    DegenerateNormalError,
-    DomainError,
-    InflectionPointError,
-    IrregularCurveError,
-    NonFiniteNormalError,
-)
+from dpencil.errors import DomainError, InflectionPointError, IrregularCurveError
 from dpencil.frenet import FrenetApparatus, frenet_at
 from dpencil.mesh import MeshDefect, SurfaceMesh, sample_grid, write_obj, write_report_csv
 from dpencil.pencil import (
@@ -31,7 +25,7 @@ from dpencil.pencil import (
 from dpencil.presets import load_preset
 from dpencil.scene import SceneConfig
 
-from conftest import preset_config, preset_pencil
+from conftest import point_geometry, preset_config, preset_pencil
 from oracles import read_csv_report, read_obj
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -158,8 +152,8 @@ def synthesized_pencil():
 
 
 def per_vertex_grid(p, ns, nt):
-    """``sample_grid`` one vertex at a time through ``SurfacePencil.point``
-    and ``normal``: (positions, normals, {index: reason})."""
+    """``sample_grid`` one vertex at a time through ``point_geometry``:
+    (positions, normals, {index: reason})."""
     s_lo, s_hi = p.curve.domain
     nudge = 1e-6 * (s_hi - s_lo)
     ts = np.linspace(*p.t_range, nt).tolist()
@@ -197,20 +191,19 @@ def per_vertex_grid(p, ns, nt):
                 continue
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    positions[k] = p.point(s, t, frame)
+                    at = point_geometry(p, s, t, frame)
             except DomainError:
                 reasons[k] = "domain"
                 continue
+            positions[k] = at.point
             if column is not None:
                 reasons[k] = column
-                continue
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    normals[k] = p.normal(s, t, frame)
-            except DegenerateNormalError:
-                reasons[k] = "degenerate_normal"
-            except NonFiniteNormalError:
+            elif at.non_finite:
                 reasons[k] = "non_finite"
+            elif at.degenerate:
+                reasons[k] = "degenerate_normal"
+            else:
+                normals[k] = at.normal
     # Positions stay finite: one that overflowed falls back to its curve
     # point, or to the origin, as a non_finite defect.
     for k in np.flatnonzero(~np.isfinite(positions).all(axis=1)).tolist():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dpencil.errors import DegenerateNormalError, InvalidMarchingScaleError
+from dpencil.errors import InvalidMarchingScaleError
 from dpencil.expr import parse_expression
-from dpencil.frenet import frenet_at
+from dpencil.frenet import NO_FRAME, frenet_at
 from dpencil.pencil import (
     GeneralForm,
     MarchingScale,
@@ -17,7 +17,7 @@ from dpencil.pencil import (
     surface_normals,
 )
 
-from conftest import preset_config, preset_pencil
+from conftest import point_geometry, preset_config, preset_pencil
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -69,26 +69,27 @@ class TestSurfacePoint:
             lo, hi = pencil.curve.domain
             for s in np.linspace(lo + 0.01, hi - 0.01, 50):
                 gap = np.linalg.norm(
-                    pencil.point(float(s), 0.0) - pencil.curve.point(float(s))
+                    point_geometry(pencil, float(s), 0.0).point - pencil.curve.point(float(s))
                 )
                 assert gap <= 1e-12
 
     def test_example1_hand_value(self, ex1):
         # P(0, 1) = r(0) + 1*T + (sqrt3/2) N + (1/2) B with frame
         # T=(0,1,0), N=(-1,0,0), B=(0,0,1).
-        got = ex1.point(0.0, 1.0)
+        got = point_geometry(ex1, 0.0, 1.0).point
         assert np.allclose(got, [1.0 - SQRT3_2, 1.0, 0.5], atol=1e-15)
 
     def test_zero_scale_collapses_to_curve(self, ex1):
         pencil = SurfacePencil(ex1.curve, general_scale("0", "0", "0"), (0.0, 1.0))
-        assert np.allclose(pencil.point(0.7, 0.9), pencil.curve.point(0.7))
-        with pytest.raises(DegenerateNormalError):
-            pencil.normal(0.7, 0.9)
+        at = point_geometry(pencil, 0.7, 0.9)
+        assert np.allclose(at.point, pencil.curve.point(0.7))
+        assert at.degenerate and not at.non_finite
+        assert not at.normal.any()
 
 
 class TestSurfacePartials:
     def test_example1_at_base(self, ex1):
-        d_s, d_t = ex1.partials(0.0, 0.0)
+        _, _, d_s, d_t, *_ = point_geometry(ex1, 0.0, 0.0)
         app = frenet_at(ex1.curve, 0.0)
         assert np.allclose(d_s, app.T, atol=1e-14)
         expected_dt = app.T + SQRT3_2 * app.N + 0.5 * app.B
@@ -96,7 +97,7 @@ class TestSurfacePartials:
 
     def test_speed_factor_at_base(self, ex3):
         for q in (0.5, 1.0, 2.5):
-            d_s, _ = ex3.partials(q, 0.0)
+            d_s = point_geometry(ex3, q, 0.0).d_s
             app = frenet_at(ex3.curve, q)
             assert np.allclose(d_s, app.rho * app.T, atol=1e-12)
 
@@ -105,19 +106,14 @@ class TestSurfacePartials:
         for pencil in (ex1, ex2, ex3):
             lo, hi = pencil.curve.domain
             t_lo, t_hi = pencil.t_range
-            count = 0
-            while count < 34:
+            for _ in range(34):
                 s = float(rng.uniform(lo + 0.1, hi - 0.1))
                 t = float(rng.uniform(t_lo + 0.01, t_hi - 0.01))
-                try:
-                    d_s, d_t = pencil.partials(s, t)
-                    fd_s = (pencil.point(s + h, t)
-                            - pencil.point(s - h, t)) / (2 * h)
-                    fd_t = (pencil.point(s, t + h)
-                            - pencil.point(s, t - h)) / (2 * h)
-                except Exception:
-                    continue
-                count += 1
+                _, _, d_s, d_t, *_ = point_geometry(pencil, s, t)
+                fd_s = (point_geometry(pencil, s + h, t).point
+                        - point_geometry(pencil, s - h, t).point) / (2 * h)
+                fd_t = (point_geometry(pencil, s, t + h).point
+                        - point_geometry(pencil, s, t - h).point) / (2 * h)
                 scale_s = max(1.0, float(np.linalg.norm(d_s)))
                 scale_t = max(1.0, float(np.linalg.norm(d_t)))
                 assert np.max(np.abs(d_s - fd_s)) <= 1e-6 * scale_s
@@ -126,34 +122,40 @@ class TestSurfacePartials:
 
 class TestSurfaceNormal:
     def test_example1_at_base(self, ex1):
-        got = ex1.normal(0.0, 0.0)
+        got = point_geometry(ex1, 0.0, 0.0).normal
         assert np.allclose(got, [0.5, 0.0, SQRT3_2], atol=1e-14)
 
     def test_tangency_along_curve(self, ex1, ex2, ex3, ex4):
+        checked = 0
         for pencil in (ex1, ex2, ex3, ex4):
             lo, hi = pencil.curve.domain
             for s in np.linspace(lo + 0.05, hi - 0.05, 60):
-                s = float(s)
                 try:
-                    app = pencil.frame(s)
-                    n = pencil.normal(s, 0.0, app)
-                except Exception:
+                    at = point_geometry(pencil, float(s), 0.0)
+                except NO_FRAME:  # with DomainError: example4's scale is undefined in part
                     continue
-                assert abs(float(np.dot(n, app.T))) <= 1e-10
+                if at.degenerate or at.non_finite:
+                    continue
+                assert abs(float(np.dot(at.normal, at.frame.T))) <= 1e-10
+                checked += 1
+        assert checked >= 205
 
     def test_normal_components_unit(self, ex1, ex2, ex3):
+        checked = 0
         for pencil in (ex1, ex2, ex3):
             lo, hi = pencil.curve.domain
             for s in np.linspace(lo + 0.05, hi - 0.05, 40):
-                s = float(s)
                 try:
-                    app = pencil.frame(s)
-                    n = pencil.normal(s, 0.0, app)
-                except Exception:
+                    at = point_geometry(pencil, float(s), 0.0)
+                except NO_FRAME:
                     continue
-                phi2 = float(np.dot(n, app.N))
-                phi3 = float(np.dot(n, app.B))
+                if at.degenerate or at.non_finite:
+                    continue
+                phi2 = float(np.dot(at.normal, at.frame.N))
+                phi3 = float(np.dot(at.normal, at.frame.B))
                 assert abs(phi2 * phi2 + phi3 * phi3 - 1.0) <= 1e-10
+                checked += 1
+        assert checked >= 120
 
     def test_surface_normals_reason_precedence(self, ex1):
         # One case per row: no frame beats an undefined marching scale,
@@ -172,7 +174,7 @@ class TestSurfaceNormal:
         assert reason.tolist() == ["inflection", "domain", "domain", "inflection",
                                    "non_finite", "degenerate_normal", ""]
         assert not normals[:6].any()
-        assert np.array_equal(normals[6], ex1.normal(0.5, 1.0, app))
+        assert np.array_equal(normals[6], point_geometry(ex1, 0.5, 1.0, app).normal)
 
     def test_norm_past_overflowing_squares(self):
         # The squares of the first row overflow while its norm does not: it
@@ -208,5 +210,5 @@ class TestConstruction:
         ms = general_scale("t - 1", "(t - 1)^2", "0", t0=1.0)
         pencil = SurfacePencil(ex1.curve, ms, (0.0, 2.0))
         assert np.allclose(
-            pencil.point(0.3, 1.0), pencil.curve.point(0.3), atol=1e-15
+            point_geometry(pencil, 0.3, 1.0).point, pencil.curve.point(0.3), atol=1e-15
         )

@@ -1,4 +1,5 @@
-"""The README's library example runs against the current API."""
+"""The README's library example runs against the current API, and every name
+the package exports resolves."""
 
 import re
 from pathlib import Path
@@ -12,3 +13,10 @@ def test_library_example_runs(tmp_path, monkeypatch):
     assert block is not None
     monkeypatch.chdir(tmp_path)  # anything the example writes stays here
     exec(compile(block.group(1), str(README), "exec"), {"__name__": "readme"})
+
+
+def test_every_exported_name_resolves():
+    import dpencil
+
+    missing = [name for name in dpencil.__all__ if not hasattr(dpencil, name)]
+    assert missing == []
