@@ -37,7 +37,6 @@ from .pencil import (
     ProductForm,
     SurfacePencil,
     TabulatedProductForm,
-    marching_grid,
     marching_values,
 )
 from .presets import load_preset, preset_names
@@ -72,7 +71,6 @@ __all__ = [
     "format_expression",
     "frenet_at",
     "load_preset",
-    "marching_grid",
     "marching_values",
     "parse_expression",
     "preset_names",

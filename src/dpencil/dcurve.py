@@ -45,11 +45,10 @@ from .frenet import (
 )
 from .pencil import (
     MarchingScale,
-    MarchingValues,
     ProductForm,
     SurfacePencil,
     TabulatedProductForm,
-    marching_grid,
+    marching_values,
     stack_frames,
     surface_normals,
 )
@@ -90,12 +89,11 @@ class DTypeReport:
 def _t0_scale(p: SurfacePencil, sample_count: int):
     """``(ss, mv, ok)``: ``sample_count`` parameters spread over the
     curve's domain, the marching values on t = t0 there and their mask,
-    from one ``marching_grid`` pass."""
+    from one array ``marching_values`` call with ``ss`` against ``t0``."""
     if sample_count < 16:
         raise ValueError("sample_count must be at least 16")
     ss = np.linspace(*p.curve.domain, sample_count)
-    mv, ok = marching_grid(p.marching, ss, [p.t0])
-    return ss, MarchingValues(*(f[:, 0] for f in mv)), ok[:, 0]
+    return ss, *marching_values(p.marching, ss, p.t0)
 
 
 def verify_dtype(p: SurfacePencil, sample_count: int = 1000,
@@ -184,8 +182,8 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
     The scale takes one array pass along t0, and the frames one array
     ``frenet_at`` call that the classification shares; samples are skipped
     where ``surface_normals`` over them gives a reason, as in ``verify_dtype``.
-    When the curve is planar / a helix / (anti-)Salkowski, the matching
-    specialized constants are reported.  The check needs 16 usable samples."""
+    Like it, the check needs 16 usable samples before it reads a condition.
+    A planar / helix / (anti-)Salkowski curve reports its specialized constants."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     ss, mv, ok = _t0_scale(p, sample_count)
@@ -197,18 +195,17 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
         phi2, phi3 = -mv.w_t[good] / h, mv.v_t[good] / h
     skipped = int(np.count_nonzero(~good))
     usable = sample_count - skipped
-    iso_err = float(np.max(np.abs([mv.u[good], mv.v[good], mv.w[good]]), initial=0.0))
-    phi1_err = float(np.max(np.abs([mv.u_s[good], mv.v_s[good], mv.w_s[good]]), initial=0.0))
+    if usable < 16:
+        raise NotEnoughSamplesError(f"only {usable} of {sample_count} samples usable")
+    iso_err = float(np.max(np.abs([mv.u[good], mv.v[good], mv.w[good]])))
+    phi1_err = float(np.max(np.abs([mv.u_s[good], mv.v_s[good], mv.w_s[good]])))
     ratio, radicand = _phi2_radicand(frame.kappa[good], frame.omega[good], c)
     infeasible = radicand < -tol
     if infeasible.any():
         i = int(np.argmax(infeasible))
         raise InfeasibleConstantError(c, float(ss[good][i]), float(radicand[i]))
-    phi3_err = float(np.max(np.abs(phi3 - c * ratio), initial=0.0))
-    phi2_err = float(np.max(np.abs(phi2 - sign * np.sqrt(np.maximum(radicand, 0.0))),
-                            initial=0.0))
-    if usable < 16:
-        raise NotEnoughSamplesError(f"only {usable} of {sample_count} samples usable")
+    phi3_err = float(np.max(np.abs(phi3 - c * ratio)))
+    phi2_err = float(np.max(np.abs(phi2 - sign * np.sqrt(np.maximum(radicand, 0.0)))))
 
     conditions = (
         ConditionCheck("isoparametric", iso_err <= 1e-12, iso_err),

@@ -3,9 +3,10 @@
 ``sample_grid`` takes the Frenet frames of all grid columns in one array
 ``frenet_at`` call and the nudged frames of all inflection columns in a
 second one, so no frame is taken per column; it takes the curve points in
-one array call per coordinate and the marching scale in one
-``marching_grid`` call (``verify_dtype`` still takes its frames per sample,
-but only where the marching scale is defined along t0).
+one array call per coordinate and the marching scale in one array
+``marching_values`` call, the column ``ss[:, None]`` against the row ``ts``
+(``verify_dtype`` still takes its frames per sample, but only where the
+marching scale is defined along t0).
 
 Defects are ``MeshDefect`` named tuples, built in one pass over the
 defective vertices.  Output formatting is bit-exact: identical inputs
@@ -26,7 +27,7 @@ from .dcurve import DTypeReport
 from .expr import evaluate_jet3
 from .frenet import FrenetApparatus, frenet_at
 from .jets import Jet3
-from .pencil import SurfacePencil, marching_grid, pencil_point, surface_normals
+from .pencil import SurfacePencil, marching_values, pencil_point, surface_normals
 
 
 class MeshDefect(NamedTuple):
@@ -95,7 +96,7 @@ def sample_grid(p: SurfacePencil, ns: int, nt: int) -> SurfaceMesh:
     # Rows without a frame are unspecified: on_curve and the reasons set them aside.
     frame = FrenetApparatus(**{name: v[:, None] for name, v in vars(app).items()})
     framed, column_reason = framed[:, None], column_reason[:, None]
-    mv, ok = marching_grid(p.marching, ss, ts)
+    mv, ok = marching_values(p.marching, ss[:, None], ts)
     on_curve = np.expand_dims(~(framed & ok), -1)
     # A column with a nudged frame keeps its positions, but its normals are
     # not trustworthy: its reason keeps them zero.

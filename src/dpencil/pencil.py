@@ -8,14 +8,14 @@ built over a curve r with Frenet frame (T, N, B).  The marching-scale
 functions u, v, w vanish identically at t = t0, so the curve itself is the
 t = t0 parameter line of every member.
 
-``marching_values`` evaluates the scale at one (s, t); ``marching_grid``
-evaluates it on a whole (s, t) grid with an ``ok`` mask instead of a
-``DomainError`` per vertex.  Both run one per-form kernel, ``_scale``, and
-differ only in the jet walk they hand it: the scalar ``evaluate_jet3``,
-which raises, or one array call per expression that folds its ``ok`` into
-the grid mask.  Product forms separate, so their s-parts run over the grid
-column and their t-parts over the row; a general form runs over the whole
-grid.  ``pencil_point``, ``pencil_partials`` and ``pencil_normal`` are
+``marching_values`` evaluates the scale at one (s, t), raising a
+``DomainError``, or over arrays of s and t that broadcast, with an ``ok``
+mask instead.  Both run one per-form kernel, ``_scale``, and differ only
+in the jet walk they hand it: the scalar ``evaluate_jet3``, which raises,
+or one array call per expression that folds its ``ok`` into the mask.
+Product forms separate, so their s-parts run over s and their t-parts
+over t (a grid column and row); a general form runs over the broadcast
+points.  ``pencil_point``, ``pencil_partials`` and ``pencil_normal`` are
 the one evaluation of a pencil's geometry, at a point or over arrays: the
 frame fields (scalars of shape F, vectors of shape F + (3,), as
 ``frenet_at`` over an array or ``stack_frames`` gives them) broadcast
@@ -191,33 +191,24 @@ class MarchingScale:
     t0: float = 0.0
 
 
-def marching_values(ms: MarchingScale, s: float, t: float) -> MarchingValues:
-    """Values and first partials of (u, v, w) at (s, t) via jet evaluation."""
-    return _scale(ms, s, t, _point_walk)
+def marching_values(ms: MarchingScale, s, t):
+    """Values and first partials of (u, v, w) at (s, t) via jet evaluation.
 
-
-def _point_walk(expr: Expression, var: str, point: float, fixed=None):
-    jet = evaluate_jet3(expr, var, point, fixed)
-    return jet.v0, jet.v1
-
-
-def marching_grid(ms: MarchingScale, ss: Sequence[float],
-                  ts: Sequence[float]) -> tuple[MarchingValues, np.ndarray]:
-    """``marching_values`` on every (s, t) of the grid ``ss`` x ``ts``.
-
-    Returns ``(values, ok)``: each field of ``values`` and the mask ``ok``
-    have shape ``(len(ss), len(ts))``.  Where the scale is undefined ``ok``
-    is False and the fields are zero.  Entries equal ``marching_values``
-    at the same (s, t) bit for bit: both run ``_scale``, here with s as a
-    column and t as a row.
+    With scalar ``s`` and ``t`` the fields are floats, and a ``DomainError``
+    is raised where the scale is undefined.  With an array for either, the
+    result is ``(values, ok)`` over the broadcast shape of ``s`` and ``t``
+    (``ss[:, None], ts`` gives a grid): where the scale is undefined ``ok``
+    is False and the fields are zero.  Entries equal the scalar call at the
+    same (s, t) bit for bit: both run ``_scale``.
     """
-    ss = np.asarray(ss, dtype=float).reshape(-1, 1)
-    ts = np.asarray(ts, dtype=float).reshape(-1)
-    ok = np.ones((ss.size, ts.size), dtype=bool)
+    if np.isscalar(s) and np.isscalar(t):
+        return _scale(ms, s, t, _point_walk)
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    ok = np.ones(np.broadcast_shapes(s.shape, t.shape), dtype=bool)
 
     def walk(expr, var, point, fixed=None):
         # One array call over the points; a bivariate walk runs over the
-        # whole grid, the other variable fixed as a constant jet.
+        # broadcast points, the other variable fixed as a constant jet.
         nonlocal ok
         if fixed is not None:
             (name, value), = fixed.items()
@@ -228,8 +219,13 @@ def marching_grid(ms: MarchingScale, ss: Sequence[float],
         ok &= part_ok.reshape(point.shape)
         return jet.v0.reshape(point.shape), jet.v1.reshape(point.shape)
 
-    values = _scale(ms, ss, ts, walk)
+    values = _scale(ms, s, t, walk)
     return MarchingValues(*(np.where(ok, f, 0.0) for f in values)), ok
+
+
+def _point_walk(expr: Expression, var: str, point: float, fixed=None):
+    jet = evaluate_jet3(expr, var, point, fixed)
+    return jet.v0, jet.v1
 
 
 def _scale(ms: MarchingScale, s, t, walk) -> MarchingValues:

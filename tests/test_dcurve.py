@@ -31,7 +31,7 @@ from dpencil.pencil import (
     ProductForm,
     SurfacePencil,
     TabulatedProductForm,
-    marching_grid,
+    marching_values,
 )
 from dpencil.presets import load_preset, preset_names
 
@@ -250,8 +250,8 @@ def identity_gap(p, report) -> float:
     <n, W0> equals on t = t0, over the report's samples."""
     ss = np.array([sample.s for sample in report.samples])
     app, _ = frenet_at(p.curve, ss)
-    mv, _ = marching_grid(p.marching, ss, [p.t0])
-    v_t, w_t = mv.v_t[:, 0], mv.w_t[:, 0]
+    mv, _ = marching_values(p.marching, ss, p.t0)
+    v_t, w_t = mv.v_t, mv.w_t
     identity = app.kappa * v_t / (app.omega * np.hypot(v_t, w_t))
     inner = np.array([sample.inner for sample in report.samples])
     return float(np.max(np.abs(inner - identity)))
@@ -308,6 +308,32 @@ class TestTheoremFrames:
         report = check_theorem_conditions(p, c, sign=-1, sample_count=1000)
         assert report.skipped == len(verify_dtype(p, 1000).skipped)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(configs())
+    def test_skips_match_verification_on_fuzz_configs(self, config):
+        with np.errstate(over="ignore", invalid="ignore"):  # as the CLI runs
+            try:
+                p = SceneConfig.from_dict(config).pencil()
+                report = verify_dtype(p, 64)
+            except (ExpressionError, GeometryError, SceneValidationError, ValueError):
+                return  # a config that fails to load or verify
+            try:
+                theorem = check_theorem_conditions(p, report.c_estimate, sign=-1,
+                                                   sample_count=64, tol=1e-6)
+            except InfeasibleConstantError:
+                return
+            assert theorem.skipped == len(report.skipped)
+
+    def test_skips_a_degenerate_normal_as_verification_does(self):
+        # v_t = w_t = 0 at s = 0, the middle of 65 samples: frame and scale
+        # are defined there, the normal is not.
+        raw = load_preset("example1")
+        raw["marching"]["explicit"].update(m="s^2", n="s^2")
+        p = SceneConfig.from_dict(raw).pencil()
+        assert verify_dtype(p, 65).skipped == ((0.0, "degenerate_normal"),)
+        report = check_theorem_conditions(p, SQRT3_2, sign=-1, sample_count=65)
+        assert (report.skipped, report.passed) == (1, True)
+
 
 class TestTheoremConditions:
     def test_example1_planar_branch(self, ex1):
@@ -330,6 +356,11 @@ class TestTheoremConditions:
     def test_infeasible_constant(self, ex2):
         with pytest.raises(InfeasibleConstantError):
             check_theorem_conditions(ex2, 1.0, sign=-1, sample_count=64)
+
+    def test_sample_floor_comes_before_feasibility(self, ex4):
+        # 7 of 16 samples are usable at c = 0.99; verification stops there too.
+        with pytest.raises(NotEnoughSamplesError, match="^only 7 of 16 samples usable$"):
+            check_theorem_conditions(ex4, 0.99, sign=-1, sample_count=16)
 
     def test_wrong_constant_fails(self, ex1):
         report = check_theorem_conditions(ex1, 0.5, sign=-1, sample_count=64)

@@ -19,7 +19,6 @@ from dpencil.pencil import (
     MarchingValues,
     SurfacePencil,
     TabulatedProductForm,
-    marching_grid,
     marching_values,
 )
 from dpencil.presets import load_preset
@@ -279,17 +278,26 @@ class TestGridMatchesPerVertex:
 
 
 class TestMarchingGridMatchesPoint:
-    """``marching_grid`` against ``marching_values`` field by field, on the
-    grid ``sample_grid`` takes: every field compares as bytes, so a signed
-    zero counts, and undefined entries are +0.0 where the point call raises."""
+    """The array ``marching_values`` against scalar calls field by field, on
+    the grid ``sample_grid`` takes: every field compares as bytes, so a
+    signed zero counts, and undefined entries are +0.0 where the point call
+    raises.  A float s against the array ts must select the array form too,
+    row by row."""
 
-    @pytest.mark.parametrize("case", sorted(GRID_CASES))
-    def test_every_field_bit_for_bit(self, case):
+    @pytest.mark.parametrize("case, float_s", [
+        *(pytest.param(case, False, id=case) for case in sorted(GRID_CASES)),
+        *(pytest.param(case, True, id=f"{case}-float_s") for case in sorted(GRID_CASES)),
+    ])
+    def test_every_field_bit_for_bit(self, case, float_s):
         make, ns, nt = GRID_CASES[case]
         p = make()
         ss = np.linspace(*p.curve.domain, ns)
         ts = np.linspace(*p.t_range, nt)
-        grid, ok = marching_grid(p.marching, ss, ts)
+        if float_s:
+            rows, oks = zip(*(marching_values(p.marching, s, ts) for s in ss.tolist()))
+            grid, ok = MarchingValues(*np.stack(rows, axis=1)), np.stack(oks)
+        else:
+            grid, ok = marching_values(p.marching, ss[:, None], ts)
         expected = np.zeros((len(MarchingValues._fields), ns, nt))
         defined = np.zeros((ns, nt), dtype=bool)
         for i, s in enumerate(ss.tolist()):
@@ -314,7 +322,8 @@ class TestMarchingGridMatchesPoint:
             marching_values(p.marching, s, t)
         assert (got.value.message, got.value.where) == (message, where)
         assert str(got.value) == f"{message} in {where!r}"
-        assert not marching_grid(p.marching, [s], [t])[1].any()
+        assert not marching_values(p.marching, [s], [t])[1].any()
+        assert not marching_values(p.marching, np.asarray(s), t)[1]  # a 0-d array
 
 
 class TestNonFiniteNormals:
