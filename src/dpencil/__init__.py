@@ -8,6 +8,7 @@ from .dcurve import (
     DTypeSample,
     TheoremReport,
     check_theorem_conditions,
+    feasibility_scan,
     feasible_curve,
     feasible_domain,
     restrict_curve,
@@ -66,6 +67,7 @@ __all__ = [
     "errors",
     "evaluate",
     "evaluate_jet3",
+    "feasibility_scan",
     "feasible_curve",
     "feasible_domain",
     "format_expression",

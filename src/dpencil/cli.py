@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dcurve import verify_dtype
+from .dcurve import _FIRST_TABLE_NODES, verify_dtype
 from .errors import (
     DomainError,
     ExpressionError,
@@ -80,7 +80,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "verdict tolerance of build, verify and classify (default 1e-8 at measured "
         "unit speed, 1e-6 otherwise and for classify); synthesize ignores it"))
     parser.add_argument("--samples", type=int, default=None,
-                        help="sample count (default 1000; classify and synthesize 256)")
+                        help="sample count (default 1000; classify 256, synthesize 257)")
     parser.add_argument("-o", "--out-dir", default=".", metavar="DIR",
                         help="directory for the build and verify outputs; the others write none")
     return parser
@@ -204,7 +204,7 @@ def cmd_classify(cfg: SceneConfig, args) -> int:
 
 
 def cmd_synthesize(cfg: SceneConfig, args) -> int:
-    out = cfg.completed(_samples(args, 256))
+    out = cfg.completed(_samples(args, _FIRST_TABLE_NODES))
     if "feasible_domain" in out:
         _print_restriction(out["feasible_domain"], out["curve"]["range"])
     print(json.dumps(out, indent=2, sort_keys=True))

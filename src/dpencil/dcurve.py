@@ -271,10 +271,27 @@ def _radicands(curve: CurveSpec, c: float, qs: np.ndarray):
     return app, ratio, radicand, (reasons == "") & (radicand >= BOUNDARY_TOL), reasons
 
 
+def feasibility_scan(curve: CurveSpec, c: float, sample_count: int):
+    """``(qs, radicands)``: ``sample_count`` uniform parameters over the
+    curve's domain and ``_radicands`` over them, from one ``frenet_at``
+    call.  ``feasible_domain`` starts from it, and
+    ``synthesize_marching_scale`` takes it as its first table round when
+    ``qs`` are that round's nodes (``sample_count`` is ``_FIRST_TABLE_NODES``)."""
+    if sample_count < 64:
+        raise ValueError("sample_count must be at least 64")
+    qs = np.linspace(*curve.domain, sample_count)
+    return qs, _radicands(curve, c, qs)
+
+
 def _coefficients_at(curve: CurveSpec, c: float, sign: int, qs: np.ndarray):
-    """(a_v, a_w, a_w^2, usable) over ``qs``, so that v = a_v (t - t0) and
-    w = a_w (t - t0) meet the target wherever the frame is defined
-    (``usable``).
+    """``_coefficients_from`` over ``qs``, with ``_radicands`` there."""
+    return _coefficients_from(c, sign, qs, _radicands(curve, c, qs))
+
+
+def _coefficients_from(c: float, sign: int, qs: np.ndarray, radicands):
+    """(a_v, a_w, a_w^2, usable) over ``qs`` from their ``_radicands``, so
+    that v = a_v (t - t0) and w = a_w (t - t0) meet the target wherever the
+    frame is defined (``usable``).
 
     The 1/rho factor mirrors the closed forms of the worked non-unit-speed
     examples; it rescales both components equally, so the resulting normal
@@ -285,7 +302,7 @@ def _coefficients_at(curve: CurveSpec, c: float, sign: int, qs: np.ndarray):
     the first one with a frame where ``_radicands`` finds ``c`` infeasible,
     :class:`InfeasibleConstantError` is raised.
     """
-    app, ratio, radicand, feasible, reasons = _radicands(curve, c, qs)
+    app, ratio, radicand, feasible, reasons = radicands
     usable = reasons == ""
     infeasible = usable & ~feasible
     if infeasible.any():
@@ -299,7 +316,7 @@ def _coefficients_at(curve: CurveSpec, c: float, sign: int, qs: np.ndarray):
 
 
 def synthesize_marching_scale(curve: CurveSpec, c: float, sign: int = 1,
-                              t0: float = 0.0) -> MarchingScale:
+                              t0: float = 0.0, scan=None) -> MarchingScale:
     """Build marching-scale functions whose pencil realizes <n, W0> = c.
 
     ``sign`` orients the w component; the resulting phi2 branch is -sign
@@ -312,12 +329,18 @@ def synthesize_marching_scale(curve: CurveSpec, c: float, sign: int = 1,
     the coefficients are tabulated densely enough that cubic interpolation
     stays below the round-trip tolerance, with the windows around nodes
     without a frame, for any ``frenet_at`` reason, reported as excluded
-    subdomains.  The first table round decides which.
+    subdomains.  The first table round, on ``_FIRST_TABLE_NODES`` uniform
+    nodes, decides which.  ``scan``, a ``feasibility_scan`` of this curve
+    at ``c``, is that round when its parameters equal the round's nodes bit
+    for bit, and saves its ``frenet_at`` call; any other scan is ignored.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     qs = np.linspace(*curve.domain, _FIRST_TABLE_NODES)
-    av, aw, g, usable = _coefficients_at(curve, c, sign, qs)
+    if scan is not None and scan[0].tobytes() == qs.tobytes():
+        av, aw, g, usable = _coefficients_from(c, sign, qs, scan[1])
+    else:
+        av, aw, g, usable = _coefficients_at(curve, c, sign, qs)
 
     def _spread_small(vals):
         return np.ptp(vals) <= _CONST_COEFF_TOL * (1.0 + abs(np.mean(vals)))
@@ -413,7 +436,7 @@ def _speculate(q_true: np.ndarray, q_false: np.ndarray) -> np.ndarray:
 
 
 def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
-                    infeasible=()) -> list[tuple[float, float]]:
+                    infeasible=(), scan=None) -> list[tuple[float, float]]:
     """Subintervals where ``c`` is feasible by the rule of ``_radicands``.
 
     Boundaries are located by bisection to 1e-9 parameter resolution, or
@@ -439,16 +462,20 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
     is not found.  All samples without a frame are probed in one
     ``frenet_at`` call; the others are bisected toward as boundaries.
 
-    Boundaries are sought only between the ``sample_count`` uniform samples
+    Boundaries are sought only between the scan's uniform samples
     and the parameters ``infeasible``, known to be infeasible (where
     synthesis raised :class:`InfeasibleConstantError`): each of these counts
     as an infeasible sample, so it splits the bracket it falls in, and is
     never a hole.  An infeasible window narrower than one sample step,
     lying between two feasible samples, is otherwise not found, and its
     interval is kept.
+
+    The samples are ``scan``, a ``feasibility_scan`` of ``curve`` at ``c``,
+    taken here at ``sample_count`` when None; a caller that passes one can
+    reuse it, as the flags edited here are a copy.
     """
-    if sample_count < 64:
-        raise ValueError("sample_count must be at least 64")
+    qs, (_, _, _, flags, reasons) = (feasibility_scan(curve, c, sample_count)
+                                     if scan is None else scan)
 
     def feasible(qs: np.ndarray):
         return _radicands(curve, c, qs)[3:]  # (feasible, reasons)
@@ -464,18 +491,17 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
         return np.array([known[q] for q in points], dtype=bool)
 
     lo, hi = curve.domain
-    qs = np.linspace(lo, hi, sample_count)
-    flags, reasons = feasible(qs)
     # Samples without a frame, probed for holes.
-    h = min(1e-7, (hi - lo) / (sample_count - 1) / 4)
+    h = min(1e-7, (hi - lo) / (qs.size - 1) / 4)
     gaps = np.flatnonzero(reasons != "")
-    if gaps.size == sample_count:
-        raise NotEnoughSamplesError(f"only 0 of {sample_count} samples have a defined frame")
+    if gaps.size == qs.size:
+        raise NotEnoughSamplesError(f"only 0 of {qs.size} samples have a defined frame")
     if gaps.size:
         probes = np.concatenate([qs[gaps] - h, qs[gaps] + h])
         inside = (probes >= lo) & (probes <= hi)
         ok = np.ones(probes.size, dtype=bool)
         ok[inside] = feasible(probes[inside])[0]
+        flags = flags.copy()
         flags[gaps[ok[:gaps.size] & ok[gaps.size:]]] = True
     if len(infeasible):
         qs = np.concatenate([qs, infeasible])
@@ -506,8 +532,8 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
     return list(zip(ends[::2], ends[1::2]))
 
 
-def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256, infeasible=()
-                   ) -> tuple[CurveSpec, list[tuple[float, float]] | None]:
+def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256, infeasible=(),
+                   scan=None) -> tuple[CurveSpec, list[tuple[float, float]] | None]:
     """``curve`` restricted to its largest feasible interval for ``c``.
 
     Returns ``(curve, intervals)``.  When the whole domain is feasible the
@@ -521,9 +547,10 @@ def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256, infeasib
     only a narrow window around one (see ``feasible_domain``).  An
     infeasible window narrower than one sample step can remain inside the
     returned curve; synthesis then raises there, and the parameter it
-    names can be passed back in ``infeasible``.
+    names can be passed back in ``infeasible``, with the same ``scan``
+    (see ``feasible_domain``) so that the samples are not evaluated again.
     """
-    intervals = feasible_domain(curve, c, sample_count, infeasible)
+    intervals = feasible_domain(curve, c, sample_count, infeasible, scan)
     if not intervals:
         raise InfeasibleConstantError(c)
     lo, hi = curve.domain

@@ -52,7 +52,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path, PurePath
 
-from .dcurve import feasible_curve, synthesize_marching_scale
+from .dcurve import _FIRST_TABLE_NODES, feasibility_scan, feasible_curve, synthesize_marching_scale
 from .errors import InfeasibleConstantError, SceneValidationError
 from .expr import CONSTANTS, format_expression, parse_expression
 from .frenet import CurveSpec
@@ -265,19 +265,24 @@ class SceneConfig:
         """``(curve, marching, intervals)``: the scale synthesized for ``c`` on
         ``dcurve.feasible_curve`` of the curve at ``samples`` samples.
 
-        The feasibility scan can miss an infeasible window narrower than its
-        sample step; synthesis then raises at a parameter inside it.  The
-        restriction is redone with that parameter known to be infeasible, at
-        most ``_RESTRICT_RETRIES`` times."""
+        One ``feasibility_scan`` serves every restriction below, and is the
+        first table round of synthesis on the whole curve when ``samples``
+        is ``_FIRST_TABLE_NODES``, the default of ``assemble`` and of
+        ``pencil synthesize``.  The scan can miss an infeasible window
+        narrower than its sample step; synthesis then raises at a parameter
+        inside it.  The restriction is redone with that parameter known to
+        be infeasible, at most ``_RESTRICT_RETRIES`` times."""
         c, sign = self._scene["marching"].get("c"), self._scene["marching"]["sign"]
         if c is None:
             raise SceneValidationError("synthesize requires marching.c in the config")
         full = self.curve()
+        scan = feasibility_scan(full, c, samples)
         infeasible = []
         while True:
-            curve, intervals = feasible_curve(full, c, samples, infeasible)
+            curve, intervals = feasible_curve(full, c, samples, infeasible, scan)
             try:
-                marching = synthesize_marching_scale(curve, c, sign, t0=self._scene["t0"])
+                marching = synthesize_marching_scale(curve, c, sign, self._scene["t0"],
+                                                     scan if curve is full else None)
                 return curve, marching, intervals
             except InfeasibleConstantError as e:
                 if len(infeasible) == _RESTRICT_RETRIES:
@@ -286,7 +291,8 @@ class SceneConfig:
 
     def completed(self, samples: int) -> dict:
         """The scene with the marching scale ``synthesized(samples)`` written in,
-        as ``pencil synthesize`` prints it: the restricted ``curve.range`` and
+        as ``pencil synthesize`` prints it (at ``_FIRST_TABLE_NODES`` samples
+        unless ``--samples`` is given): the restricted ``curve.range`` and
         the ``feasible_domain`` list when synthesis restricted the curve, and
         a marching block built from ``c``, ``sign`` and the synthesized form
         alone: a closed-form ``explicit`` block with the form's unit
@@ -313,10 +319,11 @@ class SceneConfig:
 
     def assemble(self):
         """``(curve, marching, intervals)`` in either marching mode, synthesized
-        at 256 samples; ``intervals`` is None unless synthesis restricted the curve."""
+        at ``_FIRST_TABLE_NODES`` (257) samples; ``intervals`` is None unless
+        synthesis restricted the curve."""
         if self._scene["marching"]["mode"] == "explicit":
             return self.curve(), self._explicit_marching(), None
-        return self.synthesized(256)
+        return self.synthesized(_FIRST_TABLE_NODES)
 
     def pencil(self) -> SurfacePencil:
         """The scene's pencil, in either mode (see ``assemble``)."""

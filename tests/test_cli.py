@@ -843,7 +843,7 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("command", ["build", "verify", "synthesize"])
     def test_failure_after_a_restriction_prints_one_line(self, tmp_path, capsys, command):
-        # On this range the 256-sample feasibility scan misses more
+        # On this range the 257-sample feasibility scan misses more
         # infeasible windows inside the interval it keeps than the retries
         # split off, so synthesis still fails after restricting.  The
         # restriction line once came before the error line.
@@ -857,8 +857,8 @@ class TestSynthesize:
         assert code == 3
         assert out == ""
         assert err.splitlines() == [
-            "error: target constant 0.5 infeasible at parameter -337.2526885884333 "
-            "(radicand -7.006e-02)"]
+            "error: target constant 0.5 infeasible at parameter -328.36689237873316 "
+            "(radicand -7.004e-02)"]
 
     def test_restriction_line_on_success(self, capsys):
         code, cfg, err = run_json(capsys, "synthesize", "--preset", "example4")
@@ -963,21 +963,40 @@ class TestSynthesize:
 
     def test_narrow_window_around_an_inflection(self, tmp_path, capsys):
         # (q, q^3, q^6) at c = 0.99999 is feasible only on (-0.0018, 0.0018),
-        # around its inflection at 0.  At 257 samples one sample lands on the
-        # inflection and is a hole, so the window is found.  At 256 none does,
-        # both samples beside 0 are infeasible, and the window is missed.
+        # around its inflection at 0.  At 257 samples, the default, one sample
+        # lands on the inflection and is a hole, so the window is found.  At
+        # 256 none does, both samples beside 0 are infeasible, and the window
+        # is missed.
         cfg = load_preset("example3")
         cfg["curve"].update(x="q", y="q^3", z="q^6", range=[-1.0, 1.0])
         cfg["marching"].update(mode="synthesized", c=0.99999)
         path = write_config(tmp_path, cfg)
-        code, out, _ = run_json(capsys, "synthesize", "--config", path, "--samples", "257")
-        assert code == 0
-        assert out["curve"]["range"] == [-0.0017888645254401491, 0.0017888645254401491]
-        code, _, _ = run(capsys, "verify", "--config", write_config(tmp_path, out, "narrow.json"),
-                         "-o", str(tmp_path))
-        assert code == 0
+        for samples in ([], ["--samples", "257"]):
+            code, out, _ = run_json(capsys, "synthesize", "--config", path, *samples)
+            assert code == 0
+            assert out["curve"]["range"] == [-0.0017888645254401491, 0.0017888645254401491]
+            code, _, _ = run(capsys, "verify", "--config",
+                             write_config(tmp_path, out, "narrow.json"), "-o", str(tmp_path))
+            assert code == 0
         code, out, err = run(capsys, "synthesize", "--config", path, "--samples", "256")
         assert (code, out, err) == (3, "", "error: target constant 0.99999 infeasible\n")
+
+    @pytest.mark.parametrize("name", ["example1", "example3", "example4"])
+    def test_scan_off_the_first_round(self, capsys, name):
+        # At 256 samples the feasibility scan is not the first table round,
+        # which synthesis then evaluates itself.  The circle and the eight
+        # are feasible on their whole curve and print what the default scan
+        # does; the Salkowski curve's restriction is the one the 256-sample
+        # scan has always found.
+        code, out, err = run(capsys, "synthesize", "--preset", name, "--samples", "256")
+        assert code == 0
+        if name == "example4":
+            cfg = json.loads(out)
+            assert cfg["feasible_domain"] == [[0.0, 2.669840374340829]]
+            assert cfg["curve"]["range"] == [2.669840374340829e-06, 2.6698377045004547]
+            assert cfg["marching"]["table"]["max_interp_error"] == 1.9935656250802403e-10
+        else:
+            assert (code, out, err) == run(capsys, "synthesize", "--preset", name)
 
     def test_node_without_a_derivative_leaves_the_table(self, tmp_path, capsys):
         # abs has no derivative at the table node q = 0, so the node has no
@@ -1007,7 +1026,8 @@ class TestSynthesize:
         code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg),
                              "-o", str(out_dir))
         assert (code, out) == (4, "")
-        assert err == "error: only 0 of 256 samples have a defined frame\n"
+        samples = 256 if command == "classify" else 257
+        assert err == f"error: only 0 of {samples} samples have a defined frame\n"
         assert not out_dir.exists()
 
     def test_undefined_part_is_restricted_away(self, tmp_path, capsys):

@@ -25,7 +25,7 @@ from dpencil.errors import (
     NotEnoughSamplesError,
     SceneValidationError,
 )
-from dpencil.expr import evaluate, parse_expression
+from dpencil.expr import evaluate, format_expression, parse_expression
 from dpencil.frenet import ANTI_SALKOWSKI, NO_FRAME, CurveClass, CurveSpec, frenet_at
 from dpencil.pencil import (
     ProductForm,
@@ -632,3 +632,71 @@ class TestFeasibleDomain:
         lo, hi = restricted.domain
         assert lo > interval[0] and hi < interval[1]
         assert hi - lo > 0.999 * (interval[1] - interval[0])
+
+
+def assert_same_scale(got, expected):
+    """Two synthesized scales agree field for field, bit for bit."""
+    assert (got.param, got.t0) == (expected.param, expected.t0)
+    a, b = got.form, expected.form
+    assert type(a) is type(b)
+    if isinstance(a, ProductForm):
+        for key in ("l", "m", "n", "U", "V", "W"):
+            assert format_expression(getattr(a, key)) == format_expression(getattr(b, key))
+        assert a == b
+    else:
+        for field in ("nodes", "v_values", "g_values"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        assert (a.sign, a.excluded) == (b.sign, b.excluded)
+        assert a.max_interp_error.hex() == b.max_interp_error.hex()
+
+
+class TestScanIsTheFirstRound:
+    # A synthesized scene scans feasibility at the first table round's
+    # nodes, and synthesis on the whole curve takes that scan as its first
+    # round instead of evaluating the same frames again.
+
+    @pytest.mark.parametrize("name, c, calls", [("example1", 0.5, 1), ("example3", SQRT3_2, 6)])
+    def test_frenet_calls_per_synthesize(self, monkeypatch, tmp_path, capsys, name, c, calls):
+        # The circle: the scan alone, which is also the closed form's round.
+        # The eight: the scan, its inflection probes and the odd nodes of
+        # four table rounds.
+        args = []
+        array_frenet = dcurve.frenet_at
+
+        def spy(curve, q):
+            args.append(q)
+            return array_frenet(curve, q)
+
+        monkeypatch.setattr(dcurve, "frenet_at", spy)
+        cfg = load_preset(name)
+        cfg["marching"].update(mode="synthesized", c=c)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["synthesize", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(args) == calls
+        assert all(isinstance(q, np.ndarray) for q in args)
+        assert args[0].size == dcurve._FIRST_TABLE_NODES
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_scan_gives_the_same_scale(self, name, sign):
+        cfg = SceneConfig.from_dict(load_preset(name))
+        c = cfg.to_dict()["marching"]["c"]
+        curve, _ = feasible_curve(cfg.curve(), c)
+        expected = synthesize_marching_scale(curve, c, sign)
+        scan = dcurve.feasibility_scan(curve, c, dcurve._FIRST_TABLE_NODES)
+        assert_same_scale(synthesize_marching_scale(curve, c, sign, scan=scan), expected)
+        # A scan off the first round's nodes is not that round, and is ignored.
+        scan = dcurve.feasibility_scan(curve, c, 256)
+        assert_same_scale(synthesize_marching_scale(curve, c, sign, scan=scan), expected)
+
+    def test_feasible_domain_leaves_the_scan_as_it_was(self, ex3):
+        # The eight's inflection samples are holes: feasible_domain marks
+        # them feasible in its own copy of the scan's flags.
+        scan = dcurve.feasibility_scan(ex3.curve, SQRT3_2, 257)
+        flags = scan[1][3].copy()
+        assert not flags.all()
+        for _ in range(2):
+            assert feasible_domain(ex3.curve, SQRT3_2, 257, scan=scan) == [ex3.curve.domain]
+            assert scan[1][3].tobytes() == flags.tobytes()
