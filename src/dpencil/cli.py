@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dcurve import _FIRST_TABLE_NODES, verify_dtype
+from .dcurve import verify_dtype
 from .errors import (
     DomainError,
     ExpressionError,
@@ -204,7 +204,7 @@ def cmd_classify(cfg: SceneConfig, args) -> int:
 
 
 def cmd_synthesize(cfg: SceneConfig, args) -> int:
-    out = cfg.completed(_samples(args, _FIRST_TABLE_NODES))
+    out = cfg.completed() if args.samples is None else cfg.completed(args.samples)
     if "feasible_domain" in out:
         _print_restriction(out["feasible_domain"], out["curve"]["range"])
     print(json.dumps(out, indent=2, sort_keys=True))

@@ -17,9 +17,9 @@ theorem check reads phi so; ``verify_dtype`` keeps the full normal of
 
 which is feasible where the frame is defined and the phi2 radicand is at
 least ``BOUNDARY_TOL``: one rule (``_radicands``) for the feasibility scan,
-its bisection and the synthesis table.  A constant whose radicand vanishes
-identically, as at the asymptotic limits (the circle at c = 1, a helix at
-its bound), is therefore infeasible everywhere.
+its bisection, the synthesis table and the theorem check.  A constant whose
+radicand vanishes identically, as at the asymptotic limits (the circle at
+c = 1, a helix at its bound), is therefore infeasible everywhere.
 """
 
 from __future__ import annotations
@@ -179,15 +179,16 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
     Per sample: the marching scale and its s-partials (so phi1) vanish at
     t0, and phi3 = v_t/h and phi2 = -w_t/h (the module docstring) equal
     c sqrt(kappa^2+tau^2)/kappa and sign times the feasibility radical.
-    The scale takes one array pass along t0, and the frames one array
-    ``frenet_at`` call that the classification shares; samples are skipped
-    where ``surface_normals`` over them gives a reason, as in ``verify_dtype``.
-    Like it, the check needs 16 usable samples before it reads a condition.
+    The scale takes one array pass along t0, and the frames, ratio and
+    radicand one ``_radicands`` record, shared with the classification;
+    samples are skipped where ``surface_normals`` over them gives a reason,
+    as in ``verify_dtype``.  Like it, the check needs 16 usable samples
+    before it reads a condition.
     A planar / helix / (anti-)Salkowski curve reports its specialized constants."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     ss, mv, ok = _t0_scale(p, sample_count)
-    frame, frame_reason = frenet_at(p.curve, ss)
+    _, frame, ratio, radicand, _, frame_reason = _radicands(p.curve, c, ss)
     framed = frame_reason == ""
     with np.errstate(all="ignore"):  # unspecified frames, masked out by the reasons
         good = surface_normals(frame, framed, frame_reason, mv, ok)[1] == ""
@@ -199,7 +200,7 @@ def check_theorem_conditions(p: SurfacePencil, c: float, sign: int = 1,
         raise NotEnoughSamplesError(f"only {usable} of {sample_count} samples usable")
     iso_err = float(np.max(np.abs([mv.u[good], mv.v[good], mv.w[good]])))
     phi1_err = float(np.max(np.abs([mv.u_s[good], mv.v_s[good], mv.w_s[good]])))
-    ratio, radicand = _phi2_radicand(frame.kappa[good], frame.omega[good], c)
+    ratio, radicand = ratio[good], radicand[good]
     infeasible = radicand < -tol
     if infeasible.any():
         i = int(np.argmax(infeasible))
@@ -252,46 +253,34 @@ def _linear_in_t(t0: float, a: float | None = None) -> Expression:
     return Expression(node, frozenset(["t"]))
 
 
-def _phi2_radicand(kappa: np.ndarray, omega: np.ndarray, c: float):
-    """``(ratio, radicand)`` over arrays of curvature and Darboux norm: the
-    ratio omega / kappa = sqrt(kappa^2 + tau^2) / kappa and the phi2
-    radicand 1 - c^2 ratio^2."""
-    with np.errstate(all="ignore"):
-        ratio = omega / kappa
-        return ratio, 1.0 - c * c * ratio * ratio
-
-
 def _radicands(curve: CurveSpec, c: float, qs: np.ndarray):
-    """``frenet_at`` over ``qs`` with ``_phi2_radicand``: ``(app, ratio,
-    radicand, feasible, reasons)``, where ``reasons`` come from
-    ``frenet_at``.  ``feasible`` is the feasibility rule: the frame is
-    defined and the radicand is at least ``BOUNDARY_TOL``."""
+    """The record ``(qs, app, ratio, radicand, feasible, reasons)`` of the
+    feasibility rule over ``qs``, from one ``frenet_at`` call: its
+    apparatus and reasons, the ratio omega / kappa = sqrt(kappa^2 + tau^2)
+    / kappa and the phi2 radicand 1 - c^2 ratio^2.  ``feasible`` is the
+    rule: the frame is defined and the radicand is at least ``BOUNDARY_TOL``."""
     app, reasons = frenet_at(curve, qs)
-    ratio, radicand = _phi2_radicand(app.kappa, app.omega, c)
-    return app, ratio, radicand, (reasons == "") & (radicand >= BOUNDARY_TOL), reasons
+    with np.errstate(all="ignore"):
+        ratio = app.omega / app.kappa
+        radicand = 1.0 - c * c * ratio * ratio
+    return qs, app, ratio, radicand, (reasons == "") & (radicand >= BOUNDARY_TOL), reasons
 
 
 def feasibility_scan(curve: CurveSpec, c: float, sample_count: int):
-    """``(qs, radicands)``: ``sample_count`` uniform parameters over the
-    curve's domain and ``_radicands`` over them, from one ``frenet_at``
-    call.  ``feasible_domain`` starts from it, and
+    """The ``_radicands`` record over ``sample_count`` uniform parameters of
+    the curve's domain.  ``feasible_domain`` starts from it, and
     ``synthesize_marching_scale`` takes it as its first table round when
-    ``qs`` are that round's nodes (``sample_count`` is ``_FIRST_TABLE_NODES``)."""
+    its ``qs`` are that round's nodes (``sample_count`` is
+    ``_FIRST_TABLE_NODES``)."""
     if sample_count < 64:
         raise ValueError("sample_count must be at least 64")
-    qs = np.linspace(*curve.domain, sample_count)
-    return qs, _radicands(curve, c, qs)
+    return _radicands(curve, c, np.linspace(*curve.domain, sample_count))
 
 
-def _coefficients_at(curve: CurveSpec, c: float, sign: int, qs: np.ndarray):
-    """``_coefficients_from`` over ``qs``, with ``_radicands`` there."""
-    return _coefficients_from(c, sign, qs, _radicands(curve, c, qs))
-
-
-def _coefficients_from(c: float, sign: int, qs: np.ndarray, radicands):
-    """(a_v, a_w, a_w^2, usable) over ``qs`` from their ``_radicands``, so
-    that v = a_v (t - t0) and w = a_w (t - t0) meet the target wherever the
-    frame is defined (``usable``).
+def _coefficients(c: float, sign: int, radicands):
+    """(a_v, a_w, a_w^2, usable) over the ``qs`` of a ``_radicands`` record,
+    so that v = a_v (t - t0) and w = a_w (t - t0) meet the target wherever
+    the frame is defined (``usable``).
 
     The 1/rho factor mirrors the closed forms of the worked non-unit-speed
     examples; it rescales both components equally, so the resulting normal
@@ -299,10 +288,10 @@ def _coefficients_from(c: float, sign: int, qs: np.ndarray, radicands):
     of a_w is returned as well because it stays smooth where the radicand
     vanishes, which is what the tabulated form interpolates.  A parameter
     without a frame, whatever the ``frenet_at`` reason, is not usable; at
-    the first one with a frame where ``_radicands`` finds ``c`` infeasible,
+    the first one with a frame where the record finds ``c`` infeasible,
     :class:`InfeasibleConstantError` is raised.
     """
-    app, ratio, radicand, feasible, reasons = radicands
+    qs, app, ratio, radicand, feasible, reasons = radicands
     usable = reasons == ""
     infeasible = usable & ~feasible
     if infeasible.any():
@@ -330,17 +319,17 @@ def synthesize_marching_scale(curve: CurveSpec, c: float, sign: int = 1,
     stays below the round-trip tolerance, with the windows around nodes
     without a frame, for any ``frenet_at`` reason, reported as excluded
     subdomains.  The first table round, on ``_FIRST_TABLE_NODES`` uniform
-    nodes, decides which.  ``scan``, a ``feasibility_scan`` of this curve
-    at ``c``, is that round when its parameters equal the round's nodes bit
-    for bit, and saves its ``frenet_at`` call; any other scan is ignored.
+    nodes, decides which.  ``scan``, a ``feasibility_scan`` record of this
+    curve at ``c``, is that round when its ``qs`` equal the round's nodes
+    bit for bit, and saves its ``frenet_at`` call; otherwise the round is
+    ``_radicands`` over its nodes.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     qs = np.linspace(*curve.domain, _FIRST_TABLE_NODES)
-    if scan is not None and scan[0].tobytes() == qs.tobytes():
-        av, aw, g, usable = _coefficients_from(c, sign, qs, scan[1])
-    else:
-        av, aw, g, usable = _coefficients_at(curve, c, sign, qs)
+    if scan is None or scan[0].tobytes() != qs.tobytes():
+        scan = _radicands(curve, c, qs)
+    av, aw, g, usable = _coefficients(c, sign, scan)
 
     def _spread_small(vals):
         return np.ptp(vals) <= _CONST_COEFF_TOL * (1.0 + abs(np.mean(vals)))
@@ -360,7 +349,7 @@ def _build_table(curve: CurveSpec, c: float, sign: int, qs: np.ndarray,
     """Refine the coefficient table until cubic interpolation error is tiny.
 
     ``qs``, ``av``, ``g`` and ``usable`` are the first round, as returned
-    by ``_coefficients_at``; each later round doubles the node count.  A
+    by ``_coefficients``; each later round doubles the node count.  A
     round's interpolant is checked at the next round's odd nodes
     (``linspace`` halves its step exactly, so the next round's even nodes
     are this round's, bit for bit).  When the check fails, the coefficients
@@ -380,7 +369,7 @@ def _build_table(curve: CurveSpec, c: float, sign: int, qs: np.ndarray,
         form = TabulatedProductForm(qs[usable], av[usable], g[usable], sign, excluded)
         finer = np.linspace(lo, hi, 2 * qs.size - 1)
         odd = finer[1::2]
-        odd_av, odd_aw, odd_g, odd_usable = _coefficients_at(curve, c, sign, odd)
+        odd_av, odd_aw, odd_g, odd_usable = _coefficients(c, sign, _radicands(curve, c, odd))
         err = _interp_error(form, odd[odd_usable], odd_av[odd_usable], odd_aw[odd_usable])
         if err <= _INTERP_TARGET:
             form.max_interp_error = err
@@ -474,11 +463,8 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
     taken here at ``sample_count`` when None; a caller that passes one can
     reuse it, as the flags edited here are a copy.
     """
-    qs, (_, _, _, flags, reasons) = (feasibility_scan(curve, c, sample_count)
-                                     if scan is None else scan)
-
-    def feasible(qs: np.ndarray):
-        return _radicands(curve, c, qs)[3:]  # (feasible, reasons)
+    qs, _, _, _, flags, reasons = (feasibility_scan(curve, c, sample_count)
+                                   if scan is None else scan)
 
     # Feasibility by midpoint, filled ahead of the bisection.
     known: dict[float, bool] = {}
@@ -487,7 +473,7 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
         points = mid.tolist()
         if not all(map(known.__contains__, points)):
             ahead = _speculate(q_true, q_false)
-            known.update(zip(ahead.tolist(), feasible(ahead)[0].tolist()))
+            known.update(zip(ahead.tolist(), _radicands(curve, c, ahead)[4].tolist()))
         return np.array([known[q] for q in points], dtype=bool)
 
     lo, hi = curve.domain
@@ -500,7 +486,7 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
         probes = np.concatenate([qs[gaps] - h, qs[gaps] + h])
         inside = (probes >= lo) & (probes <= hi)
         ok = np.ones(probes.size, dtype=bool)
-        ok[inside] = feasible(probes[inside])[0]
+        ok[inside] = _radicands(curve, c, probes[inside])[4]
         flags = flags.copy()
         flags[gaps[ok[:gaps.size] & ok[gaps.size:]]] = True
     if len(infeasible):

@@ -289,14 +289,14 @@ class SceneConfig:
                     raise
                 infeasible.append(e.param)
 
-    def completed(self, samples: int) -> dict:
+    def completed(self, samples: int = _FIRST_TABLE_NODES) -> dict:
         """The scene with the marching scale ``synthesized(samples)`` written in,
-        as ``pencil synthesize`` prints it (at ``_FIRST_TABLE_NODES`` samples
-        unless ``--samples`` is given): the restricted ``curve.range`` and
-        the ``feasible_domain`` list when synthesis restricted the curve, and
-        a marching block built from ``c``, ``sign`` and the synthesized form
-        alone: a closed-form ``explicit`` block with the form's unit
-        controls, or a ``table`` summary (regenerated on load)."""
+        as ``pencil synthesize`` prints it (``samples`` is ``--samples`` when
+        given, else ``_FIRST_TABLE_NODES`` as in ``assemble``): the restricted
+        ``curve.range`` and the ``feasible_domain`` list when synthesis
+        restricted the curve, and a marching block built from ``c``, ``sign``
+        and the synthesized form alone: a closed-form ``explicit`` block with
+        the form's unit controls, or a ``table`` summary (regenerated on load)."""
         curve, marching, intervals = self.synthesized(samples)
         out = self.to_dict()
         if intervals:

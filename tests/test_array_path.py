@@ -368,7 +368,7 @@ def stepwise_domain(curve, c, sample_count=256, visits=None):
     step, as it was before the speculative search.  ``visits`` collects
     ``(live, mid)`` of every step."""
     def feasible(qs):
-        _, _, radicand, _, reasons = dcurve._radicands(curve, c, qs)
+        _, _, _, radicand, _, reasons = dcurve._radicands(curve, c, qs)
         return (reasons == "") & (radicand >= BOUNDARY_TOL)
 
     lo, hi = curve.domain
@@ -464,13 +464,14 @@ def table_by_rounds(curve, c, sign=1):
     lo, hi = curve.domain
     qs = np.linspace(lo, hi, dcurve._FIRST_TABLE_NODES)
     while True:
-        av, _, g, usable = dcurve._coefficients_at(curve, c, sign, qs)
+        av, _, g, usable = dcurve._coefficients(c, sign, dcurve._radicands(curve, c, qs))
         step = (hi - lo) / (qs.size - 1)
         form = TabulatedProductForm(qs[usable], av[usable], g[usable], sign,
                                     dcurve._merge_holes(qs[~usable].tolist(), step))
         finer = np.linspace(lo, hi, 2 * qs.size - 1)
         check = finer[1::2]
-        check_av, check_aw, _, check_ok = dcurve._coefficients_at(curve, c, sign, check)
+        check_av, check_aw, _, check_ok = dcurve._coefficients(
+            c, sign, dcurve._radicands(curve, c, check))
         err = dcurve._interp_error(form, check[check_ok], check_av[check_ok], check_aw[check_ok])
         if err <= dcurve._INTERP_TARGET or qs.size >= dcurve._MAX_TABLE_NODES:
             form.max_interp_error = err

@@ -140,10 +140,17 @@ class TestEvaluate:
         ("ln(q)", 1e-120),      # 2/q^3 divides by an underflowed zero
         ("acos(q)", 1.0),       # the derivative is undefined at +/-1
         ("acos(q)", -1.0),
+        ("asin(q)", 1.0),
+        ("asin(q)", -1.0),
     ])
     def test_math_errors_in_jets_are_domain_errors(self, source, point):
         with pytest.raises(DomainError):
             evaluate_jet3(parse_expression(source, ["q"]), "q", point)
+
+    def test_domain_error_message_names_the_subexpression_once_known(self):
+        assert str(DomainError("sqrt of negative value")) == "sqrt of negative value"
+        assert str(DomainError("sqrt of negative value", "sqrt(q)")) == \
+            "sqrt of negative value in 'sqrt(q)'"
 
 
 class TestJets:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from dpencil import pencil
 from dpencil.dcurve import feasible_curve, synthesize_marching_scale
 from dpencil.pencil import TabulatedProductForm, _NotAKnotSpline
 
@@ -140,6 +141,14 @@ def test_rejects_other_derivatives():
     spline = _NotAKnotSpline(np.arange(5.0), np.arange(5.0) ** 2)
     with pytest.raises(ValueError):
         spline(1.0, 2)
+
+
+def test_zero_pivot_raises_as_solve_banded(monkeypatch):
+    # No table in the suite makes the slope system singular, so the solver
+    # is made to report a zero pivot (info > 0, its 1-based position).
+    monkeypatch.setattr(pencil, "dgtsv", lambda dl, d, du, b, *overwrite: (dl, d, du, b, 1))
+    with pytest.raises(np.linalg.LinAlgError, match=r"dgtsv info 1\)"):
+        _NotAKnotSpline(np.arange(5.0), np.arange(5.0) ** 2)
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
