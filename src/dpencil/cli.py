@@ -38,7 +38,6 @@ from .errors import (
 )
 from .frenet import classify_curve
 from .mesh import sample_grid, write_obj, write_report_csv
-from .pencil import SurfacePencil
 from .presets import load_preset, preset_names
 from .scene import SceneConfig
 
@@ -150,8 +149,7 @@ def _verified(cfg: SceneConfig, args, command: str):
     holds the fields both commands print.  ``build`` samples the grid
     before verifying, so that a grid without a usable vertex fails first;
     for ``verify`` the mesh is None."""
-    curve, marching, intervals = cfg.assemble()
-    pencil = SurfacePencil(curve, marching, cfg.t_range)
+    pencil, intervals = cfg.assemble()
     summary = {"command": command}
     mesh = None
     if command == "build":
@@ -167,7 +165,7 @@ def _verified(cfg: SceneConfig, args, command: str):
                    verdict=report.verdict, skipped_samples=len(report.skipped))
     if intervals:
         summary["feasibility"] = {"feasible_domain": [[a, b] for a, b in intervals],
-                                  "restricted_to": list(curve.domain)}
+                                  "restricted_to": list(pencil.curve.domain)}
     return summary, report, mesh
 
 

@@ -20,8 +20,8 @@ and one reason per parameter in place of the error:
 - ``"irregular"``: speed at most EPS_REGULAR (IrregularCurveError);
 - ``"inflection"``: curvature at most EPS_KAPPA (InflectionPointError).
 
-Entries with a reason are unspecified; every other entry equals the
-scalar call at that parameter bit for bit.
+Entries with a reason are unspecified; every other entry equals the scalar
+call bit for bit: both forms take their dot products from ``np.vecdot``.
 """
 
 from __future__ import annotations
@@ -130,17 +130,18 @@ def frenet_at(curve: CurveSpec, q):
 
 def _frenet_point(q: float, derivatives: tuple) -> FrenetApparatus:
     """Scalar ``frenet_at`` from the finite curve derivatives."""
-    x1, y1, z1, x2, y2, z2 = derivatives[:6]
-    d1 = np.array(derivatives[:3])
-
-    rho = math.sqrt(d1.dot(d1))
-    if rho <= EPS_REGULAR:
-        raise IrregularCurveError(q, rho)
+    x1, y1, z1, x2, y2, z2, x3, y3, z3 = derivatives
     # r' x r'' and B x T written out: np.cross of two 3-vectors costs more
     # than the rest of the apparatus, and rounds the same.
     cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
-    cr = np.array([cx, cy, cz])
-    ncr = math.sqrt(cr.dot(cr))
+    # |r'|^2, |r' x r''|^2 and <r' x r'', r'''> through np.vecdot, as in _frenet_stack.
+    rows = np.array((x1, y1, z1, cx, cy, cz, cx, cy, cz,
+                     x1, y1, z1, cx, cy, cz, x3, y3, z3)).reshape(2, 3, 3)
+    speed2, ncr2, det = np.vecdot(rows[0], rows[1]).tolist()
+    rho = math.sqrt(speed2)
+    if rho <= EPS_REGULAR:
+        raise IrregularCurveError(q, rho)
+    ncr = math.sqrt(ncr2)
     rho3 = _cube(rho)
     kappa = ncr / rho3
     if not (math.isfinite(rho3) and math.isfinite(kappa)):
@@ -148,7 +149,7 @@ def _frenet_point(q: float, derivatives: tuple) -> FrenetApparatus:
     if kappa <= EPS_KAPPA:
         raise InflectionPointError(q, kappa)
 
-    tau = float(cr.dot(derivatives[6:])) / (ncr * ncr)
+    tau = det / (ncr * ncr)
     w = math.hypot(kappa, tau)
     if not math.isfinite(w):
         raise NonFiniteCurveError(q)

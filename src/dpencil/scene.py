@@ -317,15 +317,15 @@ class SceneConfig:
         out["marching"] = block
         return out
 
-    def assemble(self):
-        """``(curve, marching, intervals)`` in either marching mode, synthesized
-        at ``_FIRST_TABLE_NODES`` (257) samples; ``intervals`` is None unless
-        synthesis restricted the curve."""
+    def assemble(self) -> tuple[SurfacePencil, list[tuple[float, float]] | None]:
+        """``(pencil, intervals)`` in either marching mode, synthesized at 257
+        samples; ``intervals`` is None unless synthesis restricted the pencil's curve."""
         if self._scene["marching"]["mode"] == "explicit":
-            return self.curve(), self._explicit_marching(), None
-        return self.synthesized(_FIRST_TABLE_NODES)
+            curve, marching, intervals = self.curve(), self._explicit_marching(), None
+        else:
+            curve, marching, intervals = self.synthesized(_FIRST_TABLE_NODES)
+        return SurfacePencil(curve, marching, self.t_range), intervals
 
     def pencil(self) -> SurfacePencil:
         """The scene's pencil, in either mode (see ``assemble``)."""
-        curve, marching, _ = self.assemble()
-        return SurfacePencil(curve, marching, self.t_range)
+        return self.assemble()[0]

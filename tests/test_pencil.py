@@ -50,7 +50,7 @@ class TestMarchingValues:
 
     def test_controls_scale_components(self):
         cfg = preset_config("example1b")  # controls (1/5, 1/3, 1)
-        mv = marching_values(cfg.assemble()[1], 0.7, 2.0)
+        mv = marching_values(cfg.assemble()[0].marching, 0.7, 2.0)
         assert mv.u == pytest.approx(2.0 / 5.0, abs=1e-15)
         assert mv.v == pytest.approx(math.sqrt(3.0) / 3.0, abs=1e-15)
         assert mv.w == pytest.approx(1.0, abs=1e-15)

@@ -133,3 +133,18 @@ def test_config_is_its_own_copy():
         scene["outputs"].clear()
         scene["t0"] = 3.0
     assert json.dumps(cfg.to_dict(), sort_keys=True) == before
+
+
+def test_assembled_pencil_is_on_the_curve_synthesize_prints():
+    # build and verify take their pencil from assemble(): synthesized
+    # example4 at sqrt(3)/2 is restricted, and the pencil's curve and the
+    # intervals are the range and feasible_domain that synthesize prints.
+    raw = load_preset("example4")
+    raw["marching"] = {"mode": "synthesized", "c": 3 ** 0.5 / 2}
+    cfg = SceneConfig.from_dict(raw)
+    pencil, intervals = cfg.assemble()
+    completed = cfg.completed()
+    assert completed["curve"]["range"] != raw["curve"]["range"]
+    assert list(pencil.curve.domain) == completed["curve"]["range"]
+    assert [[a, b] for a, b in intervals] == completed["feasible_domain"]
+    assert pencil.t_range == cfg.t_range
