@@ -9,9 +9,9 @@ from .dcurve import (
     TheoremReport,
     check_theorem_conditions,
     feasibility_scan,
-    feasible_curve,
     feasible_domain,
     restrict_curve,
+    synthesize_feasible,
     synthesize_marching_scale,
     verify_dtype,
 )
@@ -68,7 +68,6 @@ __all__ = [
     "evaluate",
     "evaluate_jet3",
     "feasibility_scan",
-    "feasible_curve",
     "feasible_domain",
     "format_expression",
     "frenet_at",
@@ -78,6 +77,7 @@ __all__ = [
     "preset_names",
     "restrict_curve",
     "sample_grid",
+    "synthesize_feasible",
     "synthesize_marching_scale",
     "verify_dtype",
     "write_obj",

@@ -202,7 +202,7 @@ def cmd_classify(cfg: SceneConfig, args) -> int:
 
 
 def cmd_synthesize(cfg: SceneConfig, args) -> int:
-    out = cfg.completed() if args.samples is None else cfg.completed(args.samples)
+    out = cfg.completed(args.samples)
     if "feasible_domain" in out:
         _print_restriction(out["feasible_domain"], out["curve"]["range"])
     print(json.dumps(out, indent=2, sort_keys=True))

@@ -20,6 +20,11 @@ least ``BOUNDARY_TOL``: one rule (``_radicands``) for the feasibility scan,
 its bisection, the synthesis table and the theorem check.  A constant whose
 radicand vanishes identically, as at the asymptotic limits (the circle at
 c = 1, a helix at its bound), is therefore infeasible everywhere.
+
+``synthesize_feasible``, the one way from a curve and a constant to a
+scale, chains the steps: scan, restrict (``feasible_domain``), synthesize
+(``synthesize_marching_scale``), and retry where synthesis meets an
+infeasible window the scan missed.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ _CONST_COEFF_TOL = 1e-10
 _INTERP_TARGET = 1e-9
 _FIRST_TABLE_NODES = 257
 _MAX_TABLE_NODES = 8193
+_RESTRICT_RETRIES = 4  # synthesis failures that redo the feasibility restriction
 # Bisection steps of feasible_domain evaluated ahead in one frenet_at call.
 _SPECULATE = 5
 
@@ -123,7 +129,8 @@ def verify_dtype(p: SurfacePencil, sample_count: int = 1000,
         frame_reasons.append(reason)
     frame = stack_frames(frames)
     frame_reason = np.array(frame_reasons)
-    normals, reasons = surface_normals(frame, frame_reason == "", frame_reason, mv, ok)
+    with np.errstate(over="ignore", invalid="ignore"):  # masked as non_finite
+        normals, reasons = surface_normals(frame, frame_reason == "", frame_reason, mv, ok)
     skipped = [(s, why) for s, why in zip(ss.tolist(), reasons.tolist()) if why]
     good = reasons == ""
     n = normals[good]
@@ -319,10 +326,10 @@ def synthesize_marching_scale(curve: CurveSpec, c: float, sign: int = 1,
     stays below the round-trip tolerance, with the windows around nodes
     without a frame, for any ``frenet_at`` reason, reported as excluded
     subdomains.  The first table round, on ``_FIRST_TABLE_NODES`` uniform
-    nodes, decides which.  ``scan``, a ``feasibility_scan`` record of this
-    curve at ``c``, is that round when its ``qs`` equal the round's nodes
-    bit for bit, and saves its ``frenet_at`` call; otherwise the round is
-    ``_radicands`` over its nodes.
+    nodes, decides which.  ``scan``, a ``feasibility_scan`` record at ``c``
+    of this curve or of one it was restricted from, is that round when its
+    ``qs`` equal the round's nodes bit for bit, and saves its ``frenet_at``
+    call; otherwise the round is ``_radicands`` over its nodes.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -518,33 +525,40 @@ def feasible_domain(curve: CurveSpec, c: float, sample_count: int = 256,
     return list(zip(ends[::2], ends[1::2]))
 
 
-def feasible_curve(curve: CurveSpec, c: float, sample_count: int = 256, infeasible=(),
-                   scan=None) -> tuple[CurveSpec, list[tuple[float, float]] | None]:
-    """``curve`` restricted to its largest feasible interval for ``c``.
+def synthesize_feasible(curve: CurveSpec, c: float, sign: int = 1, t0: float = 0.0,
+                        sample_count: int | None = None):
+    """``(curve, marching, intervals)``: the scale synthesized for ``c`` on
+    ``curve`` restricted to its largest feasible interval.
 
-    Returns ``(curve, intervals)``.  When the whole domain is feasible the
-    curve comes back unchanged with ``intervals`` None; otherwise
-    ``intervals`` lists every feasible subinterval.  Raises
-    :class:`InfeasibleConstantError` when no parameter is feasible, and
-    :class:`NotEnoughSamplesError` when no sample has a frame.  The whole
-    domain counts as feasible when one interval reaches both ends to
-    within 1e-7, an absolute tolerance at any |q|.  An interval may hold
-    holes, undefined frames with feasible parameters beside them, or be
-    only a narrow window around one (see ``feasible_domain``).  An
-    infeasible window narrower than one sample step can remain inside the
-    returned curve; synthesis then raises there, and the parameter it
-    names can be passed back in ``infeasible``, with the same ``scan``
-    (see ``feasible_domain``) so that the samples are not evaluated again.
-    """
-    intervals = feasible_domain(curve, c, sample_count, infeasible, scan)
-    if not intervals:
-        raise InfeasibleConstantError(c)
+    ``intervals`` lists every feasible subinterval, or is None, with the
+    curve unchanged, when one reaches both ends of the domain to within
+    1e-7 (absolute at any |q|).  One ``feasibility_scan`` at
+    ``sample_count`` samples (None: ``_FIRST_TABLE_NODES``, the first table
+    round's nodes) serves every restriction.  It can miss an infeasible
+    window narrower than its step; synthesis then raises inside it, and the
+    restriction is redone with that parameter known to be infeasible, at
+    most ``_RESTRICT_RETRIES`` times.  Raises :class:`InfeasibleConstantError`
+    when no parameter is feasible, and :class:`NotEnoughSamplesError` when
+    no sample has a frame."""
+    sample_count = _FIRST_TABLE_NODES if sample_count is None else sample_count
+    scan = feasibility_scan(curve, c, sample_count)
     lo, hi = curve.domain
-    if len(intervals) == 1 and math.isclose(intervals[0][0], lo, rel_tol=0.0, abs_tol=1e-7) \
-            and math.isclose(intervals[0][1], hi, rel_tol=0.0, abs_tol=1e-7):
-        return curve, None
-    largest = max(intervals, key=lambda iv: iv[1] - iv[0])
-    return restrict_curve(curve, largest), intervals
+    infeasible = []
+    while True:
+        intervals = feasible_domain(curve, c, sample_count, infeasible, scan)
+        if not intervals:
+            raise InfeasibleConstantError(c)
+        largest = max(intervals, key=lambda iv: iv[1] - iv[0])
+        whole = len(intervals) == 1 and max(abs(largest[0] - lo), abs(hi - largest[1])) <= 1e-7
+        kept = curve if whole else restrict_curve(curve, largest)
+        try:  # synthesis ignores the scan unless its nodes are the first round's
+            marching = synthesize_marching_scale(kept, c, sign, t0, scan)
+        except InfeasibleConstantError as e:
+            if len(infeasible) == _RESTRICT_RETRIES:
+                raise
+            infeasible.append(e.param)
+        else:
+            return kept, marching, None if whole else intervals
 
 
 def restrict_curve(curve: CurveSpec, interval: tuple[float, float]) -> CurveSpec:

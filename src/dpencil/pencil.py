@@ -219,7 +219,8 @@ def marching_values(ms: MarchingScale, s, t):
         ok &= part_ok.reshape(point.shape)
         return jet.v0.reshape(point.shape), jet.v1.reshape(point.shape)
 
-    values = _scale(ms, s, t, walk)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is non_finite downstream
+        values = _scale(ms, s, t, walk)
     return MarchingValues(*(np.where(ok, f, 0.0) for f in values)), ok
 
 

@@ -30,7 +30,10 @@ This module is the only one that reads a scene file or writes a scene
 config: ``SceneConfig.load(path)`` reads and validates a file,
 ``SceneConfig.pencil()`` assembles the pencil in either mode, and
 ``SceneConfig.completed(samples)`` returns the scene with its synthesized
-marching scale written in, the config ``pencil synthesize`` prints.
+marching scale written in, the config ``pencil synthesize`` prints.  Both
+synthesize through ``dcurve.synthesize_feasible``, which owns the
+feasibility restriction and its retries: a scene only supplies the curve,
+``c``, ``sign`` and ``t0``.
 
 A ``SceneConfig`` keeps the scene in this layout only, as one dict that
 ``from_dict`` writes while it validates: every default filled in, ``t0``,
@@ -52,8 +55,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path, PurePath
 
-from .dcurve import _FIRST_TABLE_NODES, feasibility_scan, feasible_curve, synthesize_marching_scale
-from .errors import InfeasibleConstantError, SceneValidationError
+from .dcurve import synthesize_feasible
+from .errors import SceneValidationError
 from .expr import CONSTANTS, format_expression, parse_expression
 from .frenet import CurveSpec
 from .pencil import GeneralForm, MarchingScale, ProductForm, SurfacePencil
@@ -61,7 +64,6 @@ from .pencil import GeneralForm, MarchingScale, ProductForm, SurfacePencil
 DEFAULT_NS = 200
 DEFAULT_NT = 50
 MAX_GRID_VERTICES = 1_000_000  # bounds grid.ns * grid.nt
-_RESTRICT_RETRIES = 4  # synthesis failures that redo the feasibility restriction
 
 PRODUCT_KEYS = ("l", "m", "n", "U", "V", "W")
 _GENERAL_KEYS = ("u", "v", "w")
@@ -261,48 +263,24 @@ class SceneConfig:
         return MarchingScale(form=form(**parts, controls=tuple(marching["controls"].values())),
                              param=param, t0=self._scene["t0"])
 
-    def synthesized(self, samples: int):
-        """``(curve, marching, intervals)``: the scale synthesized for ``c`` on
-        ``dcurve.feasible_curve`` of the curve at ``samples`` samples.
-
-        One ``feasibility_scan`` serves every restriction below, and is the
-        first table round of synthesis on the whole curve when ``samples``
-        is ``_FIRST_TABLE_NODES``, the default of ``assemble`` and of
-        ``pencil synthesize``.  The scan can miss an infeasible window
-        narrower than its sample step; synthesis then raises at a parameter
-        inside it.  The restriction is redone with that parameter known to
-        be infeasible, at most ``_RESTRICT_RETRIES`` times."""
-        c, sign = self._scene["marching"].get("c"), self._scene["marching"]["sign"]
-        if c is None:
-            raise SceneValidationError("synthesize requires marching.c in the config")
-        full = self.curve()
-        scan = feasibility_scan(full, c, samples)
-        infeasible = []
-        while True:
-            curve, intervals = feasible_curve(full, c, samples, infeasible, scan)
-            try:
-                marching = synthesize_marching_scale(curve, c, sign, self._scene["t0"],
-                                                     scan if curve is full else None)
-                return curve, marching, intervals
-            except InfeasibleConstantError as e:
-                if len(infeasible) == _RESTRICT_RETRIES:
-                    raise
-                infeasible.append(e.param)
-
-    def completed(self, samples: int = _FIRST_TABLE_NODES) -> dict:
-        """The scene with the marching scale ``synthesized(samples)`` written in,
-        as ``pencil synthesize`` prints it (``samples`` is ``--samples`` when
-        given, else ``_FIRST_TABLE_NODES`` as in ``assemble``): the restricted
+    def completed(self, samples: int | None = None) -> dict:
+        """The scene with the marching scale of ``dcurve.synthesize_feasible``
+        at ``samples`` (``--samples``; None is its default, as in ``assemble``)
+        written in, as ``pencil synthesize`` prints it: the restricted
         ``curve.range`` and the ``feasible_domain`` list when synthesis
         restricted the curve, and a marching block built from ``c``, ``sign``
         and the synthesized form alone: a closed-form ``explicit`` block with
         the form's unit controls, or a ``table`` summary (regenerated on load)."""
-        curve, marching, intervals = self.synthesized(samples)
+        given = self._scene["marching"]
+        if given.get("c") is None:
+            raise SceneValidationError("synthesize requires marching.c in the config")
+        curve, marching, intervals = synthesize_feasible(
+            self.curve(), given["c"], given["sign"], self._scene["t0"], samples)
         out = self.to_dict()
         if intervals:
             out["curve"]["range"] = list(curve.domain)
             out["feasible_domain"] = [[a, b] for a, b in intervals]
-        form, given = marching.form, out["marching"]
+        form = marching.form
         block = {"c": given["c"], "sign": given["sign"]}
         if isinstance(form, ProductForm):
             block.update(mode="explicit", controls=dict(zip("xyz", form.controls)), explicit={
@@ -318,12 +296,15 @@ class SceneConfig:
         return out
 
     def assemble(self) -> tuple[SurfacePencil, list[tuple[float, float]] | None]:
-        """``(pencil, intervals)`` in either marching mode, synthesized at 257
-        samples; ``intervals`` is None unless synthesis restricted the pencil's curve."""
-        if self._scene["marching"]["mode"] == "explicit":
+        """``(pencil, intervals)`` in either marching mode, synthesized by
+        ``dcurve.synthesize_feasible`` at its default samples; ``intervals``
+        is None unless synthesis restricted the pencil's curve."""
+        given = self._scene["marching"]
+        if given["mode"] == "explicit":
             curve, marching, intervals = self.curve(), self._explicit_marching(), None
         else:
-            curve, marching, intervals = self.synthesized(_FIRST_TABLE_NODES)
+            curve, marching, intervals = synthesize_feasible(
+                self.curve(), given["c"], given["sign"], self._scene["t0"])
         return SurfacePencil(curve, marching, self.t_range), intervals
 
     def pencil(self) -> SurfacePencil:

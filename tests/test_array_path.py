@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from dpencil import dcurve
 from dpencil.dcurve import (
     BOUNDARY_TOL,
-    feasible_curve,
+    check_theorem_conditions,
     feasible_domain,
+    restrict_curve,
+    synthesize_feasible,
     synthesize_marching_scale,
     verify_dtype,
 )
@@ -27,6 +29,7 @@ from dpencil.errors import (
     InflectionPointError,
     IrregularCurveError,
     NonFiniteCurveError,
+    NotEnoughSamplesError,
 )
 from dpencil.expr import Folded, evaluate_jet3, parse_expression
 from dpencil.frenet import (
@@ -251,9 +254,8 @@ def test_callers_skip_every_parameter_without_a_frame(name, error, end):
     assert got == bisected_domain(curve, 0.0)
     ((lo, hi),) = got
     assert lo == curve.domain[0] and hi == pytest.approx(end, abs=0.01)
-    restricted, intervals = feasible_curve(curve, 0.0)
+    restricted, _, intervals = synthesize_feasible(curve, 0.0, sample_count=256)
     assert intervals == got and restricted.domain[1] < hi
-    synthesize_marching_scale(restricted, 0.0)
     assert classify_curve(curve).skipped > 0
 
 
@@ -279,6 +281,29 @@ def test_grid_and_verify_name_overflow_alike():
     grid = {d.reason for d in mesh.defects if d.s > 355.0}
     skipped = {reason for s, reason in report.skipped if s > 355.0}
     assert grid == skipped == {"non_finite"}
+
+
+OVERFLOWING_SCALES = {"l_and_U": {"l": "1e200", "U": "1e200*t"}, "U": {"U": "1e200*t"}}
+
+
+@pytest.mark.parametrize("call", ["sample_grid", "verify_dtype", "check_theorem_conditions"])
+@pytest.mark.parametrize("scale", sorted(OVERFLOWING_SCALES))
+def test_library_calls_mask_overflow_without_warning(scale, call):
+    # No np.errstate here, and the suite turns a RuntimeWarning into an
+    # error: a scale product (l U) or a normal (u_t = 1e200) that overflows
+    # is masked by the library itself, not only under the CLI's errstate.
+    cfg = load_preset("example1")
+    cfg["marching"]["explicit"].update(OVERFLOWING_SCALES[scale])
+    pencil = SceneConfig.from_dict(cfg).pencil()
+    if call == "sample_grid":
+        mesh = sample_grid(pencil, 20, 5)
+        assert len(mesh.defects) == 100 and "non_finite" in {d.reason for d in mesh.defects}
+        return
+    with pytest.raises(NotEnoughSamplesError, match="only 0 of 64 samples usable"):
+        if call == "verify_dtype":
+            verify_dtype(pencil, 64)
+        else:
+            check_theorem_conditions(pencil, 0.5, sample_count=64)
 
 
 def bisected_domain(curve, c, sample_count=256):
@@ -481,8 +506,8 @@ def table_by_rounds(curve, c, sign=1):
 
 @pytest.mark.parametrize("name, c", [("example3", 0.3), ("example4", math.sqrt(3.0) / 2.0)])
 def test_table_rounds_match_recomputed_nodes(name, c):
-    curve, _ = feasible_curve(CURVES[name], c)
-    got = synthesize_marching_scale(curve, c).form
+    curve, marching, _ = synthesize_feasible(CURVES[name], c, sample_count=256)
+    got = marching.form
     expected = table_by_rounds(curve, c)
     assert got.nodes.size > dcurve._FIRST_TABLE_NODES
     for field in ("nodes", "v_values", "g_values"):
@@ -493,7 +518,8 @@ def test_table_rounds_match_recomputed_nodes(name, c):
 
 def test_each_table_point_is_evaluated_once(monkeypatch):
     c = math.sqrt(3.0) / 2.0
-    curve, _ = feasible_curve(CURVES["example3"], c)
+    (interval,) = feasible_domain(CURVES["example3"], c)
+    curve = restrict_curve(CURVES["example3"], interval)
     sizes, evaluated = [], []
     array_frenet = dcurve.frenet_at
 

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpencil import cli, scene
+from dpencil import cli, dcurve
 from dpencil.cli import MAX_SAMPLES, main
-from dpencil.dcurve import feasible_domain
+from dpencil.dcurve import feasible_domain, synthesize_feasible
 from dpencil.errors import SceneValidationError
 from dpencil.expr import MAX_DEPTH, evaluate, format_expression, parse_expression
 from dpencil.mesh import write_report_csv
@@ -874,16 +874,18 @@ class TestSynthesize:
     @pytest.mark.parametrize("name, c", NO_RETRY)
     def test_presets_take_no_restriction_retry(self, monkeypatch, name, c):
         calls = []
-        restrict = scene.feasible_curve
-        monkeypatch.setattr(scene, "feasible_curve",
+        restrict = dcurve.feasible_domain
+        monkeypatch.setattr(dcurve, "feasible_domain",
                             lambda *args: calls.append(args[3]) or restrict(*args))
         for sign in (1, -1):
             raw = load_preset(name)
             raw["marching"].update(mode="synthesized", sign=sign)
             if c is not None:
                 raw["marching"]["c"] = c
+            cfg = SceneConfig.from_dict(raw)
             try:
-                SceneConfig.from_dict(raw).synthesized(256)
+                synthesize_feasible(cfg.curve(), cfg.to_dict()["marching"]["c"], sign,
+                                    sample_count=256)
             except cli.InfeasibleConstantError as e:
                 assert e.param is None  # nowhere feasible: no parameter to retry at
         assert calls == [[], []]
@@ -902,8 +904,8 @@ class TestSynthesize:
         cfg["marching"].update(mode="synthesized", c=c)
         assert feasible_domain(SceneConfig.from_dict(cfg).curve(), c) == []
         calls = []
-        restrict = scene.feasible_curve
-        monkeypatch.setattr(scene, "feasible_curve",
+        restrict = dcurve.feasible_domain
+        monkeypatch.setattr(dcurve, "feasible_domain",
                             lambda *args: calls.append(args) or restrict(*args))
         path = write_config(tmp_path, cfg)
         for command in ("synthesize", "verify", "build"):
@@ -924,7 +926,8 @@ class TestSynthesize:
         cfg["grid"].update(t_range=[-1.0, 1.0], ns=20, nt=5)
         code, out, _ = run_json(capsys, "synthesize", "--config", write_config(tmp_path, cfg))
         assert code == 0
-        _, marching, _ = SceneConfig.from_dict(cfg).synthesized(256)
+        _, marching, _ = synthesize_feasible(SceneConfig.from_dict(cfg).curve(),
+                                             cfg["marching"]["c"], sign, t0, 256)
         block = out["marching"]
         for key, text in block.get("explicit", {}).items():
             assert parse_expression(text, ["t"]).root == getattr(marching.form, key).root

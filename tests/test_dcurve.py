@@ -11,10 +11,10 @@ from dpencil.cli import main
 from dpencil.dcurve import (
     _merge_holes,
     check_theorem_conditions,
-    feasible_curve,
     feasible_domain,
     restrict_curve,
     _specialize,
+    synthesize_feasible,
     synthesize_marching_scale,
     verify_dtype,
 )
@@ -398,9 +398,10 @@ class TestTheoremConditions:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_salkowski_branch_of_a_synthesized_pencil(self, ex4, sign):
-        curve, intervals = feasible_curve(ex4.curve, SQRT3_2)
+        curve, marching, intervals = synthesize_feasible(ex4.curve, SQRT3_2, sign,
+                                                         sample_count=256)
         assert intervals is not None
-        pencil = synth_pencil(curve, SQRT3_2, sign=sign)
+        pencil = SurfacePencil(curve, marching, (0.0, 1.0))
         report = check_theorem_conditions(pencil, SQRT3_2, sign=-sign, sample_count=128)
         assert report.passed
         assert report.branch == "salkowski"
@@ -556,7 +557,8 @@ class TestFeasibleDomain:
     def test_no_frame_anywhere_is_not_enough_samples(self):
         # No constant is feasible on a curve without a frame; the error says
         # so as classify_curve does, rather than blame the constant.
-        for restrict in (feasible_domain, feasible_curve):
+        for restrict in (feasible_domain,
+                         lambda curve, c, n: synthesize_feasible(curve, c, sample_count=n)):
             with pytest.raises(NotEnoughSamplesError) as info:
                 restrict(straight_line().curve(), 0.5, 300)
             assert str(info.value) == "only 0 of 300 samples have a defined frame"
@@ -573,6 +575,29 @@ class TestFeasibleDomain:
         assert len(split) == len(plain) + 1
         assert [iv for iv in split if -2.0 < iv[0] < 4.0] == [
             pytest.approx((-1.36249, 1.36249)), pytest.approx((3.69591, 4.84381))]
+
+    def test_library_synthesis_retries_where_the_command_does(self, monkeypatch, tmp_path,
+                                                              capsys):
+        # The scan misses the infeasible window (1.3625, 3.6959); synthesis
+        # raises inside it, and one retry with that parameter known to be
+        # infeasible restricts the curve as `pencil synthesize` does.
+        texts, domain = ("cos(s/sqrt(2))", "-(s*s)", "s"), (-778.16, 26.49)
+        curve = CurveSpec(*(parse_expression(e, ["s"]) for e in texts),
+                          param="s", domain=domain)
+        calls = []
+        restrict = dcurve.feasible_domain
+        monkeypatch.setattr(dcurve, "feasible_domain",
+                            lambda *args: calls.append(list(args[3])) or restrict(*args))
+        got, _, _ = synthesize_feasible(curve, 0.5)
+        assert calls == [[], [1.3770088376500424]]
+        assert got.domain == (-1.3624883021640473, 1.3624883015270959)
+        cfg = load_preset("example1")
+        cfg["curve"].update(dict(zip("xyz", texts)), range=list(domain))
+        cfg["marching"] = {"mode": "synthesized", "c": 0.5}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["synthesize", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["curve"]["range"] == list(got.domain)
 
     @pytest.mark.parametrize("samples", [257, 513])
     def test_eight_inflection_is_a_hole(self, ex3, samples):
@@ -617,7 +642,8 @@ class TestFeasibleDomain:
         for k in "xyz":
             cfg["curve"][k] = re.sub(r"\bq\b", "(q-1e8)", cfg["curve"][k])
         cfg["curve"]["range"] = [1e8, 1e8 + 2.7198]
-        curve, intervals = feasible_curve(SceneConfig.from_dict(cfg).curve(), SQRT3_2)
+        curve, _, intervals = synthesize_feasible(SceneConfig.from_dict(cfg).curve(), SQRT3_2,
+                                                  sample_count=256)
         assert intervals is not None
         assert curve.domain[1] == pytest.approx(1e8 + 2.6698377, abs=1e-6)
 
@@ -683,8 +709,7 @@ class TestScanIsTheFirstRound:
     def test_scan_gives_the_same_scale(self, name, sign):
         cfg = SceneConfig.from_dict(load_preset(name))
         c = cfg.to_dict()["marching"]["c"]
-        curve, _ = feasible_curve(cfg.curve(), c)
-        expected = synthesize_marching_scale(curve, c, sign)
+        curve, expected, _ = synthesize_feasible(cfg.curve(), c, sign, sample_count=256)
         scan = dcurve.feasibility_scan(curve, c, dcurve._FIRST_TABLE_NODES)
         assert_same_scale(synthesize_marching_scale(curve, c, sign, scan=scan), expected)
         # A scan off the first round's nodes is not that round, and is ignored.

@@ -17,7 +17,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from dpencil import pencil
-from dpencil.dcurve import feasible_curve, synthesize_marching_scale
+from dpencil.dcurve import synthesize_feasible, synthesize_marching_scale
 from dpencil.pencil import TabulatedProductForm, _NotAKnotSpline
 
 from conftest import SRC
@@ -90,9 +90,9 @@ def eight_table(ex3):
 
 @pytest.fixture(scope="module")
 def salkowski_table(ex4):
-    curve, intervals = feasible_curve(ex4.curve, SQRT3_2)
+    _, marching, intervals = synthesize_feasible(ex4.curve, SQRT3_2, sample_count=256)
     assert intervals  # restricted to the feasible subdomain
-    form = synthesize_marching_scale(curve, SQRT3_2).form
+    form = marching.form
     assert isinstance(form, TabulatedProductForm)
     return form
 
